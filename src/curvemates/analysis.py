@@ -20,7 +20,7 @@ import numpy as np
 
 from .integrate import (FrameTrajectory, PositionCurve, integrate_direction_curve,
                         integrate_frame, reconstruct_position)
-from .liegroup import GroupSpec
+from .liegroup import GroupSpec, quat_mul_rows
 from .mates import (MateApparatus, Segment, ZERO_TOL, conjugate_mate_apparatus,
                     natural_mate_apparatus)
 from .profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile,
@@ -124,20 +124,12 @@ def sg_derivative(values: np.ndarray, h: float, window: int = DEFAULT_WINDOW,
     return (out / h ** deriv).reshape(f.shape)
 
 
-def _quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    pw, pv = p[:, :1], p[:, 1:]
-    qw, qv = q[:, :1], q[:, 1:]
-    w = pw * qw - np.sum(pv * qv, axis=1, keepdims=True)
-    v = pw * qv + qw * pv + np.cross(pv, qv)
-    return np.concatenate([w, v], axis=1)
-
-
 def _pull_back_rows(positions: np.ndarray, dpos: np.ndarray, spec: GroupSpec) -> np.ndarray:
     if spec.family == "r3":
         return dpos
     if spec.family == "s3":
         conj = positions * np.array([1.0, -1.0, -1.0, -1.0])
-        return _quat_mul_rows(conj, dpos)[:, 1:]
+        return quat_mul_rows(conj, dpos)[:, 1:]
     a = np.einsum("nja,njb->nab", positions, dpos)
     skew = 0.5 * (a - np.transpose(a, (0, 2, 1)))
     return np.stack([skew[:, 2, 1], skew[:, 0, 2], skew[:, 1, 0]], axis=1)

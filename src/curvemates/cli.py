@@ -21,7 +21,7 @@ import numpy as np
 from . import analysis
 from .analysis import ToleranceSet
 from .expressions import DomainError, ExpressionSyntaxError
-from .integrate import (integrate_direction_curve, integrate_frame,
+from .integrate import (_grid, integrate_direction_curve, integrate_frame,
                         reconstruct_position)
 from .liegroup import GroupSpec, group_spec
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
@@ -63,10 +63,6 @@ class RunConfig:
             return CurvatureProfile.from_expressions(self.kappa, self.tau, self.domain)
         except ExpressionSyntaxError as e:
             raise ConfigError(str(e)) from e
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -153,21 +149,47 @@ _POSITION_COLUMNS = {
 }
 
 
-def _write_csv(path: Optional[str], header: list[str], rows) -> None:
-    """CSV with LF endings and 17-significant-digit numerics; an empty
-    string cell stands for an undefined value (never NaN)."""
-    def render():
-        yield ",".join(header) + "\n"
-        for row in rows:
-            yield ",".join(c if isinstance(c, str) else _fmt(c) for c in row) + "\n"
+# rows formatted at a time: bounds the Python floats and text held at once
+_CHUNK_ROWS = 128
 
+
+def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
+    """CSV body text, in chunks, with 17-significant-digit numerics.
+
+    ``columns`` hold one row per CSV row (1-D, or 2-D for several cells);
+    their cells fill each row left to right after ``prefix``, literal text
+    without "%".  ``blank = (j, mask)`` leaves cell j empty in the rows
+    where mask is set: an empty cell stands for an undefined value (never
+    NaN).  Each row is formatted by one prebuilt template ("%.0s" prints
+    no cell).
+    """
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    cells = ["%.17g"] * width
+    full = prefix + ",".join(cells) + "\n"
+    if blank is not None:
+        cells[blank[0]] = "%.0s"
+        empty = prefix + ",".join(cells) + "\n"
+    for i in range(0, len(columns[0]), _CHUNK_ROWS):
+        rows = np.column_stack([c[i:i + _CHUNK_ROWS] for c in columns]).tolist()
+        if blank is None:
+            yield "".join([full % tuple(r) for r in rows])
+        else:
+            marks = blank[1][i:i + _CHUNK_ROWS].tolist()
+            yield "".join([(empty if m else full) % tuple(r)
+                           for r, m in zip(rows, marks)])
+
+
+def _write_csv(path: Optional[str], header: list[str], body) -> None:
+    """CSV with LF endings: the header row, then the text chunks of body."""
     if path is None:
-        for line in render():
-            sys.stdout.write(line)
+        sys.stdout.write(",".join(header) + "\n")
+        for chunk in body:
+            sys.stdout.write(chunk)
         return
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in render():
-            fh.write(line)
+        fh.write(",".join(header) + "\n")
+        for chunk in body:
+            fh.write(chunk)
 
 
 def _remove_partial(path: Optional[str]) -> None:
@@ -197,8 +219,9 @@ def _emit_json(payload: dict, path: Optional[str] = None) -> None:
     sys.stdout.write(text)
 
 
-def _flatten_position(spec: GroupSpec, g: np.ndarray) -> list[float]:
-    return [float(v) for v in np.ravel(g)]
+def _flat(positions: np.ndarray) -> np.ndarray:
+    """Group elements as CSV cells, one row each (matrices row-major)."""
+    return positions.reshape(positions.shape[0], -1)
 
 
 # ---------------------------------------------------------------------------
@@ -211,6 +234,10 @@ def cmd_synthesize(config: RunConfig) -> int:
     if config.init_frame is not None:
         from .liegroup import Frame
         m = np.asarray(config.init_frame, dtype=float).reshape(3, 3)
+        # the frame is projected onto the nearest rotation, which would
+        # silently turn a left-handed frame into an unrelated one
+        if not np.linalg.det(m) > 0:
+            raise ConfigError("init_frame must be a right-handed frame (det > 0)")
         init = Frame(m[0], m[1], m[2])
     g0 = None
     if config.init_position is not None:
@@ -224,24 +251,19 @@ def cmd_synthesize(config: RunConfig) -> int:
     hvals = np.atleast_1d(harmonic_curvature(p, spec, s))
     hp = np.atleast_1d(harmonic_curvature_prime(p, spec, s))
     om = np.atleast_1d(np.asarray(omega(p, spec, s), dtype=float))
-    sigma_cells: list = []
-    for i in range(len(s)):
-        if abs(hp[i]) <= 1e-12:
-            sigma_cells.append("")
-        else:
-            sigma_cells.append(traj.kappa[i] * (hvals[i] ** 2 + 1.0) ** 1.5 / hp[i])
+    # element by element: numpy's vectorised power may differ from libm pow
+    # in the last bit, and the column is kept as the scalar formula writes it
+    blank = np.abs(hp) <= 1e-12
+    sig = np.fromiter((0.0 if b else k * (h ** 2 + 1.0) ** 1.5 / d
+                       for k, h, d, b in zip(traj.kappa, hvals, hp, blank)),
+                      dtype=float, count=len(s))
     header = (["s"] + _POSITION_COLUMNS[spec.family]
               + ["t1", "t2", "t3", "n1", "n2", "n3", "b1", "b2", "b3",
                  "kappa", "tau", "H", "sigma", "omega"])
-
-    def rows():
-        for i in range(len(s)):
-            yield ([float(s[i])] + _flatten_position(spec, traj.positions[i])
-                   + [*traj.t[i], *traj.n[i], *traj.b[i],
-                      float(traj.kappa[i]), float(traj.tau[i]),
-                      float(hvals[i]), sigma_cells[i], float(om[i])])
-
-    _write_csv(config.out, header, rows())
+    columns = [s, _flat(traj.positions), traj.t, traj.n, traj.b,
+               traj.kappa, traj.tau, hvals, sig, om]
+    _write_csv(config.out, header,
+               _csv_rows(columns, blank=(header.index("sigma"), blank)))
     return 0
 
 
@@ -259,12 +281,10 @@ def cmd_mate(config: RunConfig) -> int:
             else conjugate_mate_apparatus(p, spec))
 
     if mode == "analytic":
-        s = np.linspace(config.domain[0], config.domain[1],
-                        int(round((config.domain[1] - config.domain[0]) / config.step)) + 1)
+        s = _grid(config.domain[0], config.domain[1], config.step)
         kap = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
         tau = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
-        _write_csv(config.out, ["s", "kappa", "tau"],
-                   ([float(a), float(b), float(c)] for a, b, c in zip(s, kap, tau)))
+        _write_csv(config.out, ["s", "kappa", "tau"], _csv_rows([s, kap, tau]))
         return 0
 
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
@@ -277,26 +297,15 @@ def cmd_mate(config: RunConfig) -> int:
 
     if mode == "geometric":
         header = ["s"] + pos_cols + ["kappa_est", "tau_est"]
-
-        def rows():
-            for i in range(len(s)):
-                yield ([float(s[i])] + _flatten_position(spec, curve.positions[i])
-                       + [float(est.kappa[i]), float(est.tau[i])])
-
-        _write_csv(config.out, header, rows())
+        _write_csv(config.out, header, _csv_rows(
+            [s, _flat(curve.positions), est.kappa, est.tau]))
         return 0
 
     kap = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
     tau = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
     header = ["s", "kappa_analytic", "tau_analytic"] + pos_cols + ["kappa_est", "tau_est"]
-
-    def rows():
-        for i in range(len(s)):
-            yield ([float(s[i]), float(kap[i]), float(tau[i])]
-                   + _flatten_position(spec, curve.positions[i])
-                   + [float(est.kappa[i]), float(est.tau[i])])
-
-    _write_csv(config.out, header, rows())
+    _write_csv(config.out, header, _csv_rows(
+        [s, kap, tau, _flat(curve.positions), est.kappa, est.tau]))
     v = est.valid
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -419,12 +428,10 @@ def cmd_verify(config: RunConfig) -> int:
     }
     _emit_json(payload)
     if config.out and traces:
-        def rows():
-            for theorem, (s, resid) in traces:
-                for i in range(len(s)):
-                    cell = "" if not np.isfinite(resid[i]) else float(resid[i])
-                    yield [theorem, float(s[i]), cell]
-        _write_csv(config.out, ["theorem", "s", "residual"], rows())
+        body = (chunk for theorem, (s, resid) in traces
+                for chunk in _csv_rows([s, resid], blank=(1, ~np.isfinite(resid)),
+                                       prefix=f"{theorem},"))
+        _write_csv(config.out, ["theorem", "s", "residual"], body)
     return 0 if all_ok else 1
 
 

@@ -4,23 +4,44 @@ The left-invariant frame components obey
 
     t' = kappa n,   n' = -kappa t + (tau - tau_G) b,   b' = -(tau - tau_G) n
 
-which classical fixed-step RK4 solves on a uniform grid; after every step
-the frame is re-orthonormalized by modified Gram-Schmidt in the order
-T, N, B (tangent kept exact, drift pushed into B).  Positions follow from
-a second RK4 on gamma' = dL_gamma(t) in the concrete group model, with the
-tangent at half-steps supplied by cubic Hermite interpolation.
+that is F' = hat(w) F for the frame F with rows (T, N, B) and
+w = -(tau - tau_G, 0, kappa).  Positions obey gamma' = gamma v, v being the
+algebra components of the tangent, in the concrete group model.  Both are
+solved by one fourth-order Magnus step (Iserles, Munthe-Kaas, Norsett &
+Zanna, Acta Numerica 2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 2009).
+From the algebra values w0, w_half, w1 at the two ends and the midpoint of
+a step,
+
+    Omega = (h/6)(w0 + 4 w_half + w1) + c (h^2/12) w0 x w1
+
+and the step multiplies by exp(Omega).  The commutator coefficient is
+c = -1 for frames (left multiplication) and c = +lam for positions (right
+multiplication; the bracket is lam * cross).  Omega, then its exponential
+(Rodrigues for rotations, the quaternion exponential for S^3), is computed
+for a block of steps at a time in batched numpy passes, and the steps are
+multiplied together by a log-depth prefix scan.  An exponential is
+orthonormal (unit) to round-off, so no step is projected back onto the
+group: only the initial frame and element are, and the defects are checked
+once over the finished arrays.  For R^3 (lam = 0) the step is a translation
+and the positions are a cumulative Simpson sum.  Tangents at half-steps
+come from cubic Hermite interpolation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
-from .liegroup import (Frame, GroupSpec, element_defect, hat, identity_element,
-                       quat_mul, renormalize_element)
+from .liegroup import (SO3, Frame, GroupSpec, identity_element, quat_mul_rows,
+                       renormalize_element)
 from .profiles import CurvatureProfile, FrenetViolation
+
+# rows per batched operation of the stepper and the scan: bounds their
+# temporaries, which would otherwise add several (N, 3, 3) arrays to the
+# peak memory of a run
+_BLOCK = 2048
 
 
 @dataclass
@@ -36,8 +57,8 @@ class FrameTrajectory:
     spec: GroupSpec
     profile: CurvatureProfile
     positions: Optional[np.ndarray] = None
-    max_step_defect: float = 0.0    # orthonormality drift before renormalization
-    max_frame_defect: float = 0.0   # after renormalization
+    max_step_defect: float = 0.0    # orthonormality defect of the one-step exponentials
+    max_frame_defect: float = 0.0   # orthonormality defect of the frames
     max_element_defect: float = 0.0
 
     @property
@@ -66,19 +87,85 @@ def _grid(s0: float, s1: float, h: float) -> np.ndarray:
     return np.linspace(s0, s1, steps + 1)
 
 
-def _mgs(m: np.ndarray) -> np.ndarray:
-    """Modified Gram-Schmidt on the rows, in order."""
-    t = m[0] / np.linalg.norm(m[0])
-    n = m[1] - (m[1] @ t) * t
-    n = n / np.linalg.norm(n)
-    b = m[2] - (m[2] @ t) * t
-    b = b - (b @ n) * n
-    b = b / np.linalg.norm(b)
-    return np.vstack([t, n, b])
+def _magnus_exponents(w: np.ndarray, w_mid: np.ndarray, h: float,
+                      c: float) -> np.ndarray:
+    """Fourth-order Magnus exponent of every step, from algebra values at
+    the nodes (N+1, 3) and the midpoints (N, 3); c is the commutator
+    coefficient."""
+    w0, w1 = w[:-1], w[1:]
+    omega = (h / 6.0) * (w0 + 4.0 * w_mid + w1)
+    if c:
+        omega += (c * h * h / 12.0) * np.cross(w0, w1)
+    return omega
 
 
-def _orth_defect(m: np.ndarray) -> float:
-    return float(np.max(np.abs(m @ m.T - np.eye(3))))
+def _exp_rotations(omega: np.ndarray, r: np.ndarray) -> None:
+    """Write exp(hat(omega)) for every row into r (N, 3, 3), by Rodrigues.
+
+    R = cos(th) I + a hat(omega) + b omega omega^T with a = sin(th)/th and
+    b = (1 - cos(th))/th^2, written entry by entry so that no (N, 3, 3)
+    temporary is formed; sinc keeps a and b exact as th -> 0."""
+    x, y, z = omega[:, 0], omega[:, 1], omega[:, 2]
+    theta = np.sqrt(x * x + y * y + z * z)
+    a = np.sinc(theta / np.pi)
+    b = 0.5 * np.sinc(theta / (2.0 * np.pi)) ** 2
+    cos = np.cos(theta)
+    ax, ay, az = a * x, a * y, a * z
+    bx, by, bz = b * x, b * y, b * z
+    r[:, 0, 0] = cos + bx * x
+    r[:, 0, 1] = bx * y - az
+    r[:, 0, 2] = bx * z + ay
+    r[:, 1, 0] = bx * y + az
+    r[:, 1, 1] = cos + by * y
+    r[:, 1, 2] = by * z - ax
+    r[:, 2, 0] = bx * z - ay
+    r[:, 2, 1] = by * z + ax
+    r[:, 2, 2] = cos + bz * z
+
+
+def _exp_quaternions(omega: np.ndarray, q: np.ndarray) -> None:
+    """Write exp((0, omega)) = (cos th, sin(th)/th omega), th = |omega|,
+    for every row into q (N, 4)."""
+    theta = np.linalg.norm(omega, axis=1)
+    q[:, 0] = np.cos(theta)
+    q[:, 1:] = np.sinc(theta / np.pi)[:, None] * omega
+
+
+def _magnus_steps(w: np.ndarray, w_mid: np.ndarray, h: float, c: float,
+                  exp: Callable[[np.ndarray, np.ndarray], None],
+                  out: np.ndarray) -> None:
+    """Write exp(Omega) of every step into out, a block of steps at a time."""
+    for lo in range(0, w_mid.shape[0], _BLOCK):
+        hi = lo + _BLOCK
+        exp(_magnus_exponents(w[lo:hi + 1], w_mid[lo:hi], h, c), out[lo:hi])
+
+
+def _scan(out: np.ndarray,
+          mul: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
+    """In place, out[k] <- out[0] . out[1] . ... . out[k] for an associative
+    product mul(earlier, later) applied row-wise.
+
+    A log-depth (Hillis-Steele) scan; each pass runs over blocks from the
+    top down, so that reads below a block still see the previous pass and
+    one block's product is the only temporary."""
+    n = out.shape[0]
+    d = 1
+    while d < n:
+        for hi in range(n, d, -_BLOCK):
+            lo = max(d, hi - _BLOCK)
+            out[lo:hi] = mul(out[lo - d:hi - d], out[lo:hi])
+        d *= 2
+
+
+def _gram_defect(m: np.ndarray) -> float:
+    """Largest |m m^T - I| entry over a stack of 3x3 matrices, one Gram
+    entry at a time so that no (N, 3, 3) temporary is formed."""
+    worst = 0.0
+    for i in range(3):
+        for j in range(i, 3):
+            dot = np.einsum("nk,nk->n", m[:, i], m[:, j])
+            worst = max(worst, float(np.max(np.abs(dot - (i == j)))))
+    return worst
 
 
 def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
@@ -87,10 +174,10 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
 
     Spans that are not integer multiples of h round to the nearest step
     count.  Profile values at half-steps come from direct expression
-    evaluation, or cubic interpolation for sampled profiles.
+    evaluation, or cubic interpolation for sampled profiles.  The initial
+    frame is projected onto the rotations once.
     """
     s = _grid(s0, s1, h)
-    n_steps = s.shape[0] - 1
     hh = float(s[1] - s[0])
     mid = 0.5 * (s[:-1] + s[1:])
     kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
@@ -103,32 +190,19 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
             raise FrenetViolation("Frenet condition violated: kappa <= 0",
                                   float(np.asarray(where)[bad][0]))
 
-    def k_matrix(kap, m):
-        return np.array([[0.0, kap, 0.0], [-kap, 0.0, m], [0.0, -m, 0.0]])
+    def algebra(kap, tor):
+        return np.column_stack([spec.tau_g - tor, np.zeros_like(kap), -kap])
 
-    y = (init or Frame.identity()).as_matrix().astype(float)
-    frames = np.empty((n_steps + 1, 3, 3))
-    frames[0] = _mgs(y)
-    max_step_defect = 0.0
-    max_frame_defect = _orth_defect(frames[0])
-    tg = spec.tau_g
-    for i in range(n_steps):
-        y = frames[i]
-        k0 = k_matrix(kappa[i], tau[i] - tg)
-        km = k_matrix(kappa_mid[i], tau_mid[i] - tg)
-        k1g = k_matrix(kappa[i + 1], tau[i + 1] - tg)
-        a1 = k0 @ y
-        a2 = km @ (y + 0.5 * hh * a1)
-        a3 = km @ (y + 0.5 * hh * a2)
-        a4 = k1g @ (y + hh * a3)
-        raw = y + (hh / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        max_step_defect = max(max_step_defect, _orth_defect(raw))
-        frames[i + 1] = _mgs(raw)
-        max_frame_defect = max(max_frame_defect, _orth_defect(frames[i + 1]))
+    frames = np.empty((s.shape[0], 3, 3))
+    frames[0] = renormalize_element(SO3, (init or Frame.identity()).as_matrix().astype(float))
+    _magnus_steps(algebra(kappa, tau), algebra(kappa_mid, tau_mid), hh, -1.0,
+                  _exp_rotations, frames[1:])
+    max_step_defect = _gram_defect(frames[1:])
+    _scan(frames, lambda earlier, later: later @ earlier)
     return FrameTrajectory(
         s=s, t=frames[:, 0], n=frames[:, 1], b=frames[:, 2],
         kappa=kappa, tau=tau, spec=spec, profile=p,
-        max_step_defect=max_step_defect, max_frame_defect=max_frame_defect)
+        max_step_defect=max_step_defect, max_frame_defect=_gram_defect(frames))
 
 
 def _hermite_midpoints(field: np.ndarray, deriv: np.ndarray, h: float) -> np.ndarray:
@@ -140,44 +214,25 @@ def _hermite_midpoints(field: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
 def _integrate_group_positions(s: np.ndarray, field: np.ndarray,
                                field_mid: np.ndarray, spec: GroupSpec,
                                g0: Optional[np.ndarray]):
-    """RK4 for gamma' = dL_gamma(v(s)) given v at nodes and midpoints."""
+    """Magnus steps for gamma' = gamma v(s) given v at nodes and midpoints.
+
+    Returns the positions and their largest distance from the group."""
     h = float(s[1] - s[0])
-    n_steps = s.shape[0] - 1
     g = identity_element(spec) if g0 is None else np.array(g0, dtype=float)
-    family = spec.family
-    max_drift = 0.0
-
-    if family == "r3":
-        out = np.empty((n_steps + 1, 3))
+    if spec.family == "r3":
+        out = np.empty((s.shape[0], 3))
         out[0] = g
-        inc = (h / 6.0) * (field[:-1] + 4.0 * field_mid + field[1:])
-        out[1:] = g + np.cumsum(inc, axis=0)
+        out[1:] = g + np.cumsum(_magnus_exponents(field, field_mid, h, spec.lam), axis=0)
         return out, 0.0
-
-    if family == "s3":
-        out = np.empty((n_steps + 1, 4))
-        out[0] = renormalize_element(spec, g)
-
-        def rhs(q, v):
-            return quat_mul(q, np.concatenate(([0.0], v)))
-    else:
-        out = np.empty((n_steps + 1, 3, 3))
-        out[0] = renormalize_element(spec, g)
-
-        def rhs(r, v):
-            return r @ hat(v)
-
-    for i in range(n_steps):
-        q = out[i]
-        v0, vm, v1 = field[i], field_mid[i], field[i + 1]
-        a1 = rhs(q, v0)
-        a2 = rhs(q + 0.5 * h * a1, vm)
-        a3 = rhs(q + 0.5 * h * a2, vm)
-        a4 = rhs(q + h * a3, v1)
-        raw = q + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-        out[i + 1] = renormalize_element(spec, raw)
-        max_drift = max(max_drift, element_defect(spec, out[i + 1]))
-    return out, max_drift
+    out = np.empty((s.shape[0],) + g.shape)
+    out[0] = renormalize_element(spec, g)
+    if spec.family == "s3":
+        _magnus_steps(field, field_mid, h, spec.lam, _exp_quaternions, out[1:])
+        _scan(out, quat_mul_rows)
+        return out, float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)))
+    _magnus_steps(field, field_mid, h, spec.lam, _exp_rotations, out[1:])
+    _scan(out, np.matmul)
+    return out, _gram_defect(np.swapaxes(out, 1, 2))
 
 
 def reconstruct_position(traj: FrameTrajectory, spec: GroupSpec,

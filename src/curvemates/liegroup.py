@@ -16,10 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# renormalization thresholds applied after every update
-QUATERNION_DRIFT_TOL = 1e-12
-MATRIX_DRIFT_TOL = 1e-9
-
 _FAMILIES = {"r3": 0.0, "so3": 1.0, "s3": 2.0}
 
 
@@ -122,6 +118,18 @@ def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     pw, pv = p[0], p[1:]
     qw, qv = q[0], q[1:]
     return np.concatenate(([pw * qw - pv @ qv], pw * qv + qw * pv + np.cross(pv, qv)))
+
+
+def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise Hamilton product of two (N, 4) stacks, scalar-first."""
+    pw, px, py, pz = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
+    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    out = np.empty(p.shape)
+    out[:, 0] = pw * qw - (px * qx + py * qy + pz * qz)
+    out[:, 1] = pw * qx + qw * px + (py * qz - pz * qy)
+    out[:, 2] = pw * qy + qw * py + (pz * qx - px * qz)
+    out[:, 3] = pw * qz + qw * pz + (px * qy - py * qx)
+    return out
 
 
 def quat_conj(q: np.ndarray) -> np.ndarray:

@@ -29,7 +29,7 @@ from .profiles import (CurvatureProfile, FrenetViolation, harmonic_curvature,
                        harmonic_curvature_prime, sigma)
 
 # |tau - tau_G| below this counts as a zero when splitting conjugate segments:
-# below finite-difference noise, above accumulated RK4 error.
+# below finite-difference noise, above accumulated integration error.
 ZERO_TOL = 1e-9
 
 

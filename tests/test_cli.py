@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from curvemates.cli import main
+from curvemates.cli import _csv_rows, main
 
 
 def run_cli(args, capsys):
@@ -66,6 +66,42 @@ def test_synthesize_sigma_empty_for_constant_h(tmp_path, capsys):
     assert all(row[16] == "" for row in rows)  # sigma column stays empty
 
 
+def per_cell_csv(rows):
+    """Reference CSV body: each cell formatted on its own, "" left empty."""
+    return "".join(",".join(c if isinstance(c, str) else f"{c:.17g}" for c in row)
+                   + "\n" for row in rows)
+
+
+def test_csv_templates_match_per_cell_formatting():
+    rng = np.random.default_rng(7)
+    n = 1300                            # spans several formatting chunks
+    a = rng.normal(size=n) * 10.0 ** rng.integers(-300, 300, size=n)
+    special = [0.0, -0.0, 1e-300, -1e-300, 5e-324, 1.7976931348623157e308,
+               -1e300, 123456789012345678.0, 0.1, 1 / 3, 1e16, -2.5e-8]
+    a[:len(special)] = special
+    b = rng.normal(size=(n, 3))
+    b[0] = [-0.0, 1e-300, -1e300]
+    c = rng.normal(size=n) * 1e12
+    blank = rng.random(n) < 0.2
+    blank[:3] = True
+    blank[-1] = True
+    rows = [[float(a[i]), *b[i], "" if blank[i] else float(c[i]), float(-a[i])]
+            for i in range(n)]
+    body = "".join(_csv_rows([a, b, c, -a], blank=(4, blank)))
+    assert body == per_cell_csv(rows)
+    assert "".join(_csv_rows([a, b])) == per_cell_csv(
+        [[float(a[i]), *b[i]] for i in range(n)])
+    # verify traces: a literal first cell, blank residuals where not finite
+    resid = c.copy()
+    resid[blank] = np.nan
+    resid[5] = np.inf
+    traced = [["cor6_1", float(a[i]), float(resid[i]) if np.isfinite(resid[i]) else ""]
+              for i in range(n)]
+    body = "".join(_csv_rows([a, resid], blank=(1, ~np.isfinite(resid)),
+                             prefix="cor6_1,"))
+    assert body == per_cell_csv(traced)
+
+
 def test_frenet_violation_exits_2(tmp_path, capsys):
     out = tmp_path / "never.csv"
     code, _, err = run_cli(["synthesize", "--group", "r3", "--kappa=-1",
@@ -97,7 +133,9 @@ def test_mate_analytic_columns(tmp_path, capsys):
     assert code == 0
     header, rows = read_csv(out)
     assert header == ["s", "kappa", "tau"]
+    assert len(rows) == 1951
     s = np.array([float(r[0]) for r in rows])
+    np.testing.assert_array_equal(s, np.linspace(1.05, 3, 1951))
     kap = np.array([float(r[1]) for r in rows])
     tau = np.array([float(r[2]) for r in rows])
     np.testing.assert_allclose(kap, np.abs(s ** 2 + s - 2), atol=1e-12)
@@ -241,6 +279,19 @@ def test_synthesize_with_init_frame_config(tmp_path, capsys):
     _, rows = read_csv(out)
     t0 = [float(c) for c in rows[0][4:7]]
     assert t0 == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
+
+
+def test_left_handed_init_frame_exits_2(tmp_path, capsys):
+    cfg = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
+           "step": 0.01, "init_frame": [1, 0, 0, 0, 1, 0, 0, 0, -1]}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "lh.csv"
+    code, _, err = run_cli(["synthesize", "--config", str(cfg_path),
+                            "--out", str(out)], capsys)
+    assert code == 2
+    assert "right-handed" in err
+    assert not out.exists()
 
 
 def test_verify_unknown_theorem_exits_2(capsys):

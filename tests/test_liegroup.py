@@ -8,7 +8,7 @@ from curvemates.liegroup import (R3, S3, SO3, Frame, GroupSpec, bracket,
                                  element_defect, frame_defect, group_spec, hat,
                                  identity_element, left_shift,
                                  left_translate_tangent, lie_group_torsion,
-                                 pull_back_tangent, quat_mul,
+                                 pull_back_tangent, quat_mul, quat_mul_rows,
                                  renormalize_element, vee)
 
 E1 = np.array([1.0, 0.0, 0.0])
@@ -229,3 +229,7 @@ def test_quat_mul_matches_matrix_representation():
         assert out[0] == pytest.approx(w, rel=1e-12, abs=1e-12)
         assert np.linalg.norm(quat_mul(p, q)) == pytest.approx(
             np.linalg.norm(p) * np.linalg.norm(q), rel=1e-12)
+    p, q = rng.normal(size=(10, 4)), rng.normal(size=(10, 4))
+    rows = quat_mul_rows(p, q)
+    for a, b, out in zip(p, q, rows):
+        np.testing.assert_allclose(out, quat_mul(a, b), rtol=1e-14, atol=1e-14)
