@@ -20,9 +20,9 @@ import numpy as np
 
 from .integrate import (FrameTrajectory, PositionCurve, integrate_direction_curve,
                         integrate_frame, reconstruct_position)
-from .liegroup import GroupSpec, quat_mul_rows
+from .liegroup import GroupSpec, quat_mul_rows, runs
 from .mates import (MateApparatus, Segment, ZERO_TOL, conjugate_mate_apparatus,
-                    natural_mate_apparatus)
+                    natural_mate_apparatus, sign_segments)
 from .profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile,
                        harmonic_curvature, harmonic_curvature_prime)
 
@@ -68,20 +68,6 @@ class ToleranceSet:
         return cls(constancy=1e-3, residual=1e-3,
                    spherical_spread=1e-3, spherical_residual=1e-3,
                    spherical_zero_rel=1e-3)
-
-    def as_dict(self) -> dict:
-        return {
-            "constancy": self.constancy,
-            "residual": self.residual,
-            "spherical_spread": self.spherical_spread,
-            "spherical_residual": self.spherical_residual,
-            "zero": self.zero,
-            "spherical_zero_rel": self.spherical_zero_rel,
-            "rectifying_slope_min": self.rectifying_slope_min,
-            "tangent": self.tangent,
-            "bertrand": self.bertrand,
-            "orthogonality": self.orthogonality,
-        }
 
 
 def rel_spread(x) -> float:
@@ -291,9 +277,8 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
 
     # split into maximal runs; zero-runs shorter than 3 samples are treated
     # as masked points inside a surrounding general run
-    runs = _runs(zero)
     merged: list[tuple[int, int, str]] = []
-    for i0, i1, flag in runs:
+    for i0, i1, flag in runs(zero):
         kind = "zero" if flag else "general"
         if flag and (i1 - i0 + 1) < 3:
             kind = "general"
@@ -349,18 +334,6 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
                            tol.spherical_residual, trace=(s, trace))
 
 
-def _runs(mask: np.ndarray) -> list[tuple[int, int, bool]]:
-    out = []
-    i, n = 0, len(mask)
-    while i < n:
-        j = i
-        while j + 1 < n and mask[j + 1] == mask[i]:
-            j += 1
-        out.append((i, j, bool(mask[i])))
-        i = j + 1
-    return out
-
-
 def _masked_derivative(u: np.ndarray, h: float) -> np.ndarray:
     """5-point central derivative, NaN wherever the window touches a NaN."""
     n = len(u)
@@ -377,7 +350,7 @@ def _integrated_closure(u: np.ndarray, hvals: np.ndarray, h: float) -> Optional[
     from .liegroup import cumulative_quadrature
     ok = ~np.isnan(u)
     worst = None
-    for i0, i1, flag in _runs(ok):
+    for i0, i1, flag in runs(ok):
         if not flag or i1 - i0 + 1 < 3:
             continue
         seg_u = u[i0:i1 + 1]
@@ -490,24 +463,8 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
         max(k_spread, t_spread), tol.constancy)
 
     m = tau - spec.tau_g
-    segments = _sign_segments(s, m, tol.zero)
+    segments = sign_segments(s, m, tol.zero)
     return ClassificationReport(verdicts, sph, segments, tol)
-
-
-def _sign_segments(s: np.ndarray, m: np.ndarray, zero_tol: float) -> tuple[Segment, ...]:
-    valid = np.abs(m) > zero_tol
-    out = []
-    i, n = 0, len(s)
-    while i < n:
-        if not valid[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and valid[j + 1] and np.sign(m[j + 1]) == np.sign(m[i]):
-            j += 1
-        out.append(Segment(float(s[i]), float(s[j]), int(np.sign(m[i]))))
-        i = j + 1
-    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +752,7 @@ def _signed_sqrt_residual(lhs: np.ndarray, base: np.ndarray, disc: np.ndarray,
     of |lhs - (base +/- sqrt(disc))|."""
     worst = 0.0
     root = np.sqrt(np.clip(disc, 0.0, None))
-    for i0, i1, flag in _runs(mask):
+    for i0, i1, flag in runs(mask):
         if not flag:
             continue
         sl = slice(i0, i1 + 1)

@@ -343,16 +343,29 @@ def cmd_classify(config: RunConfig) -> int:
         },
         "segments": [{"s_min": seg.s_min, "s_max": seg.s_max, "sign": seg.sign}
                      for seg in report.segments],
-        "tolerances": config.tolerances.as_dict(),
+        "tolerances": dataclasses.asdict(config.tolerances),
     }
     _emit_json(payload, config.out)
     return 0
 
 
-def _run_theorem(theorem: str, config: RunConfig):
-    spec = config.spec()
-    p = config.profile()
-    tol = config.tolerances
+def _mate_curves(p: CurvatureProfile, spec: GroupSpec, config: RunConfig):
+    """Parent trajectory with its natural and conjugate direction curves,
+    the conjugate one None where tau - tau_G vanishes identically."""
+    traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
+    traj = reconstruct_position(traj, spec)
+    natural = integrate_direction_curve(traj, "principal_normal", spec)
+    try:
+        conjugate_mate_apparatus(p, spec)
+    except NotAFrenetMate:
+        return traj, natural, None
+    return traj, natural, integrate_direction_curve(traj, "binormal", spec)
+
+
+def _run_theorem(theorem: str, p: CurvatureProfile, spec: GroupSpec,
+                 tol: ToleranceSet, curves):
+    """Report of one theorem; cor6_3 and cor6_4 read ``curves``, the
+    result of ``_mate_curves``."""
     dispatch = {
         "thm4_1": analysis.verify_thm_4_1,
         "thm5_1": analysis.verify_thm_5_1,
@@ -368,15 +381,7 @@ def _run_theorem(theorem: str, config: RunConfig):
     }
     if theorem in dispatch:
         return dispatch[theorem](p, spec, tol)
-    # cor6_3 / cor6_4 need integrated curves
-    traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
-    traj = reconstruct_position(traj, spec)
-    natural = integrate_direction_curve(traj, "principal_normal", spec)
-    try:
-        conjugate_mate_apparatus(p, spec)
-        conjugate = integrate_direction_curve(traj, "binormal", spec)
-    except NotAFrenetMate:
-        conjugate = None
+    traj, natural, conjugate = curves
     if theorem == "cor6_3":
         if conjugate is None:
             return analysis.VerificationReport(
@@ -399,10 +404,16 @@ def cmd_verify(config: RunConfig) -> int:
     if unknown:
         raise ConfigError(f"unknown theorem ids: {unknown}; "
                           f"expected among {list(THEOREMS)}")
+    spec = config.spec()
+    p = config.profile()
     results = []
     traces = []
+    curves = None
     for theorem in config.theorems:
-        report = _run_theorem(theorem, config)
+        # cor6_3 and cor6_4 share one integration, run when first needed
+        if theorem in ("cor6_3", "cor6_4") and curves is None:
+            curves = _mate_curves(p, spec, config)
+        report = _run_theorem(theorem, p, spec, config.tolerances, curves)
         entry = {
             "theorem": theorem,
             "applicable": report.applicable,
@@ -481,11 +492,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _show_tolerances() -> None:
     print("default tolerances (analytic preset):")
-    for name, value in ToleranceSet.analytic().as_dict().items():
+    analytic = dataclasses.asdict(ToleranceSet.analytic())
+    for name, value in analytic.items():
         print(f"  {name:22s} {value:g}")
     print("estimated preset overrides:")
-    analytic = ToleranceSet.analytic().as_dict()
-    for name, value in ToleranceSet.estimated().as_dict().items():
+    for name, value in dataclasses.asdict(ToleranceSet.estimated()).items():
         if analytic[name] != value:
             print(f"  {name:22s} {value:g}")
 

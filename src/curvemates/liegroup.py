@@ -228,3 +228,23 @@ def left_shift(s: np.ndarray, tangents: np.ndarray, alpha0: np.ndarray) -> np.nd
     if not np.allclose(steps, h, rtol=0, atol=1e-12 * max(1.0, abs(h))):
         raise ValueError("left shift requires a uniform s-grid")
     return np.asarray(alpha0, dtype=float) + cumulative_quadrature(t, h)
+
+
+# ---------------------------------------------------------------------------
+# runs of a sampled key
+
+def runs(key) -> list[tuple[int, int, object]]:
+    """Maximal runs of equal values of a 1-D array, in order.
+
+    Each run is ``(first, last, value)``: ``first`` and ``last`` are the
+    inclusive indices of its first and last sample, and ``value`` is the
+    value all its samples hold, as a Python scalar.  Consecutive runs hold
+    different values.  Values are compared with ``!=``, so every NaN is a
+    run of its own.  An empty array has no runs.
+    """
+    key = np.asarray(key)
+    if key.size == 0:
+        return []
+    last = np.append(np.flatnonzero(key[1:] != key[:-1]), key.size - 1)
+    first = np.concatenate(([0], last[:-1] + 1))
+    return list(zip(first.tolist(), last.tolist(), key[first].tolist()))

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import expressions as ex
-from .liegroup import GroupSpec, cumulative_quadrature
+from .liegroup import GroupSpec, cumulative_quadrature, runs
 from .profiles import (CurvatureProfile, FrenetViolation, harmonic_curvature,
                        harmonic_curvature_prime, sigma)
 
@@ -100,17 +100,26 @@ class MateApparatus:
 
 
 def _mate_zero_structure(p: CurvatureProfile, spec: GroupSpec, n: int):
+    """Samples s, m = tau - tau_G, the mask |m| > ZERO_TOL and the zero
+    crossings of m in increasing s: the linear interpolate between two valid
+    samples of opposite sign, and the first sample of each invalid stretch
+    that follows a valid one."""
     s = p.grid(n)
     m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
     valid = np.abs(m) > ZERO_TOL
-    crossings = []
-    for i in range(len(s) - 1):
-        if valid[i] and valid[i + 1] and np.sign(m[i]) != np.sign(m[i + 1]):
-            # linear interpolation of the crossing
-            crossings.append(float(s[i] - m[i] * (s[i + 1] - s[i]) / (m[i + 1] - m[i])))
-        elif valid[i] and not valid[i + 1]:
-            crossings.append(float(s[i + 1]))
-    return s, m, valid, crossings
+    change = valid[:-1] & valid[1:] & (np.sign(m[:-1]) != np.sign(m[1:]))
+    drop = valid[:-1] & ~valid[1:]
+    crossings = s[1:].copy()
+    i = np.flatnonzero(change)
+    crossings[i] = s[i] - m[i] * (s[i + 1] - s[i]) / (m[i + 1] - m[i])
+    return s, m, valid, crossings[change | drop].tolist()
+
+
+def sign_segments(s: np.ndarray, m: np.ndarray, zero_tol: float) -> tuple[Segment, ...]:
+    """Maximal runs of samples with |m| > zero_tol and constant sign of m."""
+    key = np.where(np.abs(m) > zero_tol, np.sign(m), 0.0)
+    return tuple(Segment(float(s[i]), float(s[j]), int(sign))
+                 for i, j, sign in runs(key) if sign != 0.0)
 
 
 def _conjugate_segments(p: CurvatureProfile, spec: GroupSpec, n: int):
@@ -118,19 +127,7 @@ def _conjugate_segments(p: CurvatureProfile, spec: GroupSpec, n: int):
     if not np.any(valid):
         raise NotAFrenetMate(
             f"tau - tau_G vanishes identically on [{p.s_min}, {p.s_max}]", crossings)
-    segments = []
-    i = 0
-    total = len(s)
-    while i < total:
-        if not valid[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < total and valid[j + 1] and np.sign(m[j + 1]) == np.sign(m[i]):
-            j += 1
-        segments.append(Segment(float(s[i]), float(s[j]), int(np.sign(m[i]))))
-        i = j + 1
-    return tuple(segments), crossings
+    return sign_segments(s, m, ZERO_TOL)
 
 
 def natural_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
@@ -163,7 +160,7 @@ def conjugate_mate_apparatus(p: CurvatureProfile, spec: GroupSpec,
     """kappa* = |tau - tau_G|, tau* = kappa + tau_G, segmented where
     tau - tau_G changes sign (threshold ZERO_TOL, sign constant per segment)."""
     tg = spec.tau_g
-    segments, _ = _conjugate_segments(p, spec, n)
+    segments = _conjugate_segments(p, spec, n)
     if p.is_symbolic:
         m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
         kstar = ex.Unary("abs", m)
@@ -237,17 +234,7 @@ def _is_expr(x) -> bool:
 
 
 def _longest_run(mask: np.ndarray) -> Optional[tuple[int, int]]:
-    best = None
-    i = 0
-    n = len(mask)
-    while i < n:
-        if not mask[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and mask[j + 1]:
-            j += 1
-        if best is None or j - i > best[1] - best[0]:
-            best = (i, j)
-        i = j + 1
-    return best
+    """Inclusive (first, last) of the longest run of True in mask, the first
+    such run on a tie; None when mask holds no True."""
+    return max(((i, j) for i, j, flag in runs(mask) if flag),
+               key=lambda run: run[1] - run[0], default=None)

@@ -187,6 +187,21 @@ def test_classify_slant(capsys):
     assert report["verdicts"]["slant_helix"]["pass"]
     assert report["verdicts"]["slant_helix"]["residual"] <= 1e-9
     assert [seg["sign"] for seg in report["segments"]] == [-1, 1]
+    assert stdout.endswith('''
+  "tolerances": {
+    "constancy": 1e-06,
+    "residual": 1e-08,
+    "spherical_spread": 1e-06,
+    "spherical_residual": 1e-06,
+    "zero": 1e-09,
+    "spherical_zero_rel": 0.0,
+    "rectifying_slope_min": 1e-06,
+    "tangent": 1e-05,
+    "bertrand": 0.0001,
+    "orthogonality": 1e-05
+  }
+}
+''')
 
 
 def test_classify_spherical_radius(capsys):
@@ -263,6 +278,46 @@ def test_verify_mate_geometry_theorems(capsys):
     assert code == 0
     entry = json.loads(stdout)["results"][0]
     assert not entry["applicable"]
+
+
+def test_verify_integrates_mate_curves_once(capsys, tmp_path, monkeypatch):
+    from curvemates import cli
+    integrate_frame = cli.integrate_frame
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return integrate_frame(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "integrate_frame", counting)
+    base = ["verify", "--group", "so3", "--kappa", "3*cos(s)", "--tau", "sqrt(2)",
+            "--domain=-1.5:1.5", "--step", "1e-2"]
+    together = tmp_path / "together.csv"
+    code, stdout, _ = run_cli(base + ["--theorems", "cor6_3,thm6_2,cor6_4",
+                                      "--out", str(together)], capsys)
+    assert code == 0
+    assert len(calls) == 1
+
+    # one theorem at a time: the same entries and trace rows
+    entries, body, ok = [], "", True
+    for theorem in ("cor6_3", "thm6_2", "cor6_4"):
+        alone = tmp_path / f"{theorem}.csv"
+        _, alone_stdout, _ = run_cli(base + ["--theorems", theorem,
+                                             "--out", str(alone)], capsys)
+        payload = json.loads(alone_stdout)
+        entries += payload["results"]
+        ok = ok and payload["all_ok"]
+        if alone.exists():
+            body += alone.read_text(encoding="utf-8").split("\n", 1)[1]
+    assert len(calls) == 3
+    assert body
+    payload["results"], payload["all_ok"] = entries, ok
+    assert stdout == json.dumps(payload, indent=2) + "\n"
+    assert together.read_text(encoding="utf-8") == "theorem,s,residual\n" + body
+
+    # a command without cor6_3/cor6_4 integrates nothing
+    run_cli(base + ["--theorems", "thm6_2"], capsys)
+    assert len(calls) == 3
 
 
 def test_synthesize_with_init_frame_config(tmp_path, capsys):
@@ -347,6 +402,24 @@ def test_show_tolerances(capsys):
     code, stdout, _ = run_cli(["--show-tolerances"], capsys)
     assert code == 0
     assert "constancy" in stdout and "bertrand" in stdout
+    assert stdout == (
+        "default tolerances (analytic preset):\n"
+        "  constancy              1e-06\n"
+        "  residual               1e-08\n"
+        "  spherical_spread       1e-06\n"
+        "  spherical_residual     1e-06\n"
+        "  zero                   1e-09\n"
+        "  spherical_zero_rel     0\n"
+        "  rectifying_slope_min   1e-06\n"
+        "  tangent                1e-05\n"
+        "  bertrand               0.0001\n"
+        "  orthogonality          1e-05\n"
+        "estimated preset overrides:\n"
+        "  constancy              0.001\n"
+        "  residual               0.001\n"
+        "  spherical_spread       0.001\n"
+        "  spherical_residual     0.001\n"
+        "  spherical_zero_rel     0.001\n")
 
 
 def test_module_entry_point(tmp_path):
