@@ -21,10 +21,10 @@ import numpy as np
 from .integrate import (FrameTrajectory, PositionCurve, integrate_direction_curve,
                         integrate_frame, reconstruct_position)
 from .liegroup import GroupSpec, quat_mul_rows, runs
-from .mates import (MateApparatus, Segment, ZERO_TOL, conjugate_mate_apparatus,
-                    natural_mate_apparatus, sign_segments)
-from .profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile,
-                       harmonic_curvature, harmonic_curvature_prime)
+from .mates import (Segment, ZERO_TOL, conjugate_mate_apparatus,
+                    constant_curvature_inverse, natural_mate_apparatus,
+                    sign_segments)
+from .profiles import SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples
 
 DEFAULT_WINDOW = 11
 
@@ -266,9 +266,8 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     tol = tol or ToleranceSet.analytic()
     s = p.grid(n)
     h = float(s[1] - s[0])
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
-    kp = np.atleast_1d(np.asarray(p.kappa_prime_at(s), dtype=float))
+    ps = ProfileSamples(p, spec, s)
+    kappa, m, kp = ps.kappa, ps.m, ps.kappa_prime
     zero = np.abs(m) <= tol.zero
     stat_floor = max(tol.zero, tol.spherical_zero_rel * float(np.max(np.abs(m))))
 
@@ -287,7 +286,7 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
         else:
             merged.append((i0, i1, kind))
 
-    hvals = np.atleast_1d(harmonic_curvature(p, spec, s))
+    hvals = ps.H
     for i0, i1, kind in merged:
         sl = slice(i0, i1 + 1)
         if kind == "zero":
@@ -417,43 +416,29 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
              tol: Optional[ToleranceSet] = None, n: int = 2001) -> ClassificationReport:
     """Verdicts with residuals for every special-curve class."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    tau = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float))
-    hvals = harmonic_curvature(p, spec, s)
-    hp = harmonic_curvature_prime(p, spec, s)
+    ps = ProfileSamples(p, spec, p.grid(n))
 
     verdicts: dict[str, Verdict] = {}
 
-    h_spread = rel_spread(hvals)
+    h_spread = rel_spread(ps.H)
     verdicts["general_helix"] = Verdict(h_spread <= tol.constancy, h_spread, tol.constancy)
 
-    if np.min(np.abs(hp)) <= SINGULAR_SIGMA_TOL:
-        verdicts["slant_helix"] = Verdict(False, None, tol.constancy,
-                                          "H' vanishes; sigma undefined")
-    else:
-        sig = kappa * (hvals * hvals + 1.0) ** 1.5 / hp
-        sig_spread = rel_spread(sig)
-        verdicts["slant_helix"] = Verdict(sig_spread <= tol.constancy,
-                                          sig_spread, tol.constancy)
+    slant, sig_spread = _slant_verdict(ps, tol)
+    verdicts["slant_helix"] = Verdict(
+        slant, sig_spread, tol.constancy,
+        "" if sig_spread is not None else "H' vanishes; sigma undefined")
 
-    design = np.vstack([s, np.ones_like(s)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, hvals, rcond=None)
-    fit_rms = float(np.sqrt(np.mean((hvals - design @ [slope, intercept]) ** 2)))
-    h_range = float(np.max(hvals) - np.min(hvals))
-    rect_ok = (fit_rms <= tol.constancy * max(h_range, 1e-300)
-               and abs(slope) >= tol.rectifying_slope_min)
-    verdicts["rectifying"] = Verdict(
-        rect_ok, fit_rms / max(h_range, 1e-300), tol.constancy,
-        f"H fit slope {slope:.6g}")
+    rectifying, slope, fit_residual = _rectifying_fit(ps, tol)
+    verdicts["rectifying"] = Verdict(rectifying, fit_residual, tol.constancy,
+                                     f"H fit slope {slope:.6g}")
 
     sph = spherical_check(p, spec, tol, n)
     worst = max((seg.spread for seg in sph.segments), default=float("inf"))
     verdicts["spherical"] = Verdict(sph.is_spherical, worst, tol.spherical_spread,
                                     f"radius {sph.radius}" if sph.radius else "")
 
-    k_spread = rel_spread(kappa)
-    t_spread = rel_spread(tau)
+    k_spread = rel_spread(ps.kappa)
+    t_spread = rel_spread(ps.tau)
     verdicts["salkowski"] = Verdict(
         k_spread <= tol.constancy < t_spread, k_spread, tol.constancy)
     verdicts["anti_salkowski"] = Verdict(
@@ -462,9 +447,30 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
         k_spread <= tol.constancy and t_spread <= tol.constancy,
         max(k_spread, t_spread), tol.constancy)
 
-    m = tau - spec.tau_g
-    segments = sign_segments(s, m, tol.zero)
+    segments = sign_segments(ps.s, ps.m, tol.zero)
     return ClassificationReport(verdicts, sph, segments, tol)
+
+
+def _slant_verdict(ps: ProfileSamples, tol: ToleranceSet) -> tuple[bool, Optional[float]]:
+    """Whether sigma is constant, with its relative spread; (False, None)
+    where H' vanishes somewhere and sigma is undefined."""
+    if np.min(np.abs(ps.H_prime)) <= SINGULAR_SIGMA_TOL:
+        return False, None
+    spread = rel_spread(ps.sigma)
+    return spread <= tol.constancy, spread
+
+
+def _rectifying_fit(ps: ProfileSamples, tol: ToleranceSet):
+    """Least-squares line through H: whether H is linear with a slope of at
+    least ``rectifying_slope_min``, the slope, and the rms misfit relative
+    to the range of H."""
+    design = np.vstack([ps.s, np.ones_like(ps.s)]).T
+    (slope, intercept), *_ = np.linalg.lstsq(design, ps.H, rcond=None)
+    fit_rms = float(np.sqrt(np.mean((ps.H - design @ [slope, intercept]) ** 2)))
+    h_range = max(float(np.max(ps.H) - np.min(ps.H)), 1e-300)
+    rectifying = (fit_rms <= tol.constancy * h_range
+                  and abs(slope) >= tol.rectifying_slope_min)
+    return rectifying, slope, fit_rms / h_range
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +507,7 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
     differs from the group torsion."""
     tol = tol or ToleranceSet.analytic()
     s = p.grid(n)
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
+    kappa = ProfileSamples(p, spec, s).kappa
     spread = rel_spread(kappa)
     if spread > tol.constancy:
         return _not_applicable("thm4_1", tol.residual,
@@ -520,7 +526,7 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
                "radius_residual": radius_residual, "closure_residual": eq_res}
     # converse: on samples with mate torsion away from tau_G, spherical radius
     # 1/c must force kappa = c (tested as consistency of the same numbers)
-    mate_m = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float)) - spec.tau_g
+    mate_m = ProfileSamples(mate.profile, spec, s).m
     conv_mask = np.abs(mate_m) > tol.zero
     if np.any(conv_mask):
         details["converse_kappa_residual"] = float(
@@ -538,31 +544,25 @@ def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
     tol = tol or ToleranceSet.analytic()
     mate = natural_mate_apparatus(p, spec)
     s = p.grid(n)
-    kb = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
+    kb = ProfileSamples(mate.profile, spec, s).kappa
     spread = rel_spread(kb)
     if spread > tol.constancy:
         return _not_applicable("thm5_1", tol.residual,
                                f"mate curvature not constant (spread {spread:.3g})")
     c = float(np.mean(kb))
-    phi0 = math.atan2(float(p.tau_at(p.s_min)) - spec.tau_g, float(p.kappa_at(p.s_min)))
-    rec = constant_curvature_inverse_profile(mate, c, spec, n=n, phi0=phi0)
+    start = ProfileSamples(p, spec, p.s_min)
+    phi0 = math.atan2(float(start.m), float(start.kappa))
+    rec = constant_curvature_inverse(mate.profile.tau_at, c, spec,
+                                     domain=mate.profile.domain, n=n, phi0=phi0)
     sg = rec.s_grid[4:-4]
-    res_k = np.max(np.abs(rec.kappa_samples[4:-4] - np.asarray(p.kappa_at(sg))))
-    res_t = np.max(np.abs(rec.tau_samples[4:-4] - np.asarray(p.tau_at(sg))))
+    orig = ProfileSamples(p, spec, sg)
+    res_k = np.max(np.abs(rec.kappa_samples[4:-4] - orig.kappa))
+    res_t = np.max(np.abs(rec.tau_samples[4:-4] - orig.tau))
     residual = float(max(res_k, res_t))
     return VerificationReport("thm5_1", True, residual <= tol.residual, residual,
                               tol.residual, {"c": c, "phi0": phi0,
                                              "kappa_residual": float(res_k),
                                              "tau_residual": float(res_t)})
-
-
-def constant_curvature_inverse_profile(mate: MateApparatus, c: float,
-                                       spec: GroupSpec, n: int = 8001,
-                                       phi0: float = 0.0) -> CurvatureProfile:
-    from .mates import constant_curvature_inverse
-    return constant_curvature_inverse(lambda s: np.asarray(mate.profile.tau_at(s)),
-                                      c, spec, domain=mate.profile.domain,
-                                      n=n, phi0=phi0)
 
 
 def _golden_section(fun: Callable[[float], float], lo: float, hi: float,
@@ -595,22 +595,20 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
     sph = spherical_check(p, spec, tol, n)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("thm5_2", tol.residual, "parent not spherical")
-    mate = natural_mate_apparatus(p, spec)
     s = p.grid(n)
-    kb = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
-    spread = rel_spread(kb)
+    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    spread = rel_spread(mps.kappa)
     if spread > tol.constancy:
         return _not_applicable("thm5_2", tol.residual,
                                f"mate curvature not constant (spread {spread:.3g})")
-    c = float(np.mean(kb))
+    c = float(np.mean(mps.kappa))
     r = float(sph.radius)
     a = c * c * r
     if a < c - 1e-12:
         return VerificationReport("thm5_2", True, False, None, tol.residual,
                                   {"a": a, "c": c},
                                   hypothesis_note="a < c is impossible")
-    lhs = np.abs(np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
-                 - spec.tau_g)
+    lhs = np.abs(mps.m)
     gap = a * a - c * c
 
     def sup_residual(delta: float) -> float:
@@ -634,9 +632,8 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
                    n: int = 2001) -> VerificationReport:
     """tau - tau_G constant nonzero => natural mate spherical with radius 1/|c|."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
-    m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
-    spread = float(np.max(m) - np.min(m)) / max(1.0, abs(float(np.mean(m))))
+    m = ProfileSamples(p, spec, p.grid(n)).m
+    spread = rel_spread(m)
     if spread > tol.constancy:
         return _not_applicable("thm6_2", tol.residual,
                                f"tau - tau_G not constant (spread {spread:.3g})")
@@ -661,22 +658,16 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 # ---------------------------------------------------------------------------
 # corollary biconditionals
 
-def _mate_flatness(p: CurvatureProfile, spec: GroupSpec, n: int) -> float:
-    mate = natural_mate_apparatus(p, spec)
-    s = p.grid(n)
-    return float(np.max(np.abs(
-        np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float)) - spec.tau_g)))
-
-
 def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: Optional[ToleranceSet] = None,
                    n: int = 2001) -> VerificationReport:
     """General helix <=> mate torsion equals the group torsion."""
     tol = tol or ToleranceSet.analytic()
     s = p.grid(n)
-    h_spread = rel_spread(harmonic_curvature(p, spec, s))
+    h_spread = rel_spread(ProfileSamples(p, spec, s).H)
     is_gh = h_spread <= tol.constancy
-    mate_dev = _mate_flatness(p, spec, n)
+    mate = natural_mate_apparatus(p, spec)
+    mate_dev = float(np.max(np.abs(ProfileSamples(mate.profile, spec, s).m)))
     mate_flat = mate_dev <= tol.zero
     passed = is_gh == mate_flat
     return VerificationReport("cor3_1", True, passed,
@@ -685,28 +676,15 @@ def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
                                "mate_torsion_deviation": mate_dev})
 
 
-def _slant_verdict(p: CurvatureProfile, spec: GroupSpec, tol: ToleranceSet,
-                   n: int) -> tuple[bool, Optional[float]]:
-    s = p.grid(n)
-    hp = np.atleast_1d(harmonic_curvature_prime(p, spec, s))
-    if np.min(np.abs(hp)) <= SINGULAR_SIGMA_TOL:
-        return False, None
-    h = harmonic_curvature(p, spec, s)
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    sig = kappa * (h * h + 1.0) ** 1.5 / hp
-    spread = rel_spread(sig)
-    return spread <= tol.constancy, spread
-
-
 def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: Optional[ToleranceSet] = None,
                    n: int = 2001) -> VerificationReport:
     """Slant helix <=> natural mate is a general helix."""
     tol = tol or ToleranceSet.analytic()
-    slant, sig_spread = _slant_verdict(p, spec, tol, n)
-    mate = natural_mate_apparatus(p, spec)
     s = p.grid(n)
-    mate_h_spread = rel_spread(harmonic_curvature(mate.profile, spec, s))
+    slant, sig_spread = _slant_verdict(ProfileSamples(p, spec, s), tol)
+    mate = natural_mate_apparatus(p, spec)
+    mate_h_spread = rel_spread(ProfileSamples(mate.profile, spec, s).H)
     mate_gh = mate_h_spread <= tol.constancy
     return VerificationReport("cor3_2", True, slant == mate_gh,
                               mate_h_spread, tol.constancy,
@@ -722,18 +700,10 @@ def verify_cor_3_3(p: CurvatureProfile, spec: GroupSpec,
     * mate kappa^2."""
     tol = tol or ToleranceSet.analytic()
     s = p.grid(n)
-    h = np.atleast_1d(harmonic_curvature(p, spec, s))
-    design = np.vstack([s, np.ones_like(s)]).T
-    (a, b), *_ = np.linalg.lstsq(design, h, rcond=None)
-    fit_rms = float(np.sqrt(np.mean((h - design @ [a, b]) ** 2)))
-    h_range = float(np.max(h) - np.min(h))
-    rectifying = (fit_rms <= tol.constancy * max(h_range, 1e-300)
-                  and abs(a) >= tol.rectifying_slope_min)
-    mate = natural_mate_apparatus(p, spec)
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    kb = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
-    tb = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
-    residual = float(np.max(np.abs(a * kappa ** 2 - (tb - spec.tau_g) * kb ** 2)))
+    ps = ProfileSamples(p, spec, s)
+    rectifying, a, _ = _rectifying_fit(ps, tol)
+    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    residual = float(np.max(np.abs(a * ps.kappa ** 2 - mps.m * mps.kappa ** 2)))
     # the identity side carries the same nonzero-slope hypothesis: a = 0
     # satisfies it only trivially
     identity_ok = residual <= tol.residual and abs(a) >= tol.rectifying_slope_min
@@ -776,21 +746,16 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
         return _not_applicable("cor3_4", tol.residual, "parent not spherical")
     r = float(sph.radius)
     s = p.grid(n)
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
-    h = m / kappa
-    mate = natural_mate_apparatus(p, spec)
-    kb = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
-    kbp = np.atleast_1d(np.asarray(mate.profile.kappa_prime_at(s), dtype=float))
-    tb = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
-    disc = r * r * kappa * kappa - 1.0
-    mask = (np.abs(m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
+    ps = ProfileSamples(p, spec, s)
+    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    lhs = mps.kappa_prime / mps.kappa
+    disc = r * r * ps.kappa * ps.kappa - 1.0
+    mask = (np.abs(ps.m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
     if not np.any(mask):
         return _not_applicable("cor3_4", tol.residual,
                                "identity degenerate everywhere")
-    lhs = kbp / kb
-    base = (tb - spec.tau_g) * h
-    residual = _signed_sqrt_residual(lhs, base, (m * m) * disc, mask)
+    base = mps.m * ps.H
+    residual = _signed_sqrt_residual(lhs, base, (ps.m * ps.m) * disc, mask)
     return VerificationReport("cor3_4", True, residual <= tol.residual, residual,
                               tol.residual, {"r": r,
                                              "samples_checked": int(mask.sum())})
@@ -805,25 +770,21 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
     sph = spherical_check(p, spec, tol, n)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("cor5_2", tol.residual, "parent not spherical")
-    mate = natural_mate_apparatus(p, spec)
     s = p.grid(n)
-    kb = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
-    spread = rel_spread(kb)
+    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    spread = rel_spread(mps.kappa)
     if spread > tol.constancy:
         return _not_applicable("cor5_2", tol.residual, "mate curvature not constant")
     r = float(sph.radius)
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
-    tb = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
-    disc = r * r * kappa * kappa - 1.0
-    mask = (np.abs(m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
+    ps = ProfileSamples(p, spec, s)
+    disc = r * r * ps.kappa * ps.kappa - 1.0
+    mask = (np.abs(ps.m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
     if not np.any(mask):
         # dichotomy satisfied by the tau = tau_G branch everywhere
         return VerificationReport("cor5_2", True, True, 0.0, tol.residual,
                                   {"branch": "tau==tau_G"})
-    lhs = tb - spec.tau_g
-    residual = _signed_sqrt_residual(lhs, np.zeros_like(lhs),
-                                     kappa * kappa * disc, mask)
+    residual = _signed_sqrt_residual(mps.m, np.zeros_like(mps.m),
+                                     ps.kappa * ps.kappa * disc, mask)
     return VerificationReport("cor5_2", True, residual <= tol.residual, residual,
                               tol.residual, {"r": r,
                                              "samples_checked": int(mask.sum())})
@@ -835,18 +796,16 @@ def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
     """General helix <=> conjugate mate is a general helix (needs tau != tau_G)."""
     tol = tol or ToleranceSet.analytic()
     s = p.grid(n)
-    m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
-    if np.min(np.abs(m)) <= tol.zero:
+    ps = ProfileSamples(p, spec, s)
+    if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_1", tol.constancy,
                                "tau - tau_G vanishes somewhere")
-    h_spread = rel_spread(harmonic_curvature(p, spec, s))
-    conj = conjugate_mate_apparatus(p, spec, n)
-    conj_spread = rel_spread(harmonic_curvature(conj.profile, spec, s))
+    h_spread = rel_spread(ps.H)
+    cps = ProfileSamples(conjugate_mate_apparatus(p, spec, n).profile, spec, s)
+    conj_spread = rel_spread(cps.H)
     is_gh = h_spread <= tol.constancy
     conj_gh = conj_spread <= tol.constancy
-    hstar = harmonic_curvature(conj.profile, spec, s)
-    hvals = harmonic_curvature(p, spec, s)
-    identity = float(np.max(np.abs(hstar * hvals - np.sign(m))))
+    identity = float(np.max(np.abs(cps.H * ps.H - np.sign(ps.m))))
     return VerificationReport("cor6_1", True, is_gh == conj_gh,
                               max(h_spread, conj_spread), tol.constancy,
                               {"general_helix": is_gh,
@@ -861,27 +820,19 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
     opposite up to the sign of tau - tau_G."""
     tol = tol or ToleranceSet.analytic()
     s = p.grid(n)
-    m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
-    if np.min(np.abs(m)) <= tol.zero:
+    ps = ProfileSamples(p, spec, s)
+    if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_2", tol.constancy,
                                "tau - tau_G vanishes somewhere")
-    slant, sig_spread = _slant_verdict(p, spec, tol, n)
-    conj = conjugate_mate_apparatus(p, spec, n)
-    conj_slant, conj_spread = _slant_verdict(conj.profile, spec, tol, n)
+    slant, sig_spread = _slant_verdict(ps, tol)
+    cps = ProfileSamples(conjugate_mate_apparatus(p, spec, n).profile, spec, s)
+    conj_slant, conj_spread = _slant_verdict(cps, tol)
     details: dict = {"slant": slant, "conjugate_slant": conj_slant,
                      "sigma_spread": sig_spread,
                      "conjugate_sigma_spread": conj_spread}
     if sig_spread is not None and conj_spread is not None:
-        hp = np.atleast_1d(harmonic_curvature_prime(p, spec, s))
-        h = harmonic_curvature(p, spec, s)
-        kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-        sig = kappa * (h * h + 1.0) ** 1.5 / hp
-        hps = np.atleast_1d(harmonic_curvature_prime(conj.profile, spec, s))
-        hs = harmonic_curvature(conj.profile, spec, s)
-        ks = np.atleast_1d(np.asarray(conj.profile.kappa_at(s), dtype=float))
-        sig_star = ks * (hs * hs + 1.0) ** 1.5 / hps
         details["sigma_sum_residual"] = float(
-            np.max(np.abs(sig_star + np.sign(m) * sig)))
+            np.max(np.abs(cps.sigma + np.sign(ps.m) * ps.sigma)))
     return VerificationReport("cor6_2", True, slant == conj_slant,
                               conj_spread if conj_spread is not None else sig_spread,
                               tol.constancy, details)

@@ -26,8 +26,7 @@ from .integrate import (_grid, integrate_direction_curve, integrate_frame,
 from .liegroup import GroupSpec, group_spec
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
                     natural_mate_apparatus)
-from .profiles import (CurvatureProfile, FrenetViolation,
-                       harmonic_curvature, harmonic_curvature_prime, omega)
+from .profiles import CurvatureProfile, FrenetViolation, ProfileSamples
 
 SCHEMA_VERSION = "1"
 
@@ -122,6 +121,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     unknown = set(tol_kwargs) - set(_TOL_FIELDS)
     if unknown:
         raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
+    for name, value in tol_kwargs.items():
+        if not (isinstance(value, (int, float)) and 0 <= value < np.inf):
+            raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value!r}")
     tolerances = ToleranceSet(**tol_kwargs)
 
     theorems = getattr(args, "theorems", None)
@@ -247,23 +249,14 @@ def cmd_synthesize(config: RunConfig) -> int:
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1],
                            config.step, init)
     traj = reconstruct_position(traj, spec, g0)
-    s = traj.s
-    hvals = np.atleast_1d(harmonic_curvature(p, spec, s))
-    hp = np.atleast_1d(harmonic_curvature_prime(p, spec, s))
-    om = np.atleast_1d(np.asarray(omega(p, spec, s), dtype=float))
-    # element by element: numpy's vectorised power may differ from libm pow
-    # in the last bit, and the column is kept as the scalar formula writes it
-    blank = np.abs(hp) <= 1e-12
-    sig = np.fromiter((0.0 if b else k * (h ** 2 + 1.0) ** 1.5 / d
-                       for k, h, d, b in zip(traj.kappa, hvals, hp, blank)),
-                      dtype=float, count=len(s))
+    ps = ProfileSamples(p, spec, traj.s)
     header = (["s"] + _POSITION_COLUMNS[spec.family]
               + ["t1", "t2", "t3", "n1", "n2", "n3", "b1", "b2", "b3",
                  "kappa", "tau", "H", "sigma", "omega"])
-    columns = [s, _flat(traj.positions), traj.t, traj.n, traj.b,
-               traj.kappa, traj.tau, hvals, sig, om]
+    columns = [traj.s, _flat(traj.positions), traj.t, traj.n, traj.b,
+               traj.kappa, traj.tau, ps.H, ps.sigma, ps.omega]
     _write_csv(config.out, header,
-               _csv_rows(columns, blank=(header.index("sigma"), blank)))
+               _csv_rows(columns, blank=(header.index("sigma"), np.isnan(ps.sigma))))
     return 0
 
 
@@ -282,9 +275,9 @@ def cmd_mate(config: RunConfig) -> int:
 
     if mode == "analytic":
         s = _grid(config.domain[0], config.domain[1], config.step)
-        kap = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
-        tau = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
-        _write_csv(config.out, ["s", "kappa", "tau"], _csv_rows([s, kap, tau]))
+        analytic = ProfileSamples(mate.profile, spec, s)
+        _write_csv(config.out, ["s", "kappa", "tau"],
+                   _csv_rows([s, analytic.kappa, analytic.tau]))
         return 0
 
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
@@ -301,19 +294,18 @@ def cmd_mate(config: RunConfig) -> int:
             [s, _flat(curve.positions), est.kappa, est.tau]))
         return 0
 
-    kap = np.atleast_1d(np.asarray(mate.profile.kappa_at(s), dtype=float))
-    tau = np.atleast_1d(np.asarray(mate.profile.tau_at(s), dtype=float))
+    analytic = ProfileSamples(mate.profile, spec, s)
     header = ["s", "kappa_analytic", "tau_analytic"] + pos_cols + ["kappa_est", "tau_est"]
     _write_csv(config.out, header, _csv_rows(
-        [s, kap, tau, _flat(curve.positions), est.kappa, est.tau]))
+        [s, analytic.kappa, analytic.tau, _flat(curve.positions), est.kappa, est.tau]))
     v = est.valid
     summary = {
         "schema_version": SCHEMA_VERSION,
         "kind": kind,
         "mode": mode,
         "samples_compared": int(v.sum()),
-        "max_abs_kappa_diff": float(np.max(np.abs(est.kappa[v] - kap[v]))),
-        "max_abs_tau_diff": float(np.max(np.abs(est.tau[v] - tau[v]))),
+        "max_abs_kappa_diff": float(np.max(np.abs(est.kappa[v] - analytic.kappa[v]))),
+        "max_abs_tau_diff": float(np.max(np.abs(est.tau[v] - analytic.tau[v]))),
     }
     _emit_json(summary)
     return 0

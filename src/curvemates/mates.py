@@ -25,8 +25,8 @@ import numpy as np
 
 from . import expressions as ex
 from .liegroup import GroupSpec, cumulative_quadrature, runs
-from .profiles import (CurvatureProfile, FrenetViolation, harmonic_curvature,
-                       harmonic_curvature_prime, sigma)
+from .profiles import (CurvatureProfile, FrenetViolation, ProfileSamples,
+                       darboux_length, harmonic_curvature, sigma)
 
 # |tau - tau_G| below this counts as a zero when splitting conjugate segments:
 # below finite-difference noise, above accumulated integration error.
@@ -81,9 +81,8 @@ class MateApparatus:
         """Mate frame rows (T, N, B) in parent-frame coordinates, shape (n, 3) each."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
         if self.kind == "natural":
-            k = np.atleast_1d(self.parent.kappa_at(s))
-            m = np.atleast_1d(self.parent.tau_at(s)) - self.tau_g
-            w = np.sqrt(m * m + k * k)
+            ps = ProfileSamples(self.parent, self.spec, s)
+            k, m, w = ps.kappa, ps.m, ps.omega
             zero = np.zeros_like(k)
             one = np.ones_like(k)
             t = np.stack([zero, one, zero], axis=1)
@@ -105,7 +104,7 @@ def _mate_zero_structure(p: CurvatureProfile, spec: GroupSpec, n: int):
     samples of opposite sign, and the first sample of each invalid stretch
     that follows a valid one."""
     s = p.grid(n)
-    m = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float)) - spec.tau_g
+    m = p.tau_at(s) - spec.tau_g
     valid = np.abs(m) > ZERO_TOL
     change = valid[:-1] & valid[1:] & (np.sign(m[:-1]) != np.sign(m[1:]))
     drop = valid[:-1] & ~valid[1:]
@@ -144,13 +143,13 @@ def natural_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatu
         tb = ex.simplify(ex.Binary("+", ex.Num(tg), ex.Binary("/", hp, one_h2)))
         mate_profile = CurvatureProfile.from_expressions(ex.simplify(kb), tb, p.domain)
     else:
-        s = p.s_grid
-        k = p.kappa_samples
-        m = p.tau_samples - tg
-        h = harmonic_curvature(p, spec, s)
-        hp = harmonic_curvature_prime(p, spec, s)
+        # kappa_bar from the samples themselves: the interpolant read back
+        # at its own nodes differs from them by round-off
+        ps = ProfileSamples(p, spec, p.s_grid)
+        h = ps.H
         mate_profile = CurvatureProfile.from_samples(
-            s, np.sqrt(m * m + k * k), tg + hp / (1.0 + h * h))
+            p.s_grid, darboux_length(p.tau_samples - tg, p.kappa_samples),
+            tg + ps.H_prime / (1.0 + h * h))
     seg = Segment(p.s_min, p.s_max, 1)
     return MateApparatus("natural", mate_profile, tg, p, spec, (seg,))
 

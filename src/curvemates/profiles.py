@@ -4,12 +4,13 @@ A profile carries kappa(s) and tau(s) either as expression trees (exact,
 with symbolic derivatives) or as uniform samples (derivatives from 5-point
 finite-difference stencils, off-grid values from cubic interpolation).
 Everything downstream (harmonic curvature H, sigma, the Darboux vectors)
-is computed pointwise from these.
+is read from one ``ProfileSamples`` of the profile on the points asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -157,7 +158,7 @@ def frenet_scan(p: CurvatureProfile, n: int = 1001, tol: float = 1e-12):
     in the interior yields ok=False with trimmed_domain=None.
     """
     s = p.grid(n)
-    kappa = np.atleast_1d(p.kappa_at(s))
+    kappa = p.kappa_at(s)
     good = kappa > tol
     if np.all(good):
         return True, (p.s_min, p.s_max)
@@ -173,35 +174,93 @@ def frenet_scan(p: CurvatureProfile, n: int = 1001, tol: float = 1e-12):
 # ---------------------------------------------------------------------------
 # derived apparatus
 
+class ProfileSamples:
+    """The apparatus of one profile at ``s`` (a scalar or an array).
+
+    Each quantity is evaluated when first read, and at most once.  The
+    laziness is needed: abs(u) differentiates to (u/abs(u)) u', undefined at
+    the zeros of u, and a natural mate's torsion holds its parent's
+    derivatives, so a check that reads neither must not evaluate them.
+    """
+
+    def __init__(self, p: CurvatureProfile, spec: GroupSpec, s):
+        self.profile = p
+        self.tau_g = spec.tau_g
+        self.s = s
+
+    @cached_property
+    def kappa(self):
+        return self.profile.kappa_at(self.s)
+
+    @cached_property
+    def tau(self):
+        return self.profile.tau_at(self.s)
+
+    @cached_property
+    def m(self):
+        """tau - tau_G."""
+        return self.tau - self.tau_g
+
+    @cached_property
+    def kappa_prime(self):
+        return self.profile.kappa_prime_at(self.s)
+
+    @cached_property
+    def tau_prime(self):
+        return self.profile.tau_prime_at(self.s)
+
+    @cached_property
+    def H(self):
+        """Harmonic curvature (tau - tau_G)/kappa; requires kappa > 0."""
+        if np.any(self.kappa <= 0):
+            raise FrenetViolation("kappa <= 0 inside the domain", self.s)
+        return self.m / self.kappa
+
+    @cached_property
+    def H_prime(self):
+        """dH/ds via the quotient rule from the profile derivatives."""
+        return (self.tau_prime * self.kappa - self.m * self.kappa_prime) / self.kappa**2
+
+    @cached_property
+    def sigma(self):
+        """kappa (H^2+1)^(3/2) / H'; NaN where |H'| <= SINGULAR_SIGMA_TOL."""
+        h, hp = self.H, self.H_prime
+        defined = np.abs(hp) > SINGULAR_SIGMA_TOL
+        return self.kappa * (h * h + 1.0) ** 1.5 / np.where(defined, hp, np.nan)
+
+    @cached_property
+    def omega(self):
+        """Length of the extrinsic Darboux vector: sqrt((tau-tau_G)^2 + kappa^2)."""
+        return darboux_length(self.m, self.kappa)
+
+
+def darboux_length(m, kappa):
+    """sqrt(m^2 + kappa^2), m = tau - tau_G: omega, and the curvature of the
+    natural mate."""
+    return np.sqrt(m * m + kappa * kappa)
+
+
 def harmonic_curvature(p: CurvatureProfile, spec: GroupSpec, s):
     """(tau - tau_G)/kappa; requires kappa > 0."""
-    kappa = p.kappa_at(s)
-    if np.any(np.atleast_1d(kappa) <= 0):
-        raise FrenetViolation("kappa <= 0 inside the domain", s)
-    return (p.tau_at(s) - spec.tau_g) / kappa
+    return ProfileSamples(p, spec, s).H
 
 
 def harmonic_curvature_prime(p: CurvatureProfile, spec: GroupSpec, s):
     """dH/ds via the quotient rule from the profile derivatives."""
-    kappa = p.kappa_at(s)
-    m = p.tau_at(s) - spec.tau_g
-    return (p.tau_prime_at(s) * kappa - m * p.kappa_prime_at(s)) / kappa**2
+    return ProfileSamples(p, spec, s).H_prime
 
 
 def sigma(p: CurvatureProfile, spec: GroupSpec, s):
     """kappa (H^2+1)^(3/2) / H'; raises SingularSigma where H' vanishes."""
-    hp = harmonic_curvature_prime(p, spec, s)
-    if np.any(np.abs(np.atleast_1d(hp)) <= SINGULAR_SIGMA_TOL):
+    ps = ProfileSamples(p, spec, s)
+    if np.any(np.abs(ps.H_prime) <= SINGULAR_SIGMA_TOL):
         raise SingularSigma("H' vanishes; curve is locally a general helix")
-    h = harmonic_curvature(p, spec, s)
-    return p.kappa_at(s) * (h * h + 1.0) ** 1.5 / hp
+    return ps.sigma
 
 
 def omega(p: CurvatureProfile, spec: GroupSpec, s):
     """Length of the extrinsic Darboux vector: sqrt((tau-tau_G)^2 + kappa^2)."""
-    m = p.tau_at(s) - spec.tau_g
-    k = p.kappa_at(s)
-    return np.sqrt(m * m + k * k)
+    return ProfileSamples(p, spec, s).omega
 
 
 def darboux_vectors(p: CurvatureProfile, spec: GroupSpec, s):
@@ -210,9 +269,8 @@ def darboux_vectors(p: CurvatureProfile, spec: GroupSpec, s):
     D = (tau, 0, kappa) drives the covariant-derivative rotation; Omega =
     (tau - tau_G, 0, kappa) the plain-derivative one; Omega* = N'.
     """
-    k = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    tau = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float))
-    m = tau - spec.tau_g
+    ps = ProfileSamples(p, spec, s)
+    k, tau, m = np.atleast_1d(ps.kappa, ps.tau, ps.m)
     zero = np.zeros_like(k)
     d = np.stack([tau, zero, k], axis=-1)
     big = np.stack([m, zero, k], axis=-1)
@@ -241,14 +299,9 @@ class ApparatusSample:
 
 def apparatus_sample(p: CurvatureProfile, spec: GroupSpec, s: float) -> ApparatusSample:
     s = float(s)
-    kappa = float(p.kappa_at(s))
-    tau = float(p.tau_at(s))
-    h = float(harmonic_curvature(p, spec, s))
-    hp = float(harmonic_curvature_prime(p, spec, s))
-    try:
-        sig = float(sigma(p, spec, s))
-    except SingularSigma:
-        sig = None
+    ps = ProfileSamples(p, spec, s)
+    h, hp, sig = float(ps.H), float(ps.H_prime), float(ps.sigma)
     d, big, costar = darboux_vectors(p, spec, s)
-    return ApparatusSample(s, kappa, tau, spec.tau_g, h, hp, sig,
-                           float(omega(p, spec, s)), d, big, costar)
+    return ApparatusSample(s, float(ps.kappa), float(ps.tau), spec.tau_g, h, hp,
+                           None if np.isnan(sig) else sig, float(ps.omega),
+                           d, big, costar)

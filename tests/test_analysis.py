@@ -10,6 +10,7 @@ from curvemates.analysis import (DegenerateFitError, EstimationError,
                                  verify_cor_5_2, verify_cor_6_1, verify_cor_6_2,
                                  verify_mate_geometry, verify_thm_4_1,
                                  verify_thm_5_1, verify_thm_5_2, verify_thm_6_2)
+from curvemates.expressions import DomainError
 from curvemates.integrate import (PositionCurve, integrate_direction_curve,
                                   integrate_frame, reconstruct_position)
 from curvemates.liegroup import R3, S3, SO3, left_shift
@@ -292,6 +293,18 @@ def test_estimated_paths_for_spherical_theorems(profiles):
     parent, _ = synthesize_estimated_profile(profiles["anti_salkowski"], R3, 1e-3)
     rep = verify_thm_6_2(parent, R3, tol)
     assert rep.passed and rep.max_residual <= 1e-3
+
+
+def test_checks_that_read_no_derivative_run_where_one_is_undefined():
+    # kappa' = s/abs(s) is undefined at s = 0, a point of every grid here
+    p = prof("2+abs(s)", "1.5+s", (-1, 1))
+    for check in (verify_thm_4_1, verify_thm_5_1, verify_thm_6_2, verify_cor_6_1):
+        assert check(p, R3).ok
+    for check in (classify, spherical_check, verify_thm_5_2, verify_cor_3_1,
+                  verify_cor_3_2, verify_cor_3_3, verify_cor_3_4, verify_cor_5_2,
+                  verify_cor_6_2):
+        with pytest.raises(DomainError):
+            check(p, R3)
 
 
 # ---------------------------------------------------------------------------

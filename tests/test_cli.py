@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from curvemates.catalog import PROFILES
 from curvemates.cli import _csv_rows, main
 
 
@@ -64,6 +65,30 @@ def test_synthesize_sigma_empty_for_constant_h(tmp_path, capsys):
     assert code == 0
     _, rows = read_csv(out)
     assert all(row[16] == "" for row in rows)  # sigma column stays empty
+
+
+@pytest.mark.parametrize("name", ["slant_helix", "anti_salkowski"])
+def test_synthesize_sigma_matches_scalar_formula(name, tmp_path, capsys):
+    entry = PROFILES[name]
+    out = tmp_path / "sigma.csv"
+    code, _, _ = run_cli(["synthesize", "--group", "r3", "--kappa", entry.kappa,
+                          "--tau", entry.tau,
+                          f"--domain={entry.domain[0]!r}:{entry.domain[1]!r}",
+                          "--step", "1e-3", "--out", str(out)], capsys)
+    assert code == 0
+    header, rows = read_csv(out)
+    cells = [row[header.index("sigma")] for row in rows]
+    p = entry.profile()
+    s = np.array([float(row[0]) for row in rows])
+    k, m = p.kappa_at(s), p.tau_at(s)  # tau_G = 0 in r3
+    hp = (p.tau_prime_at(s) * k - m * p.kappa_prime_at(s)) / k**2
+    assert [c == "" for c in cells] == (np.abs(hp) <= 1e-12).tolist()
+    assert any(c == "" for c in cells) == (name == "anti_salkowski")
+    # element by element in Python floats, so the power is libm's pow
+    for c, kk, h, d in zip(cells, k.tolist(), (m / k).tolist(), hp.tolist()):
+        if c:
+            ref = kk * (h**2 + 1.0) ** 1.5 / d
+            assert abs(float(c) - ref) <= 4 * np.spacing(abs(ref))
 
 
 def per_cell_csv(rows):
@@ -396,6 +421,32 @@ def test_step_too_large_rejected(capsys):
                            capsys)
     assert code == 2
     assert "step too large" in err
+
+
+CLASSIFY_FLAT = ["classify", "--group", "r3", "--kappa", "2", "--tau", "0",
+                 "--domain", "0:1", "--step", "0.01"]
+
+
+@pytest.mark.parametrize("name,value", [("zero", "-1"), ("constancy", "nan"),
+                                        ("residual", "inf")])
+def test_bad_tolerance_flag_exits_2(name, value, capsys):
+    code, out, err = run_cli(CLASSIFY_FLAT + [f"--tol-{name}", value], capsys)
+    assert code == 2 and out == ""
+    assert f"tolerance {name} " in err
+
+
+def test_bad_tolerance_in_config_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text('{"tolerances": {"constancy": NaN}}', encoding="utf-8")
+    code, _, err = run_cli(CLASSIFY_FLAT + ["--config", str(cfg_path)], capsys)
+    assert code == 2
+    assert "tolerance constancy " in err
+
+
+def test_zero_tolerance_accepted(capsys):
+    code, out, _ = run_cli(CLASSIFY_FLAT + ["--tol-zero", "0"], capsys)
+    assert code == 0
+    assert json.loads(out)["tolerances"]["zero"] == 0.0
 
 
 def test_show_tolerances(capsys):

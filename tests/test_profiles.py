@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from curvemates.expressions import DomainError
 from curvemates.integrate import integrate_frame
-from curvemates.liegroup import R3, S3, bracket, covariant_derivative
-from curvemates.profiles import (ApparatusSample, CurvatureProfile,
-                                 FrenetViolation, SingularSigma,
+from curvemates.liegroup import R3, S3, SO3, bracket, covariant_derivative
+from curvemates.profiles import (SINGULAR_SIGMA_TOL, ApparatusSample,
+                                 CurvatureProfile, FrenetViolation,
+                                 ProfileSamples, SingularSigma,
                                  apparatus_sample, darboux_vectors, frenet_scan,
                                  harmonic_curvature, harmonic_curvature_prime,
                                  omega, sigma)
@@ -45,6 +47,69 @@ def test_omega_examples(profiles):
                                atol=1e-12)
     p = CurvatureProfile.from_expressions("0.6", "1", (0, 1))  # tau = tau_G on S3
     assert omega(p, S3, 0.5) == pytest.approx(0.6, abs=1e-15)
+
+
+def reference_apparatus(p, spec, s):
+    """The apparatus written out from the profile's own evaluations, in the
+    operation order of the library's formulas."""
+    k, t = p.kappa_at(s), p.tau_at(s)
+    kp, tp = p.kappa_prime_at(s), p.tau_prime_at(s)
+    m = t - spec.tau_g
+    return {"kappa": k, "tau": t, "m": m, "kappa_prime": kp, "tau_prime": tp,
+            "H": m / k, "H_prime": (tp * k - m * kp) / k**2,
+            "omega": np.sqrt(m * m + k * k)}
+
+
+@pytest.mark.parametrize("spec", [R3, SO3, S3])
+def test_profile_samples_equal_point_functions(profiles, spec):
+    for name, p in profiles.items():
+        grid = p.grid(301)
+        for s in (grid, grid[17], float(grid[150])):
+            ps = ProfileSamples(p, spec, s)
+            ref = reference_apparatus(p, spec, s)
+            for field, value in ref.items():
+                assert np.array_equal(getattr(ps, field), value), (name, field)
+            assert np.array_equal(ps.kappa, p.kappa_at(s))
+            assert np.array_equal(ps.tau, p.tau_at(s))
+            assert np.array_equal(ps.H, harmonic_curvature(p, spec, s))
+            assert np.array_equal(ps.H_prime, harmonic_curvature_prime(p, spec, s))
+            assert np.array_equal(ps.omega, omega(p, spec, s))
+            defined = np.abs(ref["H_prime"]) > SINGULAR_SIGMA_TOL
+            assert np.array_equal(np.isnan(ps.sigma), ~defined), name
+            if np.all(defined):
+                assert np.array_equal(ps.sigma, ref["kappa"] * (ref["H"] * ref["H"] + 1.0)
+                                      ** 1.5 / ref["H_prime"])
+                assert np.array_equal(ps.sigma, sigma(p, spec, s))
+            else:
+                with pytest.raises(SingularSigma):
+                    sigma(p, spec, s)
+    # H' = sqrt(2) sin(s) / (3 cos^2 s) vanishes at s = 0, a grid point
+    assert np.isnan(ProfileSamples(profiles["anti_salkowski"], spec, 0.0).sigma)
+    # H' = SINGULAR_SIGMA_TOL exactly still counts as vanishing
+    edge = CurvatureProfile.from_expressions("1", f"{spec.tau_g}+1e-12*s", (0, 1))
+    assert np.all(np.isnan(ProfileSamples(edge, spec, edge.grid(5)).sigma))
+
+
+def test_profile_samples_require_positive_kappa_for_h(profiles):
+    p = profiles["rectifying"]  # kappa = s - 1
+    for s in (np.linspace(0.5, 1.5, 5), 0.5, 1.0):
+        ps = ProfileSamples(p, R3, s)
+        assert np.array_equal(ps.omega, omega(p, R3, s))
+        for field in ("H", "sigma"):
+            with pytest.raises(FrenetViolation):
+                getattr(ps, field)
+
+
+def test_profile_samples_evaluate_derivatives_only_when_read():
+    # kappa' = s/abs(s) is undefined at s = 0
+    p = CurvatureProfile.from_expressions("2+abs(s)", "1.5+s", (-1, 1))
+    s = p.grid(11)
+    ps = ProfileSamples(p, R3, s)
+    assert np.array_equal(ps.H, (1.5 + s) / (2.0 + np.abs(s)))
+    assert np.array_equal(ps.tau_prime, np.ones_like(s))
+    for field in ("kappa_prime", "H_prime", "sigma"):
+        with pytest.raises(DomainError):
+            getattr(ps, field)
 
 
 def test_darboux_vectors_examples(profiles):
