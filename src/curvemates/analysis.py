@@ -18,8 +18,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .integrate import (FrameTrajectory, PositionCurve, integrate_direction_curve,
-                        integrate_frame, reconstruct_position)
+from .integrate import (FrameTrajectory, PositionCurve, integrate_frame,
+                        reconstruct_position)
 from .liegroup import GroupSpec, quat_mul_rows, runs
 from .mates import (Segment, ZERO_TOL, conjugate_mate_apparatus,
                     constant_curvature_inverse, natural_mate_apparatus,
@@ -27,6 +27,8 @@ from .mates import (Segment, ZERO_TOL, conjugate_mate_apparatus,
 from .profiles import SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples
 
 DEFAULT_WINDOW = 11
+# grid of the quadrature round trip of thm5_1, finer than the check grid
+INVERSE_GRID_POINTS = 8001
 
 
 class EstimationError(ValueError):
@@ -80,14 +82,13 @@ def rel_spread(x) -> float:
 # sliding-window differentiation
 
 @lru_cache(maxsize=None)
-def _sg_coeffs(window: int, offset: int, deriv: int, degree: int = 4) -> tuple:
+def _sg_coeffs(window: int, offset: int) -> tuple:
+    """First-derivative weights of the quartic fit at ``offset``."""
     x = np.arange(window, dtype=float) - float(offset)
-    a = np.vander(x, degree + 1, increasing=True)
-    return tuple((np.linalg.pinv(a)[deriv] * math.factorial(deriv)).tolist())
+    return tuple(np.linalg.pinv(np.vander(x, 5, increasing=True))[1].tolist())
 
 
-def sg_derivative(values: np.ndarray, h: float, window: int = DEFAULT_WINDOW,
-                  deriv: int = 1) -> np.ndarray:
+def sg_derivative(values: np.ndarray, h: float, window: int = DEFAULT_WINDOW) -> np.ndarray:
     """Derivative along axis 0 by least-squares quartic fit over ``window``
     points (odd, >= 5); exact for quartics, one-sided windows at the ends."""
     f = np.asarray(values, dtype=float)
@@ -99,15 +100,15 @@ def sg_derivative(values: np.ndarray, h: float, window: int = DEFAULT_WINDOW,
     half = window // 2
     flat = f.reshape(n, -1)
     out = np.empty_like(flat)
-    w = np.asarray(_sg_coeffs(window, half, deriv))
+    w = np.asarray(_sg_coeffs(window, half))
     sw = np.lib.stride_tricks.sliding_window_view(flat, window, axis=0)
     out[half:n - half] = np.einsum("ncw,w->nc", sw, w)
     for p in range(half):
-        wp = np.asarray(_sg_coeffs(window, p, deriv))
+        wp = np.asarray(_sg_coeffs(window, p))
         out[p] = flat[:window].T @ wp
-        wq = np.asarray(_sg_coeffs(window, window - 1 - p, deriv))
+        wq = np.asarray(_sg_coeffs(window, window - 1 - p))
         out[n - 1 - p] = flat[n - window:].T @ wq
-    return (out / h ** deriv).reshape(f.shape)
+    return (out / h).reshape(f.shape)
 
 
 def _pull_back_rows(positions: np.ndarray, dpos: np.ndarray, spec: GroupSpec) -> np.ndarray:
@@ -137,11 +138,10 @@ class EstimatedApparatus:
     b: np.ndarray
     valid: np.ndarray      # interior mask clear of one-sided stencil margins
     spec: GroupSpec
-    window: int
+    window: int            # the differentiation window used
 
 
-def estimate_apparatus(curve, spec: GroupSpec,
-                       window: int = DEFAULT_WINDOW) -> EstimatedApparatus:
+def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     """Estimate (kappa, tau, tau_G) and frames from sampled positions.
 
     The tangent comes from differentiating positions and pulling back by
@@ -153,8 +153,8 @@ def estimate_apparatus(curve, spec: GroupSpec,
     n = s.shape[0]
     if n < 9:
         raise EstimationError("need at least 9 samples")
-    window = min(window, n if n % 2 else n - 1)
-    window = max(window, 5)
+    # DEFAULT_WINDOW, clamped to the longest odd window of a short input
+    window = min(DEFAULT_WINDOW, n if n % 2 else n - 1)
     h = float(s[1] - s[0])
 
     dpos = sg_derivative(positions, h, window)
@@ -184,24 +184,12 @@ def estimate_apparatus(curve, spec: GroupSpec,
                               spec=spec, window=window)
 
 
-def synthesize_estimated_profile(p: CurvatureProfile, spec: GroupSpec, h: float,
-                                 mate: Optional[str] = None,
-                                 window: int = DEFAULT_WINDOW
+def synthesize_estimated_profile(p: CurvatureProfile, spec: GroupSpec, h: float
                                  ) -> tuple[CurvatureProfile, EstimatedApparatus]:
-    """Integrate the profile, reconstruct positions (optionally of a mate
-    direction curve), estimate the apparatus, and package the valid interior
-    as a sampled profile."""
+    """Integrate the profile, reconstruct positions, estimate the apparatus,
+    and package the valid interior as a sampled profile."""
     traj = integrate_frame(p, spec, p.s_min, p.s_max, h)
-    traj = reconstruct_position(traj, spec)
-    if mate is None:
-        curve = traj
-    elif mate == "natural":
-        curve = integrate_direction_curve(traj, "principal_normal", spec)
-    elif mate == "conjugate":
-        curve = integrate_direction_curve(traj, "binormal", spec)
-    else:
-        raise ValueError("mate must be None, 'natural' or 'conjugate'")
-    est = estimate_apparatus(curve, spec, window)
+    est = estimate_apparatus(reconstruct_position(traj, spec), spec)
     idx = np.nonzero(est.valid)[0]
     prof = CurvatureProfile.from_samples(est.s[idx], est.kappa[idx], est.tau[idx])
     return prof, est
@@ -244,8 +232,7 @@ class SphericalReport:
 
 
 def spherical_check(p: CurvatureProfile, spec: GroupSpec,
-                    tol: Optional[ToleranceSet] = None,
-                    n: int = 2001) -> SphericalReport:
+                    tol: Optional[ToleranceSet] = None) -> SphericalReport:
     """Left-shift-on-a-sphere criterion from the curvature data.
 
     Where tau - tau_G vanishes identically the curve is spherical iff kappa
@@ -264,7 +251,7 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     estimates incurs.  Mixed domains are segmented and reported per segment.
     """
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
+    s = p.grid()
     h = float(s[1] - s[0])
     ps = ProfileSamples(p, spec, s)
     kappa, m, kp = ps.kappa, ps.m, ps.kappa_prime
@@ -272,7 +259,7 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     stat_floor = max(tol.zero, tol.spherical_zero_rel * float(np.max(np.abs(m))))
 
     segments: list[SphericalSegment] = []
-    trace = np.full(n, np.nan)
+    trace = np.full(len(s), np.nan)
 
     # split into maximal runs; zero-runs shorter than 3 samples are treated
     # as masked points inside a surrounding general run
@@ -413,10 +400,10 @@ class ClassificationReport:
 
 
 def classify(p: CurvatureProfile, spec: GroupSpec,
-             tol: Optional[ToleranceSet] = None, n: int = 2001) -> ClassificationReport:
+             tol: Optional[ToleranceSet] = None) -> ClassificationReport:
     """Verdicts with residuals for every special-curve class."""
     tol = tol or ToleranceSet.analytic()
-    ps = ProfileSamples(p, spec, p.grid(n))
+    ps = ProfileSamples(p, spec, p.grid())
 
     verdicts: dict[str, Verdict] = {}
 
@@ -432,7 +419,7 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
     verdicts["rectifying"] = Verdict(rectifying, fit_residual, tol.constancy,
                                      f"H fit slope {slope:.6g}")
 
-    sph = spherical_check(p, spec, tol, n)
+    sph = spherical_check(p, spec, tol)
     worst = max((seg.spread for seg in sph.segments), default=float("inf"))
     verdicts["spherical"] = Verdict(sph.is_spherical, worst, tol.spherical_spread,
                                     f"radius {sph.radius}" if sph.radius else "")
@@ -499,14 +486,13 @@ def _not_applicable(theorem: str, tolerance: float, note: str) -> VerificationRe
 
 
 def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """Constant parent curvature c => natural mate spherical with radius 1/c.
 
     The converse is checked on the same data wherever the mate torsion
     differs from the group torsion."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
+    s = p.grid()
     kappa = ProfileSamples(p, spec, s).kappa
     spread = rel_spread(kappa)
     if spread > tol.constancy:
@@ -514,7 +500,7 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
                                f"kappa not constant (spread {spread:.3g})")
     c = float(np.mean(kappa))
     mate = natural_mate_apparatus(p, spec)
-    sph = spherical_check(mate.profile, spec, tol, n)
+    sph = spherical_check(mate.profile, spec, tol)
     if not sph.is_spherical or sph.radius is None:
         return VerificationReport("thm4_1", True, False, None, tol.residual,
                                   {"c": c, "spherical": False},
@@ -537,13 +523,12 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 8001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """Constant mate curvature c => parent recovered by the sine/cosine
     quadrature inverse (round trip against the original profile)."""
     tol = tol or ToleranceSet.analytic()
     mate = natural_mate_apparatus(p, spec)
-    s = p.grid(n)
+    s = p.grid(INVERSE_GRID_POINTS)
     kb = ProfileSamples(mate.profile, spec, s).kappa
     spread = rel_spread(kb)
     if spread > tol.constancy:
@@ -553,7 +538,7 @@ def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
     start = ProfileSamples(p, spec, p.s_min)
     phi0 = math.atan2(float(start.m), float(start.kappa))
     rec = constant_curvature_inverse(mate.profile.tau_at, c, spec,
-                                     domain=mate.profile.domain, n=n, phi0=phi0)
+                                     mate.profile.domain, INVERSE_GRID_POINTS, phi0)
     sg = rec.s_grid[4:-4]
     orig = ProfileSamples(p, spec, sg)
     res_k = np.max(np.abs(rec.kappa_samples[4:-4] - orig.kappa))
@@ -586,16 +571,15 @@ def _golden_section(fun: Callable[[float], float], lo: float, hi: float,
 
 
 def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """Spherical parent with constant-curvature mate: |mate torsion - tau_G|
     matches the closed trigonometric law with a = c^2 r, up to one fitted
     s-translation."""
     tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol, n)
+    sph = spherical_check(p, spec, tol)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("thm5_2", tol.residual, "parent not spherical")
-    s = p.grid(n)
+    s = p.grid()
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
     spread = rel_spread(mps.kappa)
     if spread > tol.constancy:
@@ -628,11 +612,10 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """tau - tau_G constant nonzero => natural mate spherical with radius 1/|c|."""
     tol = tol or ToleranceSet.analytic()
-    m = ProfileSamples(p, spec, p.grid(n)).m
+    m = ProfileSamples(p, spec, p.grid()).m
     spread = rel_spread(m)
     if spread > tol.constancy:
         return _not_applicable("thm6_2", tol.residual,
@@ -641,7 +624,7 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
     if abs(c) <= tol.zero:
         return _not_applicable("thm6_2", tol.residual, "tau - tau_G vanishes")
     mate = natural_mate_apparatus(p, spec)
-    sph = spherical_check(mate.profile, spec, tol, n)
+    sph = spherical_check(mate.profile, spec, tol)
     if not sph.is_spherical or sph.radius is None:
         return VerificationReport("thm6_2", True, False, None, tol.residual,
                                   {"c": c}, hypothesis_note="mate not spherical")
@@ -659,11 +642,10 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 # corollary biconditionals
 
 def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """General helix <=> mate torsion equals the group torsion."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
+    s = p.grid()
     h_spread = rel_spread(ProfileSamples(p, spec, s).H)
     is_gh = h_spread <= tol.constancy
     mate = natural_mate_apparatus(p, spec)
@@ -677,11 +659,10 @@ def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """Slant helix <=> natural mate is a general helix."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
+    s = p.grid()
     slant, sig_spread = _slant_verdict(ProfileSamples(p, spec, s), tol)
     mate = natural_mate_apparatus(p, spec)
     mate_h_spread = rel_spread(ProfileSamples(mate.profile, spec, s).H)
@@ -694,12 +675,11 @@ def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_3_3(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """Rectifying (H linear, slope a != 0) <=> a kappa^2 = (mate tau - tau_G)
     * mate kappa^2."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
+    s = p.grid()
     ps = ProfileSamples(p, spec, s)
     rectifying, a, _ = _rectifying_fit(ps, tol)
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
@@ -733,19 +713,18 @@ def _signed_sqrt_residual(lhs: np.ndarray, base: np.ndarray, disc: np.ndarray,
 
 
 def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """Spherical parents satisfy kappa_bar'/kappa_bar = (tau_bar - tau_G) H
     +/- (tau - tau_G) sqrt(r^2 kappa^2 - 1), one sign per segment.
 
     Samples where the discriminant or tau - tau_G sits below the noise floor
     are excluded (the identity degenerates there)."""
     tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol, n)
+    sph = spherical_check(p, spec, tol)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("cor3_4", tol.residual, "parent not spherical")
     r = float(sph.radius)
-    s = p.grid(n)
+    s = p.grid()
     ps = ProfileSamples(p, spec, s)
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
     lhs = mps.kappa_prime / mps.kappa
@@ -762,15 +741,14 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """For spherical parents with constant-curvature mates: pointwise either
     tau = tau_G or mate torsion - tau_G = -/+ kappa sqrt(r^2 kappa^2 - 1)."""
     tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol, n)
+    sph = spherical_check(p, spec, tol)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("cor5_2", tol.residual, "parent not spherical")
-    s = p.grid(n)
+    s = p.grid()
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
     spread = rel_spread(mps.kappa)
     if spread > tol.constancy:
@@ -791,17 +769,16 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """General helix <=> conjugate mate is a general helix (needs tau != tau_G)."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
+    s = p.grid()
     ps = ProfileSamples(p, spec, s)
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_1", tol.constancy,
                                "tau - tau_G vanishes somewhere")
     h_spread = rel_spread(ps.H)
-    cps = ProfileSamples(conjugate_mate_apparatus(p, spec, n).profile, spec, s)
+    cps = ProfileSamples(conjugate_mate_apparatus(p, spec).profile, spec, s)
     conj_spread = rel_spread(cps.H)
     is_gh = h_spread <= tol.constancy
     conj_gh = conj_spread <= tol.constancy
@@ -814,18 +791,17 @@ def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None,
-                   n: int = 2001) -> VerificationReport:
+                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
     """Slant helix <=> conjugate mate is a slant helix; the sigma values are
     opposite up to the sign of tau - tau_G."""
     tol = tol or ToleranceSet.analytic()
-    s = p.grid(n)
+    s = p.grid()
     ps = ProfileSamples(p, spec, s)
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_2", tol.constancy,
                                "tau - tau_G vanishes somewhere")
     slant, sig_spread = _slant_verdict(ps, tol)
-    cps = ProfileSamples(conjugate_mate_apparatus(p, spec, n).profile, spec, s)
+    cps = ProfileSamples(conjugate_mate_apparatus(p, spec).profile, spec, s)
     conj_slant, conj_spread = _slant_verdict(cps, tol)
     details: dict = {"slant": slant, "conjugate_slant": conj_slant,
                      "sigma_spread": sig_spread,
@@ -844,8 +820,7 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
 def verify_mate_geometry(traj: FrameTrajectory, mate_curve: PositionCurve,
                          kind: str, spec: GroupSpec,
                          tol: Optional[ToleranceSet] = None,
-                         other_mate: Optional[PositionCurve] = None,
-                         window: int = DEFAULT_WINDOW) -> VerificationReport:
+                         other_mate: Optional[PositionCurve] = None) -> VerificationReport:
     """End-to-end geometric checks against estimated apparatus:
 
     (i)   the mate's estimated tangent equals the parent's N (natural) or
@@ -857,8 +832,8 @@ def verify_mate_geometry(traj: FrameTrajectory, mate_curve: PositionCurve,
     tol = tol or ToleranceSet.analytic()
     if traj.positions is None:
         raise ValueError("parent trajectory needs positions")
-    est_p = estimate_apparatus(traj, spec, window)
-    est_m = estimate_apparatus(mate_curve, spec, window)
+    est_p = estimate_apparatus(traj, spec)
+    est_m = estimate_apparatus(mate_curve, spec)
     mask = est_p.valid & est_m.valid
     target = traj.n if kind == "natural" else traj.b
     tangent_res = float(np.max(np.linalg.norm(est_m.t[mask] - target[mask], axis=1)))
@@ -877,7 +852,7 @@ def verify_mate_geometry(traj: FrameTrajectory, mate_curve: PositionCurve,
             passed = False
 
     if other_mate is not None:
-        est_o = estimate_apparatus(other_mate, spec, window)
+        est_o = estimate_apparatus(other_mate, spec)
         m2 = mask & est_o.valid
         ortho_vals.append(float(np.max(np.abs(np.sum(est_m.t[m2] * est_o.t[m2], axis=1)))))
         ortho_vals.append(float(np.max(np.abs(np.sum(est_p.t[m2] * est_o.t[m2], axis=1)))))

@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 verification failure, 2 parse/config error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -188,10 +189,21 @@ def _write_csv(path: Optional[str], header: list[str], body) -> None:
         for chunk in body:
             sys.stdout.write(chunk)
         return
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _open_out(path) as fh:
         fh.write(",".join(header) + "\n")
         for chunk in body:
             fh.write(chunk)
+
+
+@contextlib.contextmanager
+def _open_out(path: str):
+    """The output file, opened for LF text; failing to open or write it is
+    a ConfigError."""
+    try:
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            yield fh
+    except OSError as e:
+        raise ConfigError(f"cannot write {path}: {e}") from e
 
 
 def _remove_partial(path: Optional[str]) -> None:
@@ -216,7 +228,7 @@ def _jsonable(obj):
 def _emit_json(payload: dict, path: Optional[str] = None) -> None:
     text = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
     if path:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        with _open_out(path) as fh:
             fh.write(text)
     sys.stdout.write(text)
 

@@ -213,15 +213,8 @@ def parse(text: str) -> Expr:
 
 def _check_finite(value, node: Expr, s):
     if not np.all(np.isfinite(value)):
-        raise DomainError(node, _first_bad(value, s))
+        raise DomainError(node, _where(value, lambda x: ~np.isfinite(x), s))
     return value
-
-
-def _first_bad(value, s):
-    if np.ndim(value) == 0:
-        return s
-    bad = ~np.isfinite(np.asarray(value))
-    return np.asarray(s)[bad][0] if np.ndim(s) else s
 
 
 def evaluate(e: Expr, s):

@@ -25,8 +25,8 @@ import numpy as np
 
 from . import expressions as ex
 from .liegroup import GroupSpec, cumulative_quadrature, runs
-from .profiles import (CurvatureProfile, FrenetViolation, ProfileSamples,
-                       darboux_length, harmonic_curvature, sigma)
+from .profiles import (GRID_POINTS, CurvatureProfile, FrenetViolation,
+                       ProfileSamples, harmonic_curvature, sigma)
 
 # |tau - tau_G| below this counts as a zero when splitting conjugate segments:
 # below finite-difference noise, above accumulated integration error.
@@ -121,8 +121,8 @@ def sign_segments(s: np.ndarray, m: np.ndarray, zero_tol: float) -> tuple[Segmen
                  for i, j, sign in runs(key) if sign != 0.0)
 
 
-def _conjugate_segments(p: CurvatureProfile, spec: GroupSpec, n: int):
-    s, m, valid, crossings = _mate_zero_structure(p, spec, n)
+def _conjugate_segments(p: CurvatureProfile, spec: GroupSpec):
+    s, m, valid, crossings = _mate_zero_structure(p, spec, GRID_POINTS)
     if not np.any(valid):
         raise NotAFrenetMate(
             f"tau - tau_G vanishes identically on [{p.s_min}, {p.s_max}]", crossings)
@@ -143,23 +143,19 @@ def natural_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatu
         tb = ex.simplify(ex.Binary("+", ex.Num(tg), ex.Binary("/", hp, one_h2)))
         mate_profile = CurvatureProfile.from_expressions(ex.simplify(kb), tb, p.domain)
     else:
-        # kappa_bar from the samples themselves: the interpolant read back
-        # at its own nodes differs from them by round-off
         ps = ProfileSamples(p, spec, p.s_grid)
         h = ps.H
         mate_profile = CurvatureProfile.from_samples(
-            p.s_grid, darboux_length(p.tau_samples - tg, p.kappa_samples),
-            tg + ps.H_prime / (1.0 + h * h))
+            p.s_grid, ps.omega, tg + ps.H_prime / (1.0 + h * h))
     seg = Segment(p.s_min, p.s_max, 1)
     return MateApparatus("natural", mate_profile, tg, p, spec, (seg,))
 
 
-def conjugate_mate_apparatus(p: CurvatureProfile, spec: GroupSpec,
-                             n: int = 2001) -> MateApparatus:
+def conjugate_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     """kappa* = |tau - tau_G|, tau* = kappa + tau_G, segmented where
     tau - tau_G changes sign (threshold ZERO_TOL, sign constant per segment)."""
     tg = spec.tau_g
-    segments = _conjugate_segments(p, spec, n)
+    segments = _conjugate_segments(p, spec)
     if p.is_symbolic:
         m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
         kstar = ex.Unary("abs", m)
@@ -188,8 +184,8 @@ def mate_harmonic_data(m: MateApparatus, spec: GroupSpec
     return h_at, sigma_at
 
 
-def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain=None,
-                               n: int = 2001, phi0: float = 0.0) -> CurvatureProfile:
+def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain, n: int,
+                               phi0: float = 0.0) -> CurvatureProfile:
     """Parent profile of a natural mate with constant curvature c.
 
     Given the mate torsion law tau_bar(s), the parent is
@@ -198,21 +194,14 @@ def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain=None,
         tau - tau_G = c sin(phi(s)),   phi(s) = phi0 + integral of (tau_bar - tau_G)
 
     with the integral taken by the same cumulative quadrature as the left
-    shift.  Returns a sampled profile on an n-point grid.
+    shift.  ``tau_bar`` is a callable over s or an expression.  Returns a
+    sampled profile on an n-point grid.
     """
     if c <= 0:
         raise ValueError("c must be positive")
-    if domain is None:
-        raise ValueError("domain required")
-    tb = ex.ensure_expr(tau_bar) if isinstance(tau_bar, (str, float, int)) else tau_bar
     s = np.linspace(float(domain[0]), float(domain[1]), n)
     h = s[1] - s[0]
-    if _is_expr(tb):
-        values = np.atleast_1d(np.asarray(ex.evaluate(tb, s), dtype=float))
-    elif callable(tb):
-        values = np.asarray(tb(s), dtype=float)
-    else:
-        raise TypeError("tau_bar must be an expression or a callable")
+    values = tau_bar(s) if callable(tau_bar) else ex.evaluate(ex.ensure_expr(tau_bar), s)
     phi = phi0 + cumulative_quadrature(values - spec.tau_g, h)
     kappa = c * np.cos(phi)
     tau = spec.tau_g + c * np.sin(phi)
@@ -226,10 +215,6 @@ def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain=None,
         err.usable_subdomain = sub
         raise err
     return CurvatureProfile.from_samples(s, kappa, tau)
-
-
-def _is_expr(x) -> bool:
-    return isinstance(x, (ex.Num, ex.Pi, ex.Var, ex.Unary, ex.Binary))
 
 
 def _longest_run(mask: np.ndarray) -> Optional[tuple[int, int]]:

@@ -19,6 +19,8 @@ from . import expressions as ex
 from .liegroup import GroupSpec
 
 SINGULAR_SIGMA_TOL = 1e-12
+# points of the check grid that classification and verification sample
+GRID_POINTS = 2001
 
 
 class FrenetViolation(ValueError):
@@ -55,17 +57,21 @@ def _cubic_interp(s_grid: np.ndarray, values: np.ndarray, s) -> np.ndarray:
     scalar = s.ndim == 0
     sq = np.atleast_1d(s)
     n = s_grid.shape[0]
+    # a query at a node reads its sample: (s - s0)/h lands a few ulp off
+    # the node index, which would mix in the neighbours
+    node = np.minimum(np.searchsorted(s_grid, sq), n - 1)
+    at_node = s_grid[node] == sq
     h = s_grid[1] - s_grid[0]
     pos = (sq - s_grid[0]) / h
     i = np.clip(np.floor(pos).astype(int), 1, n - 3)
     x = pos - i  # in [0,1] inside the cell, outside when clamped
     fm1, f0, f1, f2 = values[i - 1], values[i], values[i + 1], values[i + 2]
-    out = (
+    out = np.where(at_node, values[node], (
         fm1 * (-x * (x - 1.0) * (x - 2.0) / 6.0)
         + f0 * ((x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0)
         + f1 * (-(x + 1.0) * x * (x - 2.0) / 2.0)
         + f2 * ((x + 1.0) * x * (x - 1.0) / 6.0)
-    )
+    ))
     return out[0] if scalar else out
 
 
@@ -137,29 +143,26 @@ class CurvatureProfile:
         d = _derivative_samples(self.tau_samples, self.h)
         return _cubic_interp(self.s_grid, d, s)
 
-    def grid(self, n: int = 2001) -> np.ndarray:
+    def grid(self, n: int = GRID_POINTS) -> np.ndarray:
         if self.s_grid is not None and n == self.s_grid.shape[0]:
             return self.s_grid
         return np.linspace(self.s_min, self.s_max, n)
 
-    def restricted(self, s_min: float, s_max: float) -> "CurvatureProfile":
-        """Same data on a subdomain (symbolic form only)."""
-        if not self.is_symbolic:
-            raise ValueError("restriction is only supported for symbolic profiles")
-        return CurvatureProfile.from_expressions(self.kappa_expr, self.tau_expr,
-                                                 (s_min, s_max))
+
+FRENET_SCAN_POINTS = 1001
+FRENET_SCAN_TOL = 1e-12
 
 
-def frenet_scan(p: CurvatureProfile, n: int = 1001, tol: float = 1e-12):
-    """Check kappa > tol on an evaluation grid.
+def frenet_scan(p: CurvatureProfile):
+    """Check kappa > FRENET_SCAN_TOL on a FRENET_SCAN_POINTS-point grid.
 
     Returns (ok, trimmed_domain): when violations are confined to the ends,
     the suggested trimmed domain still covers the positive part; a violation
     in the interior yields ok=False with trimmed_domain=None.
     """
-    s = p.grid(n)
+    s = p.grid(FRENET_SCAN_POINTS)
     kappa = p.kappa_at(s)
-    good = kappa > tol
+    good = kappa > FRENET_SCAN_TOL
     if np.all(good):
         return True, (p.s_min, p.s_max)
     idx = np.nonzero(good)[0]
@@ -231,13 +234,7 @@ class ProfileSamples:
     @cached_property
     def omega(self):
         """Length of the extrinsic Darboux vector: sqrt((tau-tau_G)^2 + kappa^2)."""
-        return darboux_length(self.m, self.kappa)
-
-
-def darboux_length(m, kappa):
-    """sqrt(m^2 + kappa^2), m = tau - tau_G: omega, and the curvature of the
-    natural mate."""
-    return np.sqrt(m * m + kappa * kappa)
+        return np.sqrt(self.m * self.m + self.kappa * self.kappa)
 
 
 def harmonic_curvature(p: CurvatureProfile, spec: GroupSpec, s):

@@ -149,6 +149,19 @@ def test_domain_error_exits_3_and_removes_output(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["synthesize"], ["classify"],
+                                     ["verify", "--theorems", "thm6_2"]])
+def test_unwritable_out_exits_2(command, tmp_path, capsys):
+    out = tmp_path / "missing" / "out.csv"
+    code, _, err = run_cli(command + ["--group", "r3", "--kappa", "3*cos(s)",
+                                      "--tau", "sqrt(2)", "--domain=-1.5:1.5",
+                                      "--step", "1e-2", "--out", str(out)], capsys)
+    assert code == 2
+    assert err.startswith("error: cannot write")
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_mate_analytic_columns(tmp_path, capsys):
     out = tmp_path / "conj.csv"
     code, _, _ = run_cli(["mate", "--group", "r3", "--kappa", "s-1",

@@ -98,6 +98,18 @@ def test_frames_orthonormal_without_projection():
     assert traj.max_step_defect <= 1e-12
 
 
+@pytest.mark.parametrize("spec", [SO3, S3], ids=["so3", "s3"])
+def test_defects_of_long_grids_stay_bounded(spec):
+    # no step is projected, so frame and element defects grow with the step
+    # count; over 60000 steps they stay within 1e-11 (about 2.4e-12 today)
+    p = CurvatureProfile.from_expressions("3", "2*s", (-3, 3))
+    traj = reconstruct_position(integrate_frame(p, spec, -3, 3, 1e-4), spec)
+    assert len(traj.s) == 60001
+    assert traj.max_frame_defect <= 1e-11
+    assert traj.max_element_defect <= 1e-11
+    assert traj.max_step_defect <= 1e-15
+
+
 def test_frenet_violation_detected():
     p = CurvatureProfile.from_expressions("-1", "0", (0, 1))
     with pytest.raises(FrenetViolation):

@@ -7,7 +7,8 @@ from curvemates.liegroup import R3, S3, SO3, bracket, covariant_derivative
 from curvemates.profiles import (SINGULAR_SIGMA_TOL, ApparatusSample,
                                  CurvatureProfile, FrenetViolation,
                                  ProfileSamples, SingularSigma,
-                                 apparatus_sample, darboux_vectors, frenet_scan,
+                                 _derivative_samples, apparatus_sample,
+                                 darboux_vectors, frenet_scan,
                                  harmonic_curvature, harmonic_curvature_prime,
                                  omega, sigma)
 
@@ -173,6 +174,21 @@ def test_sampled_profile_values_roundtrip(profiles):
     np.testing.assert_allclose(sampled.kappa_at(probe), p.kappa_at(probe),
                                atol=1e-10)
     np.testing.assert_allclose(sampled.tau_at(probe), p.tau_at(probe), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["slant_helix", "rectifying", "anti_salkowski"])
+def test_sampled_profile_reads_its_samples_at_its_nodes(profiles, name):
+    # (s - s0)/h lands a few ulp off the node index; a node must still read
+    # back its own sample, and its finite-difference derivative, bit for bit
+    p = profiles[name]
+    s = np.linspace(*p.domain, 401)
+    q = CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s))
+    np.testing.assert_array_equal(q.kappa_at(q.s_grid), q.kappa_samples)
+    np.testing.assert_array_equal(q.tau_at(q.s_grid), q.tau_samples)
+    np.testing.assert_array_equal(q.kappa_prime_at(q.s_grid),
+                                  _derivative_samples(q.kappa_samples, q.h))
+    for i in (0, 1, 200, 399, 400):
+        assert q.kappa_at(q.s_grid[i]) == q.kappa_samples[i]
 
 
 def test_frame_rotation_residuals(profiles):
