@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Pickle the library's analytic outputs on a fixed corpus, for comparison
+between two versions of the code.
+
+    PYTHONPATH=src python3 scripts/parity_dump.py OUT
+
+For every input profile in r3, so3 and s3 it records ``classify`` in both
+tolerance presets, ``spherical_check``, the 11 profile-only verifiers and
+both analytic mates (segments, and kappa, tau and their derivatives on a
+101-point grid).  An exception is recorded as its type name and message.
+The inputs are the catalog demo profiles, edge profiles (kappa' undefined at
+a grid point, kappa <= 0, a zero stretch of tau - tau_G, constant sigma, a
+kappa domain error, constant kappa and tau, tau = tau_G, a derivative that
+leaves the grammar), the benchmark's analytic_sweep families for seeds 1
+and 7, and 401-sample copies of the demo profiles.  Two checkouts give byte-identical files (compare with ``cmp``)
+exactly when these outputs are identical.
+"""
+
+import pickle
+import sys
+from pathlib import Path
+
+import numpy as np
+
+from curvemates import analysis
+from curvemates.catalog import PROFILES
+from curvemates.liegroup import group_spec
+from curvemates.mates import conjugate_mate_apparatus, natural_mate_apparatus
+from curvemates.profiles import CurvatureProfile
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+# the sweep families live with the benchmark
+from workloads import GROUPS, TAU_G, THEOREMS, draw_profiles  # noqa: E402
+
+# kappa, tau - tau_G, domain
+EDGE_PROFILES = {
+    "kappa_prime_undefined": ("2+abs(s)", "1.5+s", (-1.0, 1.0)),
+    "kappa_nonpositive": ("s", "1", (-1.0, 1.0)),
+    "zero_stretch": ("1", "0.5*(s+abs(s))", (-2.0, 2.0)),
+    "constant_sigma": ("3*cos(s)", "3*sin(s)", (-1.0, 1.0)),
+    "kappa_domain_error": ("sqrt(s)", "1", (-1.0, 1.0)),
+    "constant_kappa_tau": ("2", "1.5", (0.0, 4.0)),
+    "tau_equals_tau_g": ("2", "0", (0.0, 4.0)),
+    "not_differentiable": ("2+s^s", "1", (0.5, 1.5)),
+}
+
+
+def sampled(p: CurvatureProfile) -> CurvatureProfile:
+    s = p.grid(401)
+    return CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s))
+
+
+def inputs():
+    """(key, profile, group) of every input, each profile a new object."""
+    for name, entry in PROFILES.items():
+        for g in GROUPS:
+            yield f"demo:{name}:{g}", entry.profile(), g
+            yield f"sampled:{name}:{g}", sampled(entry.profile()), g
+    for name, (kappa, m, domain) in EDGE_PROFILES.items():
+        for g in GROUPS:
+            yield (f"edge:{name}:{g}", CurvatureProfile.from_expressions(
+                kappa, f"{TAU_G[g]!r}+({m})", domain), g)
+    for seed in (1, 7):
+        for sp in draw_profiles(seed, 2):
+            yield (f"sweep{seed}:{sp.key}",
+                   CurvatureProfile.from_expressions(sp.kappa, sp.tau, sp.domain), sp.group)
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as e:  # every failure is part of the record
+        return ("error", type(e).__name__, str(e))
+
+
+def mate_values(mate):
+    prof = mate.profile
+    s = np.linspace(prof.s_min, prof.s_max, 101)
+    return {"segments": mate.segments,
+            **{name: outcome(getattr(prof, name), s)
+               for name in ("kappa_at", "tau_at", "kappa_prime_at", "tau_prime_at")}}
+
+
+def dump(key, p, group):
+    spec = group_spec(group)
+    rec = {}
+    for preset in ("analytic", "estimated"):
+        tol = getattr(analysis.ToleranceSet, preset)()
+        rec[f"classify:{preset}"] = outcome(analysis.classify, p, spec, tol)
+        rec[f"spherical_check:{preset}"] = outcome(analysis.spherical_check, p, spec, tol)
+    for t in THEOREMS:
+        rec[t] = outcome(getattr(analysis, f"verify_{t[:3]}_{t[3:]}"), p, spec)
+    for kind, build in (("natural", natural_mate_apparatus),
+                        ("conjugate", conjugate_mate_apparatus)):
+        mate = outcome(build, p, spec)
+        rec[kind] = ("ok", mate_values(mate[1])) if mate[0] == "ok" else mate
+    return key, rec
+
+
+def main() -> int:
+    if len(sys.argv) != 2:
+        print(__doc__.split("\n\n")[1], file=sys.stderr)
+        return 2
+    records = [dump(*args) for args in inputs()]
+    with open(sys.argv[1], "wb") as fh:
+        pickle.dump(records, fh, protocol=4)
+    print(f"{len(records)} inputs, {sum(len(r) for _, r in records)} outputs")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -20,7 +20,7 @@ import numpy as np
 
 from .integrate import (FrameTrajectory, PositionCurve, integrate_frame,
                         reconstruct_position)
-from .liegroup import GroupSpec, quat_mul_rows, runs
+from .liegroup import GroupSpec, is_uniform_grid, quat_mul_rows, runs
 from .mates import (Segment, ZERO_TOL, conjugate_mate_apparatus,
                     constant_curvature_inverse, natural_mate_apparatus,
                     sign_segments)
@@ -153,6 +153,8 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     n = s.shape[0]
     if n < 9:
         raise EstimationError("need at least 9 samples")
+    if not is_uniform_grid(s):
+        raise EstimationError("estimation requires a uniform s-grid")
     # DEFAULT_WINDOW, clamped to the longest odd window of a short input
     window = min(DEFAULT_WINDOW, n if n % 2 else n - 1)
     h = float(s[1] - s[0])
@@ -450,13 +452,16 @@ def _slant_verdict(ps: ProfileSamples, tol: ToleranceSet) -> tuple[bool, Optiona
 def _rectifying_fit(ps: ProfileSamples, tol: ToleranceSet):
     """Least-squares line through H: whether H is linear with a slope of at
     least ``rectifying_slope_min``, the slope, and the rms misfit relative
-    to the range of H."""
+    to the range of H.  Where H is constant (the general-helix test) its
+    range is round-off, and the misfit is reported as it is."""
     design = np.vstack([ps.s, np.ones_like(ps.s)]).T
     (slope, intercept), *_ = np.linalg.lstsq(design, ps.H, rcond=None)
     fit_rms = float(np.sqrt(np.mean((ps.H - design @ [slope, intercept]) ** 2)))
     h_range = max(float(np.max(ps.H) - np.min(ps.H)), 1e-300)
     rectifying = (fit_rms <= tol.constancy * h_range
                   and abs(slope) >= tol.rectifying_slope_min)
+    if rel_spread(ps.H) <= tol.constancy:
+        return rectifying, slope, fit_rms
     return rectifying, slope, fit_rms / h_range
 
 

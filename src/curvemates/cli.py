@@ -441,12 +441,13 @@ def cmd_verify(config: RunConfig) -> int:
         "results": results,
         "all_ok": all_ok,
     }
-    _emit_json(payload)
+    # the trace file first: a failed write then prints no report
     if config.out and traces:
         body = (chunk for theorem, (s, resid) in traces
                 for chunk in _csv_rows([s, resid], blank=(1, ~np.isfinite(resid)),
                                        prefix=f"{theorem},"))
         _write_csv(config.out, ["theorem", "s", "residual"], body)
+    _emit_json(payload)
     return 0 if all_ok else 1
 
 

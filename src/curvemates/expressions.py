@@ -211,8 +211,12 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
+# Every node is checked, not only the root: a later node can map an overflow
+# back to a finite value (1/exp(1000) is 0).  The checks use the array
+# methods .all()/.any(), which cost under half of np.all/np.any per call.
+
 def _check_finite(value, node: Expr, s):
-    if not np.all(np.isfinite(value)):
+    if not np.isfinite(value).all():
         raise DomainError(node, _where(value, lambda x: ~np.isfinite(x), s))
     return value
 
@@ -242,7 +246,7 @@ def _eval(e: Expr, s):
         if e.op == "neg":
             return -v
         if e.op == "sqrt":
-            if np.any(np.asarray(v) < 0):
+            if (np.asarray(v) < 0).any():
                 raise DomainError(e, _where(v, lambda x: x < 0, s))
             return np.sqrt(v)
         if e.op == "abs":
@@ -259,7 +263,7 @@ def _eval(e: Expr, s):
         if e.op == "*":
             return _check_finite(a * b, e, s)
         if e.op == "/":
-            if np.any(np.asarray(b) == 0):
+            if (np.asarray(b) == 0).any():
                 raise DomainError(e, _where(b, lambda x: x == 0, s))
             return _check_finite(a / b, e, s)
         if e.op == "^":
@@ -277,9 +281,9 @@ def _where(v, pred, s):
 def _power(node: Binary, base, expo, s):
     # Integer exponents work for any base; fractional ones need base > 0.
     ev = np.asarray(expo)
-    if np.all(ev == np.floor(ev)):
+    if (ev == np.floor(ev)).all():
         return _check_finite(np.power(base, ev), node, s)
-    if np.any(np.asarray(base) <= 0):
+    if (np.asarray(base) <= 0).any():
         raise DomainError(node, _where(base, lambda x: x <= 0, s))
     return _check_finite(np.power(base, expo), node, s)
 

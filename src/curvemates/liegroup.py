@@ -223,11 +223,17 @@ def left_shift(s: np.ndarray, tangents: np.ndarray, alpha0: np.ndarray) -> np.nd
     t = np.asarray(tangents, dtype=float)
     if s.shape[0] < 3:
         raise ValueError("left shift needs at least 3 samples")
+    if not is_uniform_grid(s):
+        raise ValueError("left shift requires a uniform s-grid")
+    return np.asarray(alpha0, dtype=float) + cumulative_quadrature(t, float(s[1] - s[0]))
+
+
+def is_uniform_grid(s: np.ndarray) -> bool:
+    """Whether every step of ``s`` (at least 2 samples) equals the first
+    one, h, to within 1e-12 max(1, |h|)."""
     steps = np.diff(s)
     h = float(steps[0])
-    if not np.allclose(steps, h, rtol=0, atol=1e-12 * max(1.0, abs(h))):
-        raise ValueError("left shift requires a uniform s-grid")
-    return np.asarray(alpha0, dtype=float) + cumulative_quadrature(t, h)
+    return bool(np.allclose(steps, h, rtol=0, atol=1e-12 * max(1.0, abs(h))))
 
 
 # ---------------------------------------------------------------------------

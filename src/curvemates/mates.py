@@ -14,6 +14,8 @@ segments of constant sign.
 For expression-form parents the mate curvatures are built as expression
 trees, so downstream symbolic derivatives (and second derivatives via
 another differentiation) stay exact.  Sampled parents yield sampled mates.
+A parent keeps each mate it has (``CurvatureProfile.mates``), so every
+caller after the first gets the same object.
 """
 
 from __future__ import annotations
@@ -129,9 +131,30 @@ def _conjugate_segments(p: CurvatureProfile, spec: GroupSpec):
     return sign_segments(s, m, ZERO_TOL)
 
 
+def _stored(p: CurvatureProfile, kind: str, spec: GroupSpec, build) -> MateApparatus:
+    """The mate of p kept in ``p.mates``, built by build(p, spec) and kept
+    when first asked for; a build that raises keeps nothing."""
+    key = (kind, spec)
+    if key not in p.mates:
+        p.mates[key] = build(p, spec)
+    return p.mates[key]
+
+
 def natural_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     """Mate curvatures from the parent profile; single validity segment
-    (kappa_bar = omega > 0 wherever the parent satisfies the Frenet condition)."""
+    (kappa_bar = omega > 0 wherever the parent satisfies the Frenet condition).
+    Built once per (profile, spec); later calls return the same object."""
+    return _stored(p, "natural", spec, _natural_mate)
+
+
+def conjugate_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
+    """kappa* = |tau - tau_G|, tau* = kappa + tau_G, segmented where
+    tau - tau_G changes sign (threshold ZERO_TOL, sign constant per segment).
+    Built once per (profile, spec); later calls return the same object."""
+    return _stored(p, "conjugate", spec, _conjugate_mate)
+
+
+def _natural_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     tg = spec.tau_g
     if p.is_symbolic:
         m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
@@ -151,9 +174,7 @@ def natural_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatu
     return MateApparatus("natural", mate_profile, tg, p, spec, (seg,))
 
 
-def conjugate_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
-    """kappa* = |tau - tau_G|, tau* = kappa + tau_G, segmented where
-    tau - tau_G changes sign (threshold ZERO_TOL, sign constant per segment)."""
+def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     tg = spec.tau_g
     segments = _conjugate_segments(p, spec)
     if p.is_symbolic:

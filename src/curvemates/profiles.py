@@ -5,6 +5,7 @@ with symbolic derivatives) or as uniform samples (derivatives from 5-point
 finite-difference stencils, off-grid values from cubic interpolation).
 Everything downstream (harmonic curvature H, sigma, the Darboux vectors)
 is read from one ``ProfileSamples`` of the profile on the points asked for.
+A profile derives its symbolic derivatives, and keeps its mates, once.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from . import expressions as ex
-from .liegroup import GroupSpec
+from .liegroup import GroupSpec, is_uniform_grid
 
 SINGULAR_SIGMA_TOL = 1e-12
 # points of the check grid that classification and verification sample
@@ -100,8 +101,7 @@ class CurvatureProfile:
         s_grid = np.asarray(s_grid, dtype=float)
         if s_grid.shape[0] < 5:
             raise ValueError("sampled profiles need at least 5 points")
-        steps = np.diff(s_grid)
-        if not np.allclose(steps, steps[0], rtol=0, atol=1e-12 * max(1.0, abs(steps[0]))):
+        if not is_uniform_grid(s_grid):
             raise ValueError("sampled profiles require a uniform grid")
         return cls(float(s_grid[0]), float(s_grid[-1]), s_grid=s_grid,
                    kappa_samples=np.asarray(kappa_samples, dtype=float),
@@ -131,15 +131,34 @@ class CurvatureProfile:
             return ex.evaluate(self.tau_expr, s)
         return _cubic_interp(self.s_grid, self.tau_samples, s)
 
+    # Values derived from the fields are computed when first read and kept
+    # on the instance, which is immutable, so they live and die with it.  A
+    # failed derivation (DifferentiationError) is not kept: it raises again
+    # on every read.
+
+    @cached_property
+    def kappa_prime_expr(self) -> ex.Expr:
+        return ex.differentiate(self.kappa_expr)
+
+    @cached_property
+    def tau_prime_expr(self) -> ex.Expr:
+        return ex.differentiate(self.tau_expr)
+
+    @cached_property
+    def mates(self) -> dict:
+        """The mates built from this profile, by (kind, spec); the mates
+        module fills it."""
+        return {}
+
     def kappa_prime_at(self, s):
         if self.is_symbolic:
-            return ex.evaluate(ex.differentiate(self.kappa_expr), s)
+            return ex.evaluate(self.kappa_prime_expr, s)
         d = _derivative_samples(self.kappa_samples, self.h)
         return _cubic_interp(self.s_grid, d, s)
 
     def tau_prime_at(self, s):
         if self.is_symbolic:
-            return ex.evaluate(ex.differentiate(self.tau_expr), s)
+            return ex.evaluate(self.tau_prime_expr, s)
         d = _derivative_samples(self.tau_samples, self.h)
         return _cubic_interp(self.s_grid, d, s)
 

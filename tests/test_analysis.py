@@ -75,6 +75,18 @@ def test_estimate_needs_nine_samples():
         estimate_apparatus(PositionCurve(s=s, positions=pos, spec=R3), R3)
 
 
+def test_one_uniform_grid_check_for_samples_shift_and_estimator():
+    s = np.linspace(0, 1, 101)
+    s[50] += 1e-9
+    pos = np.stack([np.cos(s), np.sin(s), 0 * s], axis=1)
+    with pytest.raises(EstimationError, match="uniform"):
+        estimate_apparatus(PositionCurve(s=s, positions=pos, spec=R3), R3)
+    with pytest.raises(ValueError, match="uniform"):
+        CurvatureProfile.from_samples(s, 1 + 0 * s, 0 * s)
+    with pytest.raises(ValueError, match="uniform"):
+        left_shift(s, pos, np.zeros(3))
+
+
 def test_sg_derivative_window5_is_classic_stencil():
     rng = np.random.default_rng(0)
     f = rng.normal(size=31)
@@ -193,6 +205,17 @@ def test_classify_demo_profiles(profiles):
     rep = classify(profiles["anti_salkowski"], R3)
     assert rep.verdicts["anti_salkowski"].passed
     assert not rep.verdicts["salkowski"].passed
+
+
+def test_rectifying_residual_of_a_general_helix_is_its_misfit():
+    # H = 1.5 is constant: the fit's misfit is round-off, and so is the
+    # range of H, which must not divide it
+    p = prof("2+0.5*sin(s)", "1.5*(2+0.5*sin(s))", (0, 4))
+    s = p.grid(401)
+    for q in (p, CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s))):
+        verdict = classify(q, R3).verdicts["rectifying"]
+        assert not verdict.passed
+        assert verdict.residual <= 1e-12
 
 
 def test_classify_circular_helix_implies_general_helix():

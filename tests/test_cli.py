@@ -162,6 +162,17 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_verify_prints_nothing_when_out_cannot_be_written(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.csv"
+    code, stdout, err = run_cli(["verify", "--theorems", "thm6_2", "--group", "r3",
+                                 "--kappa", "3*cos(s)", "--tau", "sqrt(2)",
+                                 "--domain=-1.5:1.5", "--step", "1e-2",
+                                 "--out", str(out)], capsys)
+    assert code == 2
+    assert stdout == ""
+    assert err.startswith("error: cannot write")
+
+
 def test_mate_analytic_columns(tmp_path, capsys):
     out = tmp_path / "conj.csv"
     code, _, _ = run_cli(["mate", "--group", "r3", "--kappa", "s-1",

@@ -1,7 +1,17 @@
+import pickle
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from curvemates.liegroup import R3, S3, bracket
+from curvemates import expressions as ex
+from curvemates.analysis import (classify, verify_cor_3_1, verify_cor_3_2,
+                                 verify_cor_3_3, verify_cor_3_4, verify_cor_5_2,
+                                 verify_cor_6_1, verify_cor_6_2, verify_thm_4_1,
+                                 verify_thm_5_1, verify_thm_5_2, verify_thm_6_2)
+from curvemates.catalog import PROFILES
+from curvemates.expressions import DifferentiationError
+from curvemates.liegroup import R3, S3, SO3, bracket, group_spec
 from curvemates.mates import (MateApparatus, NotAFrenetMate,
                               conjugate_mate_apparatus,
                               constant_curvature_inverse, mate_harmonic_data,
@@ -203,3 +213,93 @@ def test_mate_apparatus_kind_and_parent(profiles):
     conj = conjugate_mate_apparatus(p, R3)
     assert conj.kind == "conjugate"
     assert len(conj.segments) == 2  # split at s = 0
+
+
+# ---------------------------------------------------------------------------
+# a profile keeps its derivatives and its mates
+
+THEOREM_CHECKS = (verify_thm_4_1, verify_thm_5_1, verify_thm_5_2, verify_thm_6_2,
+                  verify_cor_3_1, verify_cor_3_2, verify_cor_3_3, verify_cor_3_4,
+                  verify_cor_5_2, verify_cor_6_1, verify_cor_6_2)
+CHECKS = (classify,) + THEOREM_CHECKS
+
+
+def _pickled_reports(p, spec, checks):
+    """Each check's report on (p, spec), pickled, run in the given order."""
+    return {check.__name__: pickle.dumps(check(p, spec)) for check in checks}
+
+
+def _mate_values(p, spec):
+    s = np.linspace(p.s_min, p.s_max, 101)
+    out = []
+    for build in (natural_mate_apparatus, conjugate_mate_apparatus):
+        m = build(p, spec)
+        out.append((m.kind, m.segments, m.profile.kappa_expr, m.profile.tau_expr,
+                    m.kappa_at(s).tobytes(), m.tau_at(s).tobytes()))
+    return out
+
+
+def test_repeat_calls_return_the_same_mate():
+    p = CurvatureProfile.from_expressions("3*cos(s)", "3*sin(s)", (-1.5, 1.5))
+    for build in (natural_mate_apparatus, conjugate_mate_apparatus):
+        first = build(p, SO3)
+        assert build(p, SO3) is first
+        assert build(p, group_spec("so3")) is first   # an equal spec
+        assert build(p, S3) is not first
+
+
+def test_one_profile_in_three_groups_matches_fresh_profiles():
+    for entry in PROFILES.values():
+        used = entry.profile()
+        for spec in (R3, SO3, S3):
+            fresh = entry.profile()
+            assert (_pickled_reports(used, spec, CHECKS)
+                    == _pickled_reports(fresh, spec, CHECKS))
+            assert _mate_values(used, spec) == _mate_values(fresh, spec)
+
+
+def test_reverse_order_on_a_used_profile_matches_forward_on_a_fresh_one():
+    for entry in PROFILES.values():
+        used = entry.profile()
+        for spec in (R3, SO3, S3):
+            _pickled_reports(used, spec, CHECKS)
+        for spec in (R3, SO3, S3):
+            assert (_pickled_reports(used, spec, CHECKS[::-1])
+                    == _pickled_reports(entry.profile(), spec, CHECKS))
+
+
+def test_failed_mates_raise_on_every_call():
+    flat = CurvatureProfile.from_expressions("2", "0.5", (0, 1))
+    for _ in range(2):
+        with pytest.raises(NotAFrenetMate):
+            conjugate_mate_apparatus(flat, SO3)
+    p = CurvatureProfile.from_expressions("2+s^s", "1", (0.5, 1.5))
+    for _ in range(2):
+        with pytest.raises(DifferentiationError):
+            natural_mate_apparatus(p, R3)
+        with pytest.raises(DifferentiationError):
+            p.kappa_prime_at(1.0)
+    assert flat.mates == {} and p.mates == {}
+
+
+def test_each_derivative_is_taken_once_per_profile(monkeypatch):
+    # counted by expression object: a profile and its mates hold their own
+    # expression trees, and two profiles may hold equal ones (in R3 the
+    # conjugate mate's torsion equals the parent's curvature)
+    seen = Counter()
+    held = []
+    differentiate = ex.differentiate
+
+    def counting(e):
+        seen[id(e)] += 1
+        held.append(e)      # keeps every id distinct while counting
+        return differentiate(e)
+
+    monkeypatch.setattr(ex, "differentiate", counting)
+    for entry in PROFILES.values():
+        p = entry.profile()
+        seen.clear()
+        for spec in (R3, SO3, S3):
+            for check in CHECKS:
+                check(p, spec)
+        assert seen and max(seen.values()) == 1, entry.name
