@@ -25,10 +25,9 @@ from .liegroup import (R3, S3, SO3, Frame, GroupSpec, bracket,
                        pull_back_tangent)
 from .mates import (MateApparatus, NotAFrenetMate, Segment,
                     conjugate_mate_apparatus, constant_curvature_inverse,
-                    mate_harmonic_data, natural_mate_apparatus)
-from .profiles import (ApparatusSample, CurvatureProfile, FrenetViolation,
-                       SingularSigma, apparatus_sample, darboux_vectors,
-                       frenet_scan, harmonic_curvature, harmonic_curvature_prime,
-                       omega, sigma)
+                    natural_mate_apparatus)
+from .profiles import (CurvatureProfile, FrenetViolation, SingularSigma,
+                       darboux_vectors, harmonic_curvature,
+                       harmonic_curvature_prime, omega, sigma)
 
 __version__ = "0.1.0"

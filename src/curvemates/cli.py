@@ -369,34 +369,18 @@ def _mate_curves(p: CurvatureProfile, spec: GroupSpec, config: RunConfig):
 def _run_theorem(theorem: str, p: CurvatureProfile, spec: GroupSpec,
                  tol: ToleranceSet, curves):
     """Report of one theorem; cor6_3 and cor6_4 read ``curves``, the
-    result of ``_mate_curves``."""
-    dispatch = {
-        "thm4_1": analysis.verify_thm_4_1,
-        "thm5_1": analysis.verify_thm_5_1,
-        "thm5_2": analysis.verify_thm_5_2,
-        "thm6_2": analysis.verify_thm_6_2,
-        "cor3_1": analysis.verify_cor_3_1,
-        "cor3_2": analysis.verify_cor_3_2,
-        "cor3_3": analysis.verify_cor_3_3,
-        "cor3_4": analysis.verify_cor_3_4,
-        "cor5_2": analysis.verify_cor_5_2,
-        "cor6_1": analysis.verify_cor_6_1,
-        "cor6_2": analysis.verify_cor_6_2,
-    }
-    if theorem in dispatch:
-        return dispatch[theorem](p, spec, tol)
+    result of ``_mate_curves``, and the others call their verifier."""
+    if theorem not in ("cor6_3", "cor6_4"):
+        # looked up per call, so a verifier wrapped after import is the one run
+        return getattr(analysis, f"verify_{theorem[:3]}_{theorem[3:]}")(p, spec, tol)
     traj, natural, conjugate = curves
+    if conjugate is None:
+        tolerance = tol.orthogonality if theorem == "cor6_3" else tol.bertrand
+        return analysis._not_applicable(theorem, tolerance,
+                                        "tau - tau_G vanishes identically")
     if theorem == "cor6_3":
-        if conjugate is None:
-            return analysis.VerificationReport(
-                "cor6_3", False, False, None, tol.orthogonality,
-                hypothesis_note="tau - tau_G vanishes identically")
         return analysis.verify_mate_geometry(traj, natural, "natural", spec, tol,
                                              other_mate=conjugate)
-    if conjugate is None:
-        return analysis.VerificationReport(
-            "cor6_4", False, False, None, tol.bertrand,
-            hypothesis_note="tau - tau_G vanishes identically")
     return analysis.verify_mate_geometry(traj, conjugate, "conjugate", spec, tol,
                                          other_mate=natural)
 
@@ -462,10 +446,6 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--step", type=float, help="grid step h")
     sub.add_argument("--out", help="output file path")
     sub.add_argument("--config", help="JSON config file (flags override)")
-    for name in _TOL_FIELDS:
-        sub.add_argument(f"--tol-{name.replace('_', '-')}", type=float,
-                         dest=f"tol_{name}",
-                         help=f"override the {name} tolerance")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -487,10 +467,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_mate.add_argument("--mode", choices=["analytic", "geometric", "both"])
 
     p_cls = sub.add_parser("classify", help="special-curve classification JSON")
-    _add_common(p_cls)
-
     p_ver = sub.add_parser("verify", help="verify theorem identities")
-    _add_common(p_ver)
+    # the commands that read tolerances
+    for p_tol in (p_cls, p_ver):
+        _add_common(p_tol)
+        for name in _TOL_FIELDS:
+            p_tol.add_argument(f"--tol-{name.replace('_', '-')}", type=float,
+                               dest=f"tol_{name}",
+                               help=f"override the {name} tolerance")
     p_ver.add_argument("--theorems", help="comma-separated ids, e.g. thm4_1,cor3_2")
     return parser
 
@@ -532,9 +516,7 @@ def main(argv=None) -> int:
         return 3
     except NotAFrenetMate as e:
         _remove_partial(out)
-        crossings = ", ".join(f"{c:.6g}" for c in e.crossings) or "none (identically zero)"
-        print(f"error: {e}; zero crossings of tau - tau_G: {crossings}",
-              file=sys.stderr)
+        print(f"error: {e}", file=sys.stderr)
         return 4
 
 

@@ -80,6 +80,10 @@ Expr = Union[Num, Pi, Var, Unary, Binary]
 # ---------------------------------------------------------------------------
 # parsing
 
+# not str.isdigit, which also holds for "²" and "٣"
+_DIGITS = frozenset("0123456789")
+
+
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
     i, n = 0, len(text)
@@ -88,21 +92,21 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         if c.isspace():
             i += 1
             continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
+        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
             start = i
-            while i < n and text[i].isdigit():
+            while i < n and text[i] in _DIGITS:
                 i += 1
             if i < n and text[i] == ".":
                 i += 1
-                while i < n and text[i].isdigit():
+                while i < n and text[i] in _DIGITS:
                     i += 1
             if i < n and text[i] in "eE":
                 j = i + 1
                 if j < n and text[j] in "+-":
                     j += 1
-                if j < n and text[j].isdigit():
+                if j < n and text[j] in _DIGITS:
                     i = j
-                    while i < n and text[i].isdigit():
+                    while i < n and text[i] in _DIGITS:
                         i += 1
             tokens.append(("num", text[start:i], start))
             continue

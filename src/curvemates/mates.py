@@ -21,14 +21,14 @@ caller after the first gets the same object.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import expressions as ex
 from .liegroup import GroupSpec, cumulative_quadrature, runs
 from .profiles import (GRID_POINTS, CurvatureProfile, FrenetViolation,
-                       ProfileSamples, harmonic_curvature, sigma)
+                       ProfileSamples)
 
 # |tau - tau_G| below this counts as a zero when splitting conjugate segments:
 # below finite-difference noise, above accumulated integration error.
@@ -37,10 +37,6 @@ ZERO_TOL = 1e-9
 
 class NotAFrenetMate(ValueError):
     """tau - tau_G vanishes identically: the conjugate mate degenerates."""
-
-    def __init__(self, message: str, crossings=()):
-        super().__init__(message)
-        self.crossings = list(crossings)
 
 
 @dataclass(frozen=True)
@@ -100,35 +96,11 @@ class MateApparatus:
         return t, n, b
 
 
-def _mate_zero_structure(p: CurvatureProfile, spec: GroupSpec, n: int):
-    """Samples s, m = tau - tau_G, the mask |m| > ZERO_TOL and the zero
-    crossings of m in increasing s: the linear interpolate between two valid
-    samples of opposite sign, and the first sample of each invalid stretch
-    that follows a valid one."""
-    s = p.grid(n)
-    m = p.tau_at(s) - spec.tau_g
-    valid = np.abs(m) > ZERO_TOL
-    change = valid[:-1] & valid[1:] & (np.sign(m[:-1]) != np.sign(m[1:]))
-    drop = valid[:-1] & ~valid[1:]
-    crossings = s[1:].copy()
-    i = np.flatnonzero(change)
-    crossings[i] = s[i] - m[i] * (s[i + 1] - s[i]) / (m[i + 1] - m[i])
-    return s, m, valid, crossings[change | drop].tolist()
-
-
 def sign_segments(s: np.ndarray, m: np.ndarray, zero_tol: float) -> tuple[Segment, ...]:
     """Maximal runs of samples with |m| > zero_tol and constant sign of m."""
     key = np.where(np.abs(m) > zero_tol, np.sign(m), 0.0)
     return tuple(Segment(float(s[i]), float(s[j]), int(sign))
                  for i, j, sign in runs(key) if sign != 0.0)
-
-
-def _conjugate_segments(p: CurvatureProfile, spec: GroupSpec):
-    s, m, valid, crossings = _mate_zero_structure(p, spec, GRID_POINTS)
-    if not np.any(valid):
-        raise NotAFrenetMate(
-            f"tau - tau_G vanishes identically on [{p.s_min}, {p.s_max}]", crossings)
-    return sign_segments(s, m, ZERO_TOL)
 
 
 def _stored(p: CurvatureProfile, kind: str, spec: GroupSpec, build) -> MateApparatus:
@@ -176,7 +148,11 @@ def _natural_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
 
 def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     tg = spec.tau_g
-    segments = _conjugate_segments(p, spec)
+    s = p.grid(GRID_POINTS)
+    segments = sign_segments(s, p.tau_at(s) - tg, ZERO_TOL)
+    if not segments:
+        raise NotAFrenetMate(
+            f"tau - tau_G vanishes identically on [{p.s_min}, {p.s_max}]")
     if p.is_symbolic:
         m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
         kstar = ex.Unary("abs", m)
@@ -186,23 +162,6 @@ def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
         mate_profile = CurvatureProfile.from_samples(
             p.s_grid, np.abs(p.tau_samples - tg), p.kappa_samples + tg)
     return MateApparatus("conjugate", mate_profile, tg, p, spec, segments)
-
-
-def mate_harmonic_data(m: MateApparatus, spec: GroupSpec
-                       ) -> tuple[Callable, Callable]:
-    """Harmonic curvature and sigma of the mate, as callables over s.
-
-    Computed from the mate's own profile, so the identities H_bar = 1/sigma
-    (natural) and H* = sign/H, sigma* = -sign*sigma (conjugate) hold by
-    construction wherever the quantities are defined.
-    """
-    def h_at(s):
-        return harmonic_curvature(m.profile, spec, s)
-
-    def sigma_at(s):
-        return sigma(m.profile, spec, s)
-
-    return h_at, sigma_at
 
 
 def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain, n: int,

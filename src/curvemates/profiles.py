@@ -168,31 +168,6 @@ class CurvatureProfile:
         return np.linspace(self.s_min, self.s_max, n)
 
 
-FRENET_SCAN_POINTS = 1001
-FRENET_SCAN_TOL = 1e-12
-
-
-def frenet_scan(p: CurvatureProfile):
-    """Check kappa > FRENET_SCAN_TOL on a FRENET_SCAN_POINTS-point grid.
-
-    Returns (ok, trimmed_domain): when violations are confined to the ends,
-    the suggested trimmed domain still covers the positive part; a violation
-    in the interior yields ok=False with trimmed_domain=None.
-    """
-    s = p.grid(FRENET_SCAN_POINTS)
-    kappa = p.kappa_at(s)
-    good = kappa > FRENET_SCAN_TOL
-    if np.all(good):
-        return True, (p.s_min, p.s_max)
-    idx = np.nonzero(good)[0]
-    if idx.size == 0:
-        return False, None
-    lo, hi = idx[0], idx[-1]
-    if not np.all(good[lo:hi + 1]):
-        return False, None
-    return False, (float(s[lo]), float(s[hi]))
-
-
 # ---------------------------------------------------------------------------
 # derived apparatus
 
@@ -231,17 +206,22 @@ class ProfileSamples:
     def tau_prime(self):
         return self.profile.tau_prime_at(self.s)
 
+    @property
+    def _positive_kappa(self):
+        if np.any(self.kappa <= 0):
+            raise FrenetViolation("kappa <= 0 inside the domain", self.s)
+        return self.kappa
+
     @cached_property
     def H(self):
         """Harmonic curvature (tau - tau_G)/kappa; requires kappa > 0."""
-        if np.any(self.kappa <= 0):
-            raise FrenetViolation("kappa <= 0 inside the domain", self.s)
-        return self.m / self.kappa
+        return self.m / self._positive_kappa
 
     @cached_property
     def H_prime(self):
-        """dH/ds via the quotient rule from the profile derivatives."""
-        return (self.tau_prime * self.kappa - self.m * self.kappa_prime) / self.kappa**2
+        """dH/ds via the quotient rule; requires kappa > 0."""
+        num = self.tau_prime * self.kappa - self.m * self.kappa_prime
+        return num / self._positive_kappa**2
 
     @cached_property
     def sigma(self):
@@ -255,6 +235,8 @@ class ProfileSamples:
         """Length of the extrinsic Darboux vector: sqrt((tau-tau_G)^2 + kappa^2)."""
         return np.sqrt(self.m * self.m + self.kappa * self.kappa)
 
+
+# point functions over ProfileSamples, kept as layers the benchmark traces
 
 def harmonic_curvature(p: CurvatureProfile, spec: GroupSpec, s):
     """(tau - tau_G)/kappa; requires kappa > 0."""
@@ -294,30 +276,3 @@ def darboux_vectors(p: CurvatureProfile, spec: GroupSpec, s):
     if np.ndim(s) == 0:
         return d[0], big[0], costar[0]
     return d, big, costar
-
-
-@dataclass(frozen=True)
-class ApparatusSample:
-    """All per-point scalar/vector apparatus at one parameter value."""
-
-    s: float
-    kappa: float
-    tau: float
-    tau_g: float
-    H: float
-    H_prime: float
-    sigma: Optional[float]  # None where H' vanishes
-    omega: float
-    D: np.ndarray
-    Omega: np.ndarray
-    Omega_star: np.ndarray
-
-
-def apparatus_sample(p: CurvatureProfile, spec: GroupSpec, s: float) -> ApparatusSample:
-    s = float(s)
-    ps = ProfileSamples(p, spec, s)
-    h, hp, sig = float(ps.H), float(ps.H_prime), float(ps.sigma)
-    d, big, costar = darboux_vectors(p, spec, s)
-    return ApparatusSample(s, float(ps.kappa), float(ps.tau), spec.tau_g, h, hp,
-                           None if np.isnan(sig) else sig, float(ps.omega),
-                           d, big, costar)

@@ -223,7 +223,7 @@ def test_conjugate_of_flat_torsion_exits_4(capsys):
                             "--domain", "0:1", "--step", "1e-2",
                             "--kind", "conjugate", "--mode", "analytic"], capsys)
     assert code == 4
-    assert "zero crossings" in err
+    assert "vanishes identically" in err
 
 
 def test_classify_slant(capsys):
@@ -465,6 +465,24 @@ def test_bad_tolerance_in_config_exits_2(tmp_path, capsys):
     code, _, err = run_cli(CLASSIFY_FLAT + ["--config", str(cfg_path)], capsys)
     assert code == 2
     assert "tolerance constancy " in err
+
+
+@pytest.mark.parametrize("kappa", ["2*\u00b2", "2+\u0663"])
+def test_non_ascii_digit_exits_2(kappa, capsys):
+    code, out, err = run_cli(["synthesize", "--group", "r3", "--kappa", kappa,
+                              "--tau", "1", "--domain", "0:1", "--step", "0.01"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: unexpected character") and "at offset 2" in err
+
+
+@pytest.mark.parametrize("command", [["synthesize"],
+                                     ["mate", "--kind", "natural"]])
+def test_tolerance_flags_only_on_commands_that_read_them(command, capsys):
+    # synthesize and mate read no tolerance, so they take no --tol-* flag
+    with pytest.raises(SystemExit) as exc:
+        main(command + CLASSIFY_FLAT[1:] + ["--tol-zero", "1e-9"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tol-zero 1e-9" in capsys.readouterr().err
 
 
 def test_zero_tolerance_accepted(capsys):

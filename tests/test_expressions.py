@@ -27,6 +27,16 @@ def test_syntax_error_offset():
     assert "offset 2" in str(exc.value)
 
 
+@pytest.mark.parametrize("text,offset", [("2*\u00b2", 2), ("2+\u0663", 2),
+                                         ("1.\u0665", 2), ("1e\u0662", 1)])
+def test_non_ascii_digits_rejected(text, offset):
+    # str.isdigit holds for a superscript two and an Arabic-Indic three, which
+    # must not be read as digits: "2+\u0663" is not 5
+    with pytest.raises(ExpressionSyntaxError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
 def test_empty_input():
     with pytest.raises(ExpressionSyntaxError):
         parse("")

@@ -14,7 +14,7 @@ from curvemates.expressions import DifferentiationError
 from curvemates.liegroup import R3, S3, SO3, bracket, group_spec
 from curvemates.mates import (MateApparatus, NotAFrenetMate,
                               conjugate_mate_apparatus,
-                              constant_curvature_inverse, mate_harmonic_data,
+                              constant_curvature_inverse,
                               natural_mate_apparatus)
 from curvemates.profiles import (CurvatureProfile, FrenetViolation,
                                  harmonic_curvature, sigma)
@@ -93,13 +93,15 @@ def test_mate_lie_torsion_equals_parent(profiles):
 
 
 def test_mate_harmonic_data_examples(profiles):
-    h_bar, _ = mate_harmonic_data(natural_mate_apparatus(profiles["slant_helix"], R3), R3)
+    natural = natural_mate_apparatus(profiles["slant_helix"], R3)
     s = np.linspace(-1.4, 1.4, 65)
-    np.testing.assert_allclose(h_bar(s), 1.0 / 3.0, atol=1e-12)
+    np.testing.assert_allclose(harmonic_curvature(natural.profile, R3, s), 1.0 / 3.0,
+                               atol=1e-12)
 
-    h_star, _ = mate_harmonic_data(conjugate_mate_apparatus(profiles["rectifying"], R3), R3)
+    conj = conjugate_mate_apparatus(profiles["rectifying"], R3)
     s = np.linspace(1.1, 2.9, 65)
-    np.testing.assert_allclose(h_star(s), 1.0 / (s + 2.0), atol=1e-12)
+    np.testing.assert_allclose(harmonic_curvature(conj.profile, R3, s), 1.0 / (s + 2.0),
+                               atol=1e-12)
 
 
 def test_conjugate_harmonic_undefined_where_parent_h_vanishes():
@@ -121,9 +123,9 @@ def test_sigma_of_mates_opposite_for_positive_torsion_gap():
         p = CurvatureProfile.from_expressions(
             f"{k}+0.3*cos(s)", f"({k}+0.3*cos(s))*({a}*s+{b})", (0.0, 1.0))
         conj = conjugate_mate_apparatus(p, R3)
-        _, sig_star = mate_harmonic_data(conj, R3)
         s = np.linspace(0.05, 0.95, 11)
-        worst = max(worst, float(np.max(np.abs(sig_star(s) + sigma(p, R3, s)))))
+        worst = max(worst, float(np.max(np.abs(sigma(conj.profile, R3, s)
+                                               + sigma(p, R3, s)))))
     assert worst <= 1e-9
 
 

@@ -1,14 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
+from curvemates.analysis import verify_cor_3_2, verify_cor_6_2
 from curvemates.expressions import DomainError
 from curvemates.integrate import integrate_frame
 from curvemates.liegroup import R3, S3, SO3, bracket, covariant_derivative
-from curvemates.profiles import (SINGULAR_SIGMA_TOL, ApparatusSample,
-                                 CurvatureProfile, FrenetViolation,
-                                 ProfileSamples, SingularSigma,
-                                 _derivative_samples, apparatus_sample,
-                                 darboux_vectors, frenet_scan,
+from curvemates.profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile,
+                                 FrenetViolation, ProfileSamples, SingularSigma,
+                                 _derivative_samples, darboux_vectors,
                                  harmonic_curvature, harmonic_curvature_prime,
                                  omega, sigma)
 
@@ -101,6 +102,22 @@ def test_profile_samples_require_positive_kappa_for_h(profiles):
                 getattr(ps, field)
 
 
+def test_h_prime_requires_positive_kappa_before_dividing():
+    # kappa = s is 0 at s = 0, a node of the check grid: H' must raise
+    # FrenetViolation, as H does, without a divide-by-zero warning first
+    p = CurvatureProfile.from_expressions("s", "1", (-1, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for s in (p.grid(), 0.0, np.array([-0.5, 0.5])):
+            with pytest.raises(FrenetViolation):
+                ProfileSamples(p, R3, s).H_prime
+        with pytest.raises(FrenetViolation):
+            harmonic_curvature_prime(p, R3, 0.0)
+        for verify in (verify_cor_3_2, verify_cor_6_2):
+            with pytest.raises(FrenetViolation):
+                verify(p, R3)
+
+
 def test_profile_samples_evaluate_derivatives_only_when_read():
     # kappa' = s/abs(s) is undefined at s = 0
     p = CurvatureProfile.from_expressions("2+abs(s)", "1.5+s", (-1, 1))
@@ -139,16 +156,18 @@ def test_darboux_orthogonality_random_profiles():
         assert np.linalg.norm(costar) == pytest.approx(w, abs=1e-12)
 
 
-def test_apparatus_sample_invariants(profiles):
+def test_profile_samples_invariants_at_a_point(profiles):
+    # the apparatus at one scalar s: omega^2 = (tau - tau_G)^2 + kappa^2,
+    # Omega . Omega* = 0, and sigma defined only where H' does not vanish
     for name, p in profiles.items():
         lo, hi = p.domain
         for s in np.linspace(lo + 0.05, hi - 0.05, 7):
-            a = apparatus_sample(p, R3, float(s))
-            assert isinstance(a, ApparatusSample)
-            assert a.omega ** 2 == pytest.approx((a.tau - a.tau_g) ** 2 + a.kappa ** 2,
-                                                 abs=1e-12)
-            assert abs(np.dot(a.Omega, a.Omega_star)) <= 1e-12
-            if a.sigma is not None:
+            a = ProfileSamples(p, R3, float(s))
+            assert np.ndim(a.H) == np.ndim(a.sigma) == 0
+            assert a.omega ** 2 == pytest.approx(a.m ** 2 + a.kappa ** 2, abs=1e-12)
+            _, big, costar = darboux_vectors(p, R3, float(s))
+            assert abs(np.dot(big, costar)) <= 1e-12
+            if not np.isnan(a.sigma):
                 assert a.H_prime != 0
 
 
@@ -219,21 +238,6 @@ def test_frame_rotation_residuals(profiles):
                 cov - np.cross(d_alg, u)))))
     assert worst_plain <= 1e-6
     assert worst_cov <= 1e-6
-
-
-def test_frenet_scan_trimming():
-    p = CurvatureProfile.from_expressions("s-1", "s^2+s-2", (1.0, 3.0))
-    ok, trimmed = frenet_scan(p)
-    assert not ok
-    assert trimmed is not None
-    assert trimmed[0] > 1.0 and trimmed[1] == pytest.approx(3.0)
-
-    good = CurvatureProfile.from_expressions("2", "1", (0, 1))
-    assert frenet_scan(good) == (True, (0.0, 1.0))
-
-    bad = CurvatureProfile.from_expressions("cos(s)", "0", (0.0, 6.0))
-    ok, trimmed = frenet_scan(bad)
-    assert not ok and trimmed is None  # interior violation, no single trim
 
 
 def test_sampled_profile_needs_uniform_grid():

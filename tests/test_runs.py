@@ -1,17 +1,15 @@
 """Run-length scans: the vectorised helper and its callers against
 per-sample reference scans written out below."""
 
-from types import SimpleNamespace
-
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curvemates.cli import main
 from curvemates.liegroup import R3, runs
 from curvemates.mates import (ZERO_TOL, Segment, _longest_run,
-                              _mate_zero_structure, conjugate_mate_apparatus,
-                              sign_segments)
+                              conjugate_mate_apparatus, sign_segments)
 from curvemates.profiles import CurvatureProfile
 
 
@@ -46,17 +44,6 @@ def ref_sign_segments(s, m, zero_tol):
     return tuple(out)
 
 
-def ref_crossings(s, m, zero_tol):
-    valid = np.abs(m) > zero_tol
-    out = []
-    for i in range(len(s) - 1):
-        if valid[i] and valid[i + 1] and np.sign(m[i]) != np.sign(m[i + 1]):
-            out.append(float(s[i] - m[i] * (s[i + 1] - s[i]) / (m[i + 1] - m[i])))
-        elif valid[i] and not valid[i + 1]:
-            out.append(float(s[i + 1]))
-    return out
-
-
 def ref_longest_run(mask):
     best = None
     for i, j, flag in ref_runs(mask):
@@ -68,10 +55,6 @@ def ref_longest_run(mask):
 def exact(run_list):
     """Runs with each value spelled by repr, so -0.0 and NaN compare exactly."""
     return [(i, j, repr(v)) for i, j, v in run_list]
-
-
-def bits(values):
-    return [float(v).hex() for v in values]
 
 
 # ---------------------------------------------------------------------------
@@ -102,14 +85,13 @@ def test_runs_of_float_key_match_reference(key):
 
 @settings(max_examples=300, deadline=None)
 @given(m_arrays)
-def test_sign_segments_and_crossings_match_reference(m):
+def test_sign_segments_match_reference(m):
     s = np.linspace(-1.0, 2.0, len(m))
-    assert sign_segments(s, m, ZERO_TOL) == ref_sign_segments(s, m, ZERO_TOL)
-    profile = SimpleNamespace(grid=lambda n: s, tau_at=lambda _: m)
-    _, _, valid, crossings = _mate_zero_structure(profile, R3, len(m))
-    assert bits(crossings) == bits(ref_crossings(s, m, ZERO_TOL))
+    segments = sign_segments(s, m, ZERO_TOL)
+    assert segments == ref_sign_segments(s, m, ZERO_TOL)
     # |m| equal to the tolerance is a zero: the test is strict
-    assert not np.any(valid[np.abs(m) == ZERO_TOL])
+    for seg in segments:
+        assert not np.any(np.abs(m[seg.contains(s)]) == ZERO_TOL)
 
 
 @settings(max_examples=300, deadline=None)
@@ -126,34 +108,32 @@ def test_longest_run_first_wins_a_tie():
 
 
 # ---------------------------------------------------------------------------
-# crossings of a mate with sign changes and an exact-zero stretch
+# segments of a mate with sign changes and an exact-zero stretch
 
 def test_crossings_ordered_over_sign_changes_and_zero_stretch():
     # tau = 0 on [0, 1]; sign changes of cos(5s) at -pi/2, -3pi/10, -pi/10
     p = CurvatureProfile.from_expressions("2", "(abs(s)-s)*cos(5*s)", (-2.0, 1.0))
-    s, m, _, crossings = _mate_zero_structure(p, R3, 2001)
-    expected = ref_crossings(s, m, ZERO_TOL)
-    assert bits(crossings) == bits(expected)
-    assert crossings == sorted(crossings)
-    assert np.allclose(crossings[:3], [-np.pi / 2, -3 * np.pi / 10, -np.pi / 10],
-                       atol=1e-5)
-    assert crossings[3] == float(s[np.argmax(s > 0.0)])   # first zero sample
+    s = p.grid(2001)
+    m = np.asarray(p.tau_at(s), dtype=float)
     mate = conjugate_mate_apparatus(p, R3)
     assert mate.segments == ref_sign_segments(s, m, ZERO_TOL)
     assert [seg.sign for seg in mate.segments] == [-1, 1, -1, 1]
+    # each sign change lies in the one-step gap between consecutive segments
+    h = s[1] - s[0]
+    for left, right, crossing in zip(mate.segments, mate.segments[1:],
+                                     [-np.pi / 2, -3 * np.pi / 10, -np.pi / 10]):
+        assert left.s_max < crossing < right.s_min
+        assert right.s_min - left.s_max == pytest.approx(h)
+    # the last segment ends at the sample before the first zero sample
+    assert mate.segments[-1].s_max == float(s[np.argmax(s > 0.0) - 1])
 
 
-def test_conjugate_exit_4_lists_reference_crossings(capsys):
-    # tau - tau_G never leaves the zero band: the mate is degenerate, and no
-    # sample is valid, so no crossing can be listed
+def test_conjugate_exit_4_names_the_vanishing_gap(capsys):
+    # tau - tau_G never leaves the zero band: the mate is degenerate
     tau = "1e-10*sin(40*s)"
-    p = CurvatureProfile.from_expressions("2", tau, (0.0, 1.0))
-    s = p.grid(2001)
-    expected = ref_crossings(s, np.asarray(p.tau_at(s), dtype=float), ZERO_TOL)
     code = main(["mate", "--group", "r3", "--kappa", "2", "--tau", tau,
                  "--domain", "0:1", "--step", "1e-2",
                  "--kind", "conjugate", "--mode", "analytic"])
-    err = capsys.readouterr().err
-    assert code == 4
-    listed = ", ".join(f"{c:.6g}" for c in expected) or "none (identically zero)"
-    assert err.rstrip("\n").endswith(f"zero crossings of tau - tau_G: {listed}")
+    captured = capsys.readouterr()
+    assert code == 4 and captured.out == ""
+    assert captured.err == "error: tau - tau_G vanishes identically on [0.0, 1.0]\n"
