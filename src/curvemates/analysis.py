@@ -1,4 +1,4 @@
-"""Independent apparatus estimation, classification, and verification harness.
+"""Independent apparatus estimation from sampled positions.
 
 The estimator reconstructs (kappa, tau, tau_G) from sampled group-valued
 positions alone, so it can cross-check everything the synthesis pipeline
@@ -7,28 +7,26 @@ window (window 5 is the classical 5-point stencil); wider windows keep the
 O(h^4) truncation order while cutting the float64 round-off amplification
 of the nested third-derivative pipeline roughly 30x, which the refinement
 tolerances require.
+
+Classification and verification live in ``checks``, which is imported on
+the first lookup of one of its names here (``analysis.classify``,
+``analysis.verify_thm_4_1``, ...), so a command that only integrates or
+estimates never loads them.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
 
 import numpy as np
 
-from .integrate import (FrameTrajectory, PositionCurve, integrate_frame,
-                        reconstruct_position)
-from .liegroup import GroupSpec, is_uniform_grid, quat_mul_rows, runs
-from .mates import (Segment, ZERO_TOL, conjugate_mate_apparatus,
-                    constant_curvature_inverse, natural_mate_apparatus,
-                    sign_segments)
-from .profiles import SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples
+from .integrate import integrate_frame, reconstruct_position
+from .liegroup import GroupSpec, is_uniform_grid, quat_mul_rows
+from .mates import ZERO_TOL
+from .profiles import CurvatureProfile
 
 DEFAULT_WINDOW = 11
-# grid of the quadrature round trip of thm5_1, finer than the check grid
-INVERSE_GRID_POINTS = 8001
 
 
 class EstimationError(ValueError):
@@ -197,675 +195,16 @@ def synthesize_estimated_profile(p: CurvatureProfile, spec: GroupSpec, h: float
     return prof, est
 
 
-# ---------------------------------------------------------------------------
-# spherical criterion
-
-@dataclass
-class SphericalSegment:
-    s_min: float
-    s_max: float
-    case: str                 # "constant_kappa" | "general"
-    is_spherical: bool
-    radius: Optional[float]
-    spread: float
-    eq_residual: Optional[float]             # derivative form of the closure
-    eq_residual_integrated: Optional[float] = None
-
-
-@dataclass
-class SphericalReport:
-    is_spherical: bool
-    radius: Optional[float]
-    segments: list[SphericalSegment]
-    spread_tol: float
-    residual_tol: float
-    trace: Optional[tuple[np.ndarray, np.ndarray]] = None  # (s, closure residual)
-
-    @property
-    def max_eq_residual(self) -> Optional[float]:
-        """Worst decisive closure residual (the smaller of the two forms)."""
-        vals = []
-        for seg in self.segments:
-            forms = [v for v in (seg.eq_residual, seg.eq_residual_integrated)
-                     if v is not None]
-            if forms:
-                vals.append(min(forms))
-        return max(vals) if vals else None
-
-
-def spherical_check(p: CurvatureProfile, spec: GroupSpec,
-                    tol: Optional[ToleranceSet] = None) -> SphericalReport:
-    """Left-shift-on-a-sphere criterion from the curvature data.
-
-    Where tau - tau_G vanishes identically the curve is spherical iff kappa
-    is constant (r = 1/kappa).  Elsewhere the sphere function
-
-        R = ((1/kappa)' / (tau - tau_G))^2 + (1/kappa)^2
-
-    must be constant (r = sqrt(R)) AND the closure residual
-
-        ((1/kappa)' / (tau - tau_G))' + H
-
-    must vanish; R-constancy alone is not decisive when kappa is constant,
-    so both are enforced.  The closure is accepted in derivative form or in
-    integrated form (u(s) - u(s0) + integral of H, per unit length); the
-    latter tolerates the noise amplification that differentiating sampled
-    estimates incurs.  Mixed domains are segmented and reported per segment.
-    """
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
-    h = float(s[1] - s[0])
-    ps = ProfileSamples(p, spec, s)
-    kappa, m, kp = ps.kappa, ps.m, ps.kappa_prime
-    zero = np.abs(m) <= tol.zero
-    stat_floor = max(tol.zero, tol.spherical_zero_rel * float(np.max(np.abs(m))))
-
-    segments: list[SphericalSegment] = []
-    trace = np.full(len(s), np.nan)
-
-    # split into maximal runs; zero-runs shorter than 3 samples are treated
-    # as masked points inside a surrounding general run
-    merged: list[tuple[int, int, str]] = []
-    for i0, i1, flag in runs(zero):
-        kind = "zero" if flag else "general"
-        if flag and (i1 - i0 + 1) < 3:
-            kind = "general"
-        if merged and kind == "general" and merged[-1][2] == "general":
-            merged[-1] = (merged[-1][0], i1, "general")
-        else:
-            merged.append((i0, i1, kind))
-
-    hvals = ps.H
-    for i0, i1, kind in merged:
-        sl = slice(i0, i1 + 1)
-        if kind == "zero":
-            spread = rel_spread(kappa[sl])
-            ok = spread <= tol.constancy
-            radius = 1.0 / float(np.mean(kappa[sl])) if ok else None
-            segments.append(SphericalSegment(float(s[i0]), float(s[i1]),
-                                             "constant_kappa", ok, radius,
-                                             spread, None))
-            continue
-        mask = np.abs(m[sl]) > stat_floor
-        if not np.any(mask):
-            segments.append(SphericalSegment(float(s[i0]), float(s[i1]),
-                                             "general", False, None,
-                                             float("inf"), None))
-            continue
-        inv_k = 1.0 / kappa[sl]
-        dinv_k = -kp[sl] / kappa[sl] ** 2
-        u = np.where(mask, dinv_k / np.where(mask, m[sl], 1.0), np.nan)
-        r_fun = u * u + inv_k * inv_k
-        r_vals = r_fun[mask]
-        r_mean = float(np.mean(r_vals))
-        spread = float(np.max(np.abs(r_vals - r_mean)) / r_mean)
-        resid = _masked_derivative(u, h)
-        resid = resid + hvals[sl]
-        trace[sl] = resid
-        eq_res = float(np.nanmax(np.abs(resid))) if np.any(~np.isnan(resid)) else None
-        eq_int = _integrated_closure(u, hvals[sl], h)
-        closure_ok = ((eq_res is not None and eq_res <= tol.spherical_residual)
-                      or (eq_int is not None and eq_int <= tol.spherical_residual))
-        ok = spread <= tol.spherical_spread and closure_ok
-        segments.append(SphericalSegment(float(s[i0]), float(s[i1]), "general",
-                                         ok, math.sqrt(r_mean) if ok else None,
-                                         spread, eq_res, eq_int))
-
-    radii = [seg.radius for seg in segments if seg.radius is not None]
-    all_ok = all(seg.is_spherical for seg in segments) and bool(segments)
-    consistent = True
-    if len(radii) > 1:
-        consistent = (max(radii) - min(radii)) <= tol.spherical_spread * max(radii)
-    is_spherical = all_ok and consistent and bool(radii)
-    radius = float(np.mean(radii)) if is_spherical else (radii[0] if radii else None)
-    return SphericalReport(is_spherical, radius, segments, tol.spherical_spread,
-                           tol.spherical_residual, trace=(s, trace))
-
-
-def _masked_derivative(u: np.ndarray, h: float) -> np.ndarray:
-    """5-point central derivative, NaN wherever the window touches a NaN."""
-    n = len(u)
-    out = np.full(n, np.nan)
-    if n >= 5:
-        core = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
-        out[2:-2] = core
-    return out
-
-
-def _integrated_closure(u: np.ndarray, hvals: np.ndarray, h: float) -> Optional[float]:
-    """Closure residual in integrated form, per unit length, worst over the
-    contiguous unmasked runs of u."""
-    from .liegroup import cumulative_quadrature
-    ok = ~np.isnan(u)
-    worst = None
-    for i0, i1, flag in runs(ok):
-        if not flag or i1 - i0 + 1 < 3:
-            continue
-        seg_u = u[i0:i1 + 1]
-        seg_h = cumulative_quadrature(hvals[i0:i1 + 1], h)
-        drift = seg_u - seg_u[0] + seg_h
-        length = max(1.0, (i1 - i0) * h)
-        val = float(np.max(np.abs(drift)) / length)
-        worst = val if worst is None else max(worst, val)
-    return worst
-
-
-# ---------------------------------------------------------------------------
-# sphere fit of a sampled algebra curve
-
-@dataclass
-class SphereFit:
-    center: np.ndarray
-    radius: float
-    rms: float
-
-
-def left_shift_sphere_fit(alpha: np.ndarray) -> SphereFit:
-    """Algebraic least-squares sphere through sampled algebra points.
-
-    Solves 2 p.c + (r^2 - |c|^2) = |p|^2 linearly; the fitted center is
-    reported rather than assumed central."""
-    pts = np.asarray(alpha, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
-        raise DegenerateFitError("need at least 4 three-dimensional samples")
-    a = np.concatenate([2.0 * pts, np.ones((pts.shape[0], 1))], axis=1)
-    b = np.sum(pts * pts, axis=1)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 4:
-        raise DegenerateFitError("degenerate sample geometry (rank < 4)")
-    center = sol[:3]
-    r2 = sol[3] + center @ center
-    if r2 <= 0:
-        raise DegenerateFitError("negative squared radius")
-    radius = math.sqrt(r2)
-    rms = float(np.sqrt(np.mean((np.linalg.norm(pts - center, axis=1) - radius) ** 2)))
-    return SphereFit(center, radius, rms)
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-@dataclass
-class Verdict:
-    passed: bool
-    residual: Optional[float]
-    tolerance: float
-    note: str = ""
-
-
-@dataclass
-class ClassificationReport:
-    verdicts: dict[str, Verdict]
-    spherical: SphericalReport
-    segments: tuple[Segment, ...]
-    tolerances: ToleranceSet
-
-
-def classify(p: CurvatureProfile, spec: GroupSpec,
-             tol: Optional[ToleranceSet] = None) -> ClassificationReport:
-    """Verdicts with residuals for every special-curve class."""
-    tol = tol or ToleranceSet.analytic()
-    ps = ProfileSamples(p, spec, p.grid())
-
-    verdicts: dict[str, Verdict] = {}
-
-    h_spread = rel_spread(ps.H)
-    verdicts["general_helix"] = Verdict(h_spread <= tol.constancy, h_spread, tol.constancy)
-
-    slant, sig_spread = _slant_verdict(ps, tol)
-    verdicts["slant_helix"] = Verdict(
-        slant, sig_spread, tol.constancy,
-        "" if sig_spread is not None else "H' vanishes; sigma undefined")
-
-    rectifying, slope, fit_residual = _rectifying_fit(ps, tol)
-    verdicts["rectifying"] = Verdict(rectifying, fit_residual, tol.constancy,
-                                     f"H fit slope {slope:.6g}")
-
-    sph = spherical_check(p, spec, tol)
-    worst = max((seg.spread for seg in sph.segments), default=float("inf"))
-    verdicts["spherical"] = Verdict(sph.is_spherical, worst, tol.spherical_spread,
-                                    f"radius {sph.radius}" if sph.radius else "")
-
-    k_spread = rel_spread(ps.kappa)
-    t_spread = rel_spread(ps.tau)
-    verdicts["salkowski"] = Verdict(
-        k_spread <= tol.constancy < t_spread, k_spread, tol.constancy)
-    verdicts["anti_salkowski"] = Verdict(
-        t_spread <= tol.constancy < k_spread, t_spread, tol.constancy)
-    verdicts["circular_helix"] = Verdict(
-        k_spread <= tol.constancy and t_spread <= tol.constancy,
-        max(k_spread, t_spread), tol.constancy)
-
-    segments = sign_segments(ps.s, ps.m, tol.zero)
-    return ClassificationReport(verdicts, sph, segments, tol)
-
-
-def _slant_verdict(ps: ProfileSamples, tol: ToleranceSet) -> tuple[bool, Optional[float]]:
-    """Whether sigma is constant, with its relative spread; (False, None)
-    where H' vanishes somewhere and sigma is undefined."""
-    if np.min(np.abs(ps.H_prime)) <= SINGULAR_SIGMA_TOL:
-        return False, None
-    spread = rel_spread(ps.sigma)
-    return spread <= tol.constancy, spread
-
-
-def _rectifying_fit(ps: ProfileSamples, tol: ToleranceSet):
-    """Least-squares line through H: whether H is linear with a slope of at
-    least ``rectifying_slope_min``, the slope, and the rms misfit relative
-    to the range of H.  Where H is constant (the general-helix test) its
-    range is round-off, and the misfit is reported as it is."""
-    design = np.vstack([ps.s, np.ones_like(ps.s)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ps.H, rcond=None)
-    fit_rms = float(np.sqrt(np.mean((ps.H - design @ [slope, intercept]) ** 2)))
-    h_range = max(float(np.max(ps.H) - np.min(ps.H)), 1e-300)
-    rectifying = (fit_rms <= tol.constancy * h_range
-                  and abs(slope) >= tol.rectifying_slope_min)
-    if rel_spread(ps.H) <= tol.constancy:
-        return rectifying, slope, fit_rms
-    return rectifying, slope, fit_rms / h_range
-
-
-# ---------------------------------------------------------------------------
-# verification reports
-
-@dataclass
-class VerificationReport:
-    theorem: str
-    applicable: bool
-    passed: bool
-    max_residual: Optional[float]
-    tolerance: float
-    details: dict = field(default_factory=dict)
-    hypothesis_note: str = ""
-    trace: Optional[tuple[np.ndarray, np.ndarray]] = None
-
-    @property
-    def ok(self) -> bool:
-        """True when passed, or correctly flagged not-applicable."""
-        return self.passed or not self.applicable
-
-
-def _not_applicable(theorem: str, tolerance: float, note: str) -> VerificationReport:
-    return VerificationReport(theorem, False, False, None, tolerance,
-                              hypothesis_note=note)
-
-
-def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """Constant parent curvature c => natural mate spherical with radius 1/c.
-
-    The converse is checked on the same data wherever the mate torsion
-    differs from the group torsion."""
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
-    kappa = ProfileSamples(p, spec, s).kappa
-    spread = rel_spread(kappa)
-    if spread > tol.constancy:
-        return _not_applicable("thm4_1", tol.residual,
-                               f"kappa not constant (spread {spread:.3g})")
-    c = float(np.mean(kappa))
-    mate = natural_mate_apparatus(p, spec)
-    sph = spherical_check(mate.profile, spec, tol)
-    if not sph.is_spherical or sph.radius is None:
-        return VerificationReport("thm4_1", True, False, None, tol.residual,
-                                  {"c": c, "spherical": False},
-                                  hypothesis_note="mate not spherical")
-    radius_residual = abs(sph.radius - 1.0 / c)
-    eq_res = sph.max_eq_residual or 0.0
-    residual = max(radius_residual, eq_res)
-    details = {"c": c, "radius": sph.radius, "expected_radius": 1.0 / c,
-               "radius_residual": radius_residual, "closure_residual": eq_res}
-    # converse: on samples with mate torsion away from tau_G, spherical radius
-    # 1/c must force kappa = c (tested as consistency of the same numbers)
-    mate_m = ProfileSamples(mate.profile, spec, s).m
-    conv_mask = np.abs(mate_m) > tol.zero
-    if np.any(conv_mask):
-        details["converse_kappa_residual"] = float(
-            np.max(np.abs(kappa[conv_mask] - 1.0 / sph.radius)))
-        residual = max(residual, details["converse_kappa_residual"])
-    return VerificationReport("thm4_1", True, residual <= tol.residual,
-                              residual, tol.residual, details, trace=sph.trace)
-
-
-def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """Constant mate curvature c => parent recovered by the sine/cosine
-    quadrature inverse (round trip against the original profile)."""
-    tol = tol or ToleranceSet.analytic()
-    mate = natural_mate_apparatus(p, spec)
-    s = p.grid(INVERSE_GRID_POINTS)
-    kb = ProfileSamples(mate.profile, spec, s).kappa
-    spread = rel_spread(kb)
-    if spread > tol.constancy:
-        return _not_applicable("thm5_1", tol.residual,
-                               f"mate curvature not constant (spread {spread:.3g})")
-    c = float(np.mean(kb))
-    start = ProfileSamples(p, spec, p.s_min)
-    phi0 = math.atan2(float(start.m), float(start.kappa))
-    rec = constant_curvature_inverse(mate.profile.tau_at, c, spec,
-                                     mate.profile.domain, INVERSE_GRID_POINTS, phi0)
-    sg = rec.s_grid[4:-4]
-    orig = ProfileSamples(p, spec, sg)
-    res_k = np.max(np.abs(rec.kappa_samples[4:-4] - orig.kappa))
-    res_t = np.max(np.abs(rec.tau_samples[4:-4] - orig.tau))
-    residual = float(max(res_k, res_t))
-    return VerificationReport("thm5_1", True, residual <= tol.residual, residual,
-                              tol.residual, {"c": c, "phi0": phi0,
-                                             "kappa_residual": float(res_k),
-                                             "tau_residual": float(res_t)})
-
-
-def _golden_section(fun: Callable[[float], float], lo: float, hi: float,
-                    iters: int = 60) -> tuple[float, float]:
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - inv_phi * (b - a)
-    c2 = a + inv_phi * (b - a)
-    f1, f2 = fun(c1), fun(c2)
-    for _ in range(iters):
-        if f1 <= f2:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - inv_phi * (b - a)
-            f1 = fun(c1)
-        else:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + inv_phi * (b - a)
-            f2 = fun(c2)
-    x = 0.5 * (a + b)
-    return x, fun(x)
-
-
-def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """Spherical parent with constant-curvature mate: |mate torsion - tau_G|
-    matches the closed trigonometric law with a = c^2 r, up to one fitted
-    s-translation."""
-    tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol)
-    if not sph.is_spherical or sph.radius is None:
-        return _not_applicable("thm5_2", tol.residual, "parent not spherical")
-    s = p.grid()
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
-    spread = rel_spread(mps.kappa)
-    if spread > tol.constancy:
-        return _not_applicable("thm5_2", tol.residual,
-                               f"mate curvature not constant (spread {spread:.3g})")
-    c = float(np.mean(mps.kappa))
-    r = float(sph.radius)
-    a = c * c * r
-    if a < c - 1e-12:
-        return VerificationReport("thm5_2", True, False, None, tol.residual,
-                                  {"a": a, "c": c},
-                                  hypothesis_note="a < c is impossible")
-    lhs = np.abs(mps.m)
-    gap = a * a - c * c
-
-    def sup_residual(delta: float) -> float:
-        arg = c * (s + delta)
-        target = np.abs(c * c * math.sqrt(max(gap, 0.0)) * np.cos(arg)
-                        / (c * c + gap * np.sin(arg) ** 2))
-        return float(np.max(np.abs(lhs - target)))
-
-    period = math.pi / c
-    coarse = np.linspace(0.0, period, 65)
-    best = min(coarse, key=sup_residual)
-    lo, hi = best - period / 64, best + period / 64
-    delta, residual = _golden_section(sup_residual, lo, hi)
-    passed = residual <= tol.residual
-    return VerificationReport("thm5_2", True, passed, residual, tol.residual,
-                              {"a": a, "c": c, "r": r, "phase": delta})
-
-
-def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """tau - tau_G constant nonzero => natural mate spherical with radius 1/|c|."""
-    tol = tol or ToleranceSet.analytic()
-    m = ProfileSamples(p, spec, p.grid()).m
-    spread = rel_spread(m)
-    if spread > tol.constancy:
-        return _not_applicable("thm6_2", tol.residual,
-                               f"tau - tau_G not constant (spread {spread:.3g})")
-    c = float(np.mean(m))
-    if abs(c) <= tol.zero:
-        return _not_applicable("thm6_2", tol.residual, "tau - tau_G vanishes")
-    mate = natural_mate_apparatus(p, spec)
-    sph = spherical_check(mate.profile, spec, tol)
-    if not sph.is_spherical or sph.radius is None:
-        return VerificationReport("thm6_2", True, False, None, tol.residual,
-                                  {"c": c}, hypothesis_note="mate not spherical")
-    radius_residual = abs(sph.radius - 1.0 / abs(c))
-    eq_res = sph.max_eq_residual or 0.0
-    residual = max(radius_residual, eq_res)
-    return VerificationReport("thm6_2", True, residual <= tol.residual, residual,
-                              tol.residual,
-                              {"c": c, "radius": sph.radius,
-                               "expected_radius": 1.0 / abs(c),
-                               "closure_residual": eq_res}, trace=sph.trace)
-
-
-# ---------------------------------------------------------------------------
-# corollary biconditionals
-
-def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """General helix <=> mate torsion equals the group torsion."""
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
-    h_spread = rel_spread(ProfileSamples(p, spec, s).H)
-    is_gh = h_spread <= tol.constancy
-    mate = natural_mate_apparatus(p, spec)
-    mate_dev = float(np.max(np.abs(ProfileSamples(mate.profile, spec, s).m)))
-    mate_flat = mate_dev <= tol.zero
-    passed = is_gh == mate_flat
-    return VerificationReport("cor3_1", True, passed,
-                              mate_dev if is_gh else h_spread, tol.zero,
-                              {"general_helix": is_gh, "H_spread": h_spread,
-                               "mate_torsion_deviation": mate_dev})
-
-
-def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """Slant helix <=> natural mate is a general helix."""
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
-    slant, sig_spread = _slant_verdict(ProfileSamples(p, spec, s), tol)
-    mate = natural_mate_apparatus(p, spec)
-    mate_h_spread = rel_spread(ProfileSamples(mate.profile, spec, s).H)
-    mate_gh = mate_h_spread <= tol.constancy
-    return VerificationReport("cor3_2", True, slant == mate_gh,
-                              mate_h_spread, tol.constancy,
-                              {"slant": slant, "sigma_spread": sig_spread,
-                               "mate_H_spread": mate_h_spread,
-                               "mate_general_helix": mate_gh})
-
-
-def verify_cor_3_3(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """Rectifying (H linear, slope a != 0) <=> a kappa^2 = (mate tau - tau_G)
-    * mate kappa^2."""
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
-    rectifying, a, _ = _rectifying_fit(ps, tol)
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
-    residual = float(np.max(np.abs(a * ps.kappa ** 2 - mps.m * mps.kappa ** 2)))
-    # the identity side carries the same nonzero-slope hypothesis: a = 0
-    # satisfies it only trivially
-    identity_ok = residual <= tol.residual and abs(a) >= tol.rectifying_slope_min
-    return VerificationReport("cor3_3", True, rectifying == identity_ok, residual,
-                              tol.residual,
-                              {"rectifying": rectifying, "slope": float(a),
-                               "identity_ok": identity_ok})
-
-
-DISCRIMINANT_FLOOR = 1e-10
-
-
-def _signed_sqrt_residual(lhs: np.ndarray, base: np.ndarray, disc: np.ndarray,
-                          mask: np.ndarray) -> float:
-    """max over contiguous masked runs of the best consistent-sign residual
-    of |lhs - (base +/- sqrt(disc))|."""
-    worst = 0.0
-    root = np.sqrt(np.clip(disc, 0.0, None))
-    for i0, i1, flag in runs(mask):
-        if not flag:
-            continue
-        sl = slice(i0, i1 + 1)
-        plus = float(np.max(np.abs(lhs[sl] - (base[sl] + root[sl]))))
-        minus = float(np.max(np.abs(lhs[sl] - (base[sl] - root[sl]))))
-        worst = max(worst, min(plus, minus))
-    return worst
-
-
-def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """Spherical parents satisfy kappa_bar'/kappa_bar = (tau_bar - tau_G) H
-    +/- (tau - tau_G) sqrt(r^2 kappa^2 - 1), one sign per segment.
-
-    Samples where the discriminant or tau - tau_G sits below the noise floor
-    are excluded (the identity degenerates there)."""
-    tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol)
-    if not sph.is_spherical or sph.radius is None:
-        return _not_applicable("cor3_4", tol.residual, "parent not spherical")
-    r = float(sph.radius)
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
-    lhs = mps.kappa_prime / mps.kappa
-    disc = r * r * ps.kappa * ps.kappa - 1.0
-    mask = (np.abs(ps.m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
-    if not np.any(mask):
-        return _not_applicable("cor3_4", tol.residual,
-                               "identity degenerate everywhere")
-    base = mps.m * ps.H
-    residual = _signed_sqrt_residual(lhs, base, (ps.m * ps.m) * disc, mask)
-    return VerificationReport("cor3_4", True, residual <= tol.residual, residual,
-                              tol.residual, {"r": r,
-                                             "samples_checked": int(mask.sum())})
-
-
-def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """For spherical parents with constant-curvature mates: pointwise either
-    tau = tau_G or mate torsion - tau_G = -/+ kappa sqrt(r^2 kappa^2 - 1)."""
-    tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol)
-    if not sph.is_spherical or sph.radius is None:
-        return _not_applicable("cor5_2", tol.residual, "parent not spherical")
-    s = p.grid()
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
-    spread = rel_spread(mps.kappa)
-    if spread > tol.constancy:
-        return _not_applicable("cor5_2", tol.residual, "mate curvature not constant")
-    r = float(sph.radius)
-    ps = ProfileSamples(p, spec, s)
-    disc = r * r * ps.kappa * ps.kappa - 1.0
-    mask = (np.abs(ps.m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
-    if not np.any(mask):
-        # dichotomy satisfied by the tau = tau_G branch everywhere
-        return VerificationReport("cor5_2", True, True, 0.0, tol.residual,
-                                  {"branch": "tau==tau_G"})
-    residual = _signed_sqrt_residual(mps.m, np.zeros_like(mps.m),
-                                     ps.kappa * ps.kappa * disc, mask)
-    return VerificationReport("cor5_2", True, residual <= tol.residual, residual,
-                              tol.residual, {"r": r,
-                                             "samples_checked": int(mask.sum())})
-
-
-def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """General helix <=> conjugate mate is a general helix (needs tau != tau_G)."""
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
-    if np.min(np.abs(ps.m)) <= tol.zero:
-        return _not_applicable("cor6_1", tol.constancy,
-                               "tau - tau_G vanishes somewhere")
-    h_spread = rel_spread(ps.H)
-    cps = ProfileSamples(conjugate_mate_apparatus(p, spec).profile, spec, s)
-    conj_spread = rel_spread(cps.H)
-    is_gh = h_spread <= tol.constancy
-    conj_gh = conj_spread <= tol.constancy
-    identity = float(np.max(np.abs(cps.H * ps.H - np.sign(ps.m))))
-    return VerificationReport("cor6_1", True, is_gh == conj_gh,
-                              max(h_spread, conj_spread), tol.constancy,
-                              {"general_helix": is_gh,
-                               "conjugate_general_helix": conj_gh,
-                               "H_product_identity_residual": identity})
-
-
-def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
-    """Slant helix <=> conjugate mate is a slant helix; the sigma values are
-    opposite up to the sign of tau - tau_G."""
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
-    if np.min(np.abs(ps.m)) <= tol.zero:
-        return _not_applicable("cor6_2", tol.constancy,
-                               "tau - tau_G vanishes somewhere")
-    slant, sig_spread = _slant_verdict(ps, tol)
-    cps = ProfileSamples(conjugate_mate_apparatus(p, spec).profile, spec, s)
-    conj_slant, conj_spread = _slant_verdict(cps, tol)
-    details: dict = {"slant": slant, "conjugate_slant": conj_slant,
-                     "sigma_spread": sig_spread,
-                     "conjugate_sigma_spread": conj_spread}
-    if sig_spread is not None and conj_spread is not None:
-        details["sigma_sum_residual"] = float(
-            np.max(np.abs(cps.sigma + np.sign(ps.m) * ps.sigma)))
-    return VerificationReport("cor6_2", True, slant == conj_slant,
-                              conj_spread if conj_spread is not None else sig_spread,
-                              tol.constancy, details)
-
-
-# ---------------------------------------------------------------------------
-# geometric mate checks (Bertrand / mutual orthogonality)
-
-def verify_mate_geometry(traj: FrameTrajectory, mate_curve: PositionCurve,
-                         kind: str, spec: GroupSpec,
-                         tol: Optional[ToleranceSet] = None,
-                         other_mate: Optional[PositionCurve] = None) -> VerificationReport:
-    """End-to-end geometric checks against estimated apparatus:
-
-    (i)   the mate's estimated tangent equals the parent's N (natural) or
-          B (conjugate);
-    (ii)  Bertrand property for the conjugate mate: estimated N* is +/-N;
-    (iii) mutual orthogonality of the estimated tangents, including the
-          cross pair when ``other_mate`` is supplied.
-    """
-    tol = tol or ToleranceSet.analytic()
-    if traj.positions is None:
-        raise ValueError("parent trajectory needs positions")
-    est_p = estimate_apparatus(traj, spec)
-    est_m = estimate_apparatus(mate_curve, spec)
-    mask = est_p.valid & est_m.valid
-    target = traj.n if kind == "natural" else traj.b
-    tangent_res = float(np.max(np.linalg.norm(est_m.t[mask] - target[mask], axis=1)))
-    ortho_vals = [float(np.max(np.abs(np.sum(est_p.t[mask] * est_m.t[mask], axis=1))))]
-    details = {"tangent_residual": tangent_res}
-    passed = tangent_res <= tol.tangent
-
-    if kind == "conjugate":
-        # exclude samples too close to inflections of the mate for a stable N*
-        stable = mask & (est_m.kappa >= 1e-3)
-        diff_minus = np.linalg.norm(est_m.n[stable] - est_p.n[stable], axis=1)
-        diff_plus = np.linalg.norm(est_m.n[stable] + est_p.n[stable], axis=1)
-        bertrand = float(np.max(np.minimum(diff_minus, diff_plus))) if np.any(stable) else None
-        details["bertrand_residual"] = bertrand
-        if bertrand is None or bertrand > tol.bertrand:
-            passed = False
-
-    if other_mate is not None:
-        est_o = estimate_apparatus(other_mate, spec)
-        m2 = mask & est_o.valid
-        ortho_vals.append(float(np.max(np.abs(np.sum(est_m.t[m2] * est_o.t[m2], axis=1)))))
-        ortho_vals.append(float(np.max(np.abs(np.sum(est_p.t[m2] * est_o.t[m2], axis=1)))))
-    ortho = max(ortho_vals)
-    details["orthogonality_residual"] = ortho
-    if ortho > tol.orthogonality:
-        passed = False
-    residual = max(v for v in [tangent_res, details.get("bertrand_residual"), ortho]
-                   if v is not None)
-    name = "cor6_4" if kind == "conjugate" else "cor6_3"
-    return VerificationReport(name, True, passed, residual, tol.tangent, details)
+def __getattr__(name: str):
+    """The classification and verification names, from ``checks``."""
+    # import machinery probes dunders such as __path__; they never load checks
+    if name.startswith("__") and name.endswith("__"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import checks
+    try:
+        value = getattr(checks, name)
+    except AttributeError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    # bound here, so that a wrapper later set on this module is the one called
+    globals()[name] = value
+    return value

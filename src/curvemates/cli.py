@@ -52,8 +52,8 @@ class RunConfig:
     kind: str = "natural"
     theorems: list[str] = field(default_factory=list)
     tolerances: ToleranceSet = field(default_factory=ToleranceSet.analytic)
-    init_frame: Optional[list] = None
-    init_position: Optional[list] = None
+    init_frame: Optional[np.ndarray] = None      # 9 numbers, rows T, N, B
+    init_position: Optional[np.ndarray] = None   # the group's 3, 9 or 4 numbers
 
     def spec(self) -> GroupSpec:
         return group_spec(self.group)
@@ -78,6 +78,20 @@ def _parse_domain(text: str) -> tuple[float, float]:
 _TOL_FIELDS = [f.name for f in dataclasses.fields(ToleranceSet)]
 
 
+def _numbers(data: dict, key: str, size: int) -> Optional[np.ndarray]:
+    """data[key] as ``size`` finite floats, flattened; None when absent."""
+    value = data.get(key)
+    if value is None:
+        return None
+    try:
+        arr = np.asarray(value, dtype=float).reshape(-1)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.size != size or not np.all(np.isfinite(arr)):
+        raise ConfigError(f"{key} must be {size} finite numbers, got {value!r}")
+    return arr
+
+
 def build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
@@ -86,6 +100,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                 data = json.load(fh)
         except (OSError, json.JSONDecodeError) as e:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
+        if not isinstance(data, dict):
+            raise ConfigError(f"config {args.config} must hold a JSON object")
 
     def pick(flag, key, default=None):
         v = getattr(args, flag, None)
@@ -99,22 +115,42 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     domain = getattr(args, "domain", None)
     domain = _parse_domain(domain) if domain is not None else data.get("domain")
     step = pick("step", "step")
+    out = pick("out", "out")
     if None in (group, kappa, tau, domain, step):
         raise ConfigError("group, kappa, tau, domain and step are all required")
     try:
-        group_spec(group)
+        family = group_spec(str(group)).family
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    domain = (float(domain[0]), float(domain[1]))
-    step = float(step)
+    for key, value in (("kappa", kappa), ("tau", tau)):
+        if not isinstance(value, (str, int, float)):
+            raise ConfigError(f"{key} must be an expression or a number, got {value!r}")
+    # open() would take a number as a file descriptor
+    if out is not None and not isinstance(out, str):
+        raise ConfigError(f"out must be a file path, got {out!r}")
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
+        raise ConfigError(f"domain must be [a, b], got {domain!r}")
+    try:
+        domain = (float(domain[0]), float(domain[1]))
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad domain {domain!r}: {e}") from e
+    try:
+        step = float(step)
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad step {step!r}: {e}") from e
+    if not np.all(np.isfinite(domain)):
+        raise ConfigError(f"domain must be finite, got {domain!r}")
     if not domain[0] < domain[1]:
         raise ConfigError("domain must satisfy s_min < s_max")
-    if step <= 0:
+    if not step > 0:
         raise ConfigError("step must be positive")
     if step > (domain[1] - domain[0]) / 8.0:
         raise ConfigError("step too large: need h <= (s_max - s_min)/8")
 
-    tol_kwargs = dict(data.get("tolerances", {}))
+    tol_kwargs = data.get("tolerances", {})
+    if not isinstance(tol_kwargs, dict):
+        raise ConfigError(f"tolerances must be a JSON object, got {tol_kwargs!r}")
+    tol_kwargs = dict(tol_kwargs)
     for name in _TOL_FIELDS:
         v = getattr(args, f"tol_{name}", None)
         if v is not None:
@@ -131,15 +167,18 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if theorems is not None:
         theorems = [t.strip() for t in theorems.split(",") if t.strip()]
     else:
-        theorems = list(data.get("theorems", []))
+        theorems = data.get("theorems", [])
+        if not isinstance(theorems, list):
+            raise ConfigError(f"theorems must be a list of ids, got {theorems!r}")
 
     return RunConfig(group=group, kappa=kappa, tau=tau, domain=domain, step=step,
-                     out=pick("out", "out"),
+                     out=out,
                      mode=pick("mode", "mode", "analytic"),
                      kind=pick("kind", "kind", "natural"),
                      theorems=theorems, tolerances=tolerances,
-                     init_frame=data.get("init_frame"),
-                     init_position=data.get("init_position"))
+                     init_frame=_numbers(data, "init_frame", 9),
+                     init_position=_numbers(data, "init_position",
+                                            len(_POSITION_COLUMNS[family])))
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +286,7 @@ def cmd_synthesize(config: RunConfig) -> int:
     init = None
     if config.init_frame is not None:
         from .liegroup import Frame
-        m = np.asarray(config.init_frame, dtype=float).reshape(3, 3)
+        m = config.init_frame.reshape(3, 3)
         # the frame is projected onto the nearest rotation, which would
         # silently turn a left-handed frame into an unrelated one
         if not np.linalg.det(m) > 0:
@@ -255,7 +294,7 @@ def cmd_synthesize(config: RunConfig) -> int:
         init = Frame(m[0], m[1], m[2])
     g0 = None
     if config.init_position is not None:
-        g0 = np.asarray(config.init_position, dtype=float)
+        g0 = config.init_position
         if spec.family == "so3":
             g0 = g0.reshape(3, 3)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1],

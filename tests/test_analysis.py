@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from curvemates.analysis import (DegenerateFitError, EstimationError,
                                  ToleranceSet, classify, estimate_apparatus,
@@ -13,7 +14,7 @@ from curvemates.analysis import (DegenerateFitError, EstimationError,
 from curvemates.expressions import DomainError
 from curvemates.integrate import (PositionCurve, integrate_direction_curve,
                                   integrate_frame, reconstruct_position)
-from curvemates.liegroup import R3, S3, SO3, left_shift
+from curvemates.liegroup import R3, S3, SO3, hat, left_shift, quat_mul_rows
 from curvemates.mates import natural_mate_apparatus
 from curvemates.profiles import CurvatureProfile
 
@@ -59,6 +60,31 @@ def test_estimated_group_torsion_all_groups():
         p = prof("2", tau, (0.0, 2.0))
         _, est = synthesize_estimated_profile(p, spec, 1e-3)
         assert np.max(np.abs(est.tau_g[est.valid] - spec.tau_g)) <= 1e-6
+
+
+@pytest.mark.parametrize("spec", [SO3, S3], ids=["so3", "s3"])
+def test_estimator_is_left_invariant(spec, profiles):
+    # the tangent is pulled back by left translation, so a fixed left factor
+    # g cancels: g.gamma and gamma have the same apparatus and the same
+    # algebra-valued frame (a right-translation pull-back rotates the frame
+    # by Ad_g and fails the frame bound)
+    p = profiles["slant_helix"]
+    traj = reconstruct_position(integrate_frame(p, spec, p.s_min, p.s_max, 1e-3), spec)
+    if spec is SO3:
+        moved = expm(hat(np.array([0.3, -0.7, 0.4]))) @ traj.positions
+    else:
+        g = np.array([0.3, -0.5, 0.6, 0.2]) / np.sqrt(0.74)
+        moved = quat_mul_rows(np.tile(g, (len(traj.s), 1)), traj.positions)
+    est = estimate_apparatus(traj, spec)
+    est_g = estimate_apparatus(PositionCurve(s=traj.s, positions=moved, spec=spec), spec)
+    assert np.any(np.abs(moved - traj.positions) > 0.1)
+    np.testing.assert_array_equal(est_g.valid, est.valid)
+    v = est.valid
+    assert np.max(np.abs(est_g.kappa - est.kappa)) <= 1e-9
+    assert np.max(np.abs(est_g.tau[v] - est.tau[v])) <= 1e-6
+    assert np.max(np.abs(est_g.tau_g - est.tau_g)) <= 1e-12
+    for a, b in ((est_g.t, est.t), (est_g.n, est.n), (est_g.b, est.b)):
+        assert np.max(np.abs(a - b)) <= 1e-8
 
 
 def test_estimate_rejects_straight_line():

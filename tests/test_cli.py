@@ -467,6 +467,38 @@ def test_bad_tolerance_in_config_exits_2(tmp_path, capsys):
     assert "tolerance constancy " in err
 
 
+SYNTH_CONFIG = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
+                "step": 0.01}
+
+
+@pytest.mark.parametrize("flags,config,key", [
+    (["--step", "nan"], SYNTH_CONFIG, "step"),
+    (["--domain=0:inf"], SYNTH_CONFIG, "domain"),
+    (["--domain=-inf:0"], SYNTH_CONFIG, "domain"),
+    ([], [1, 2], "JSON object"),
+    ([], {**SYNTH_CONFIG, "domain": [0]}, "domain"),
+    ([], {**SYNTH_CONFIG, "step": "abc"}, "step"),
+    ([], {**SYNTH_CONFIG, "init_frame": [1, 0, 0]}, "init_frame"),
+    ([], {**SYNTH_CONFIG, "init_position": [0, 0, 0, 1]}, "init_position"),
+    ([], {**SYNTH_CONFIG, "group": "so3", "init_position": [1, 0, 0, 0]}, "init_position"),
+    ([], {**SYNTH_CONFIG, "group": "s3", "init_position": [1, 0, 0]}, "init_position"),
+    ([], {**SYNTH_CONFIG, "tolerances": [1]}, "tolerances"),
+    ([], {**SYNTH_CONFIG, "theorems": 5}, "theorems"),
+    ([], {**SYNTH_CONFIG, "tau": [1]}, "tau"),
+    ([], {**SYNTH_CONFIG, "out": ["o.csv"]}, "out"),
+], ids=["step-nan", "domain-inf", "domain-minus-inf", "top-level-list",
+        "domain-one-number", "step-text", "init-frame-3", "init-position-r3-4",
+        "init-position-so3-4", "init-position-s3-3", "tolerances-list",
+        "theorems-number", "tau-list", "out-list"])
+def test_malformed_config_exits_2(flags, config, key, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code, stdout, err = run_cli(["synthesize", "--config", str(cfg_path)] + flags,
+                                capsys)
+    assert code == 2 and stdout == ""
+    assert err.startswith("error: ") and key in err
+
+
 @pytest.mark.parametrize("kappa", ["2*\u00b2", "2+\u0663"])
 def test_non_ascii_digit_exits_2(kappa, capsys):
     code, out, err = run_cli(["synthesize", "--group", "r3", "--kappa", kappa,
