@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
-import json
 import os
 import sys
 from dataclasses import dataclass, field
@@ -95,6 +94,7 @@ def _numbers(data: dict, key: str, size: int) -> Optional[np.ndarray]:
 def build_config(args: argparse.Namespace) -> RunConfig:
     data: dict = {}
     if getattr(args, "config", None):
+        import json     # here: only a config file or a JSON report needs it
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
@@ -265,6 +265,7 @@ def _jsonable(obj):
 
 
 def _emit_json(payload: dict, path: Optional[str] = None) -> None:
+    import json
     text = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
     if path:
         with _open_out(path) as fh:

@@ -1,8 +1,8 @@
 """A command loads only the modules it runs, and the package's public names
 resolve lazily to the objects of their home modules."""
 
+import ast
 import importlib
-import json
 import subprocess
 import sys
 
@@ -13,13 +13,14 @@ from curvemates import analysis, checks
 
 # run in a fresh interpreter: the command, then what it left in sys.modules
 CHILD = """
-import contextlib, io, json, sys
+import contextlib, io, sys
 from curvemates import cli
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(json.loads(sys.argv[1]))
-print(json.dumps({
+    code = cli.main(sys.argv[1:])
+print(repr({
     "code": code,
     "modules": sorted(m for m in sys.modules if m.split(".")[0] == "curvemates"),
+    "json": "json" in sys.modules,
     "bound": [n for n in ("classify", "verify_cor_3_1")
               if n in vars(sys.modules["curvemates.analysis"])],
 }))
@@ -33,23 +34,25 @@ BASE = {"curvemates", "curvemates.analysis", "curvemates.cli",
 
 
 def run_child(argv):
-    cp = subprocess.run([sys.executable, "-c", CHILD, json.dumps(argv)],
+    cp = subprocess.run([sys.executable, "-c", CHILD] + argv,
                         capture_output=True, text=True, check=True)
-    return json.loads(cp.stdout)
+    return ast.literal_eval(cp.stdout)
 
 
-@pytest.mark.parametrize("argv,extra,bound", [
-    (["synthesize"] + PROFILE, set(), []),
-    (["mate", "--mode", "both"] + PROFILE, set(), []),
-    (["--show-tolerances"], set(), []),
-    (["classify"] + PROFILE, {"curvemates.checks"}, ["classify"]),
+@pytest.mark.parametrize("argv,extra,bound,reads_json", [
+    (["synthesize"] + PROFILE, set(), [], False),
+    (["mate", "--mode", "both"] + PROFILE, set(), [], True),
+    (["--show-tolerances"], set(), [], False),
+    (["classify"] + PROFILE, {"curvemates.checks"}, ["classify"], True),
     (["verify", "--theorems", "cor3_1"] + PROFILE, {"curvemates.checks"},
-     ["verify_cor_3_1"]),
+     ["verify_cor_3_1"], True),
 ], ids=["synthesize", "mate", "show-tolerances", "classify", "verify"])
-def test_each_command_loads_only_what_it_runs(argv, extra, bound):
+def test_each_command_loads_only_what_it_runs(argv, extra, bound, reads_json):
     result = run_child(argv)
     assert result["code"] == 0
     assert set(result["modules"]) == BASE | extra
+    # json serves the config file and the JSON reports only
+    assert result["json"] == reads_json
     # a name of checks is bound in analysis only once it is looked up there
     assert result["bound"] == bound
 
