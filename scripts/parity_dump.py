@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Pickle the library's analytic outputs on a fixed corpus, for comparison
-between two versions of the code.
+"""Dump the library's analytic outputs on a fixed corpus as values, for
+comparison between two versions of the code.
 
     PYTHONPATH=src python3 scripts/parity_dump.py OUT
 
@@ -12,11 +12,17 @@ The inputs are the catalog demo profiles, edge profiles (kappa' undefined at
 a grid point, kappa <= 0, a zero stretch of tau - tau_G, constant sigma, a
 kappa domain error, constant kappa and tau, tau = tau_G, a derivative that
 leaves the grammar), the benchmark's analytic_sweep families for seeds 1
-and 7, and 401-sample copies of the demo profiles.  Two checkouts give byte-identical files (compare with ``cmp``)
-exactly when these outputs are identical.
+and 7, and 401-sample copies of the demo profiles.
+
+The file holds one JSON line per input.  An object is written as its class
+name and its fields, a float (Python or numpy) as its ``float.hex`` text and
+an array as its dtype, shape and elements, so the dump records values only:
+two checkouts give byte-identical files (compare with ``cmp``) exactly when
+these outputs are identical, wherever their classes live.
 """
 
-import pickle
+import dataclasses
+import json
 import sys
 from pathlib import Path
 
@@ -74,6 +80,29 @@ def outcome(fn, *args):
         return ("error", type(e).__name__, str(e))
 
 
+def value(x):
+    """A JSON-ready form of ``x`` that keeps every bit of every float."""
+    if isinstance(x, (bool, np.bool_)):
+        return bool(x)
+    if isinstance(x, (float, np.floating)):
+        return float(x).hex()
+    if isinstance(x, (int, np.integer)):
+        return int(x)
+    if x is None or isinstance(x, str):
+        return x
+    if isinstance(x, np.ndarray):
+        return {"dtype": str(x.dtype), "shape": list(x.shape),
+                "values": [value(v) for v in x.ravel().tolist()]}
+    if isinstance(x, (list, tuple)):
+        return [value(v) for v in x]
+    if isinstance(x, dict):
+        return {str(k): value(v) for k, v in x.items()}
+    if dataclasses.is_dataclass(x):
+        return {"class": type(x).__name__,
+                **{f.name: value(getattr(x, f.name)) for f in dataclasses.fields(x)}}
+    raise TypeError(f"no value form for {type(x).__name__}")
+
+
 def mate_values(mate):
     prof = mate.profile
     s = np.linspace(prof.s_min, prof.s_max, 101)
@@ -102,10 +131,14 @@ def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
-    records = [dump(*args) for args in inputs()]
-    with open(sys.argv[1], "wb") as fh:
-        pickle.dump(records, fh, protocol=4)
-    print(f"{len(records)} inputs, {sum(len(r) for _, r in records)} outputs")
+    count = outputs = 0
+    with open(sys.argv[1], "w", encoding="utf-8") as fh:
+        for args in inputs():
+            key, rec = dump(*args)
+            fh.write(json.dumps([key, value(rec)], separators=(",", ":")) + "\n")
+            count += 1
+            outputs += len(rec)
+    print(f"{count} inputs, {outputs} outputs")
     return 0
 
 

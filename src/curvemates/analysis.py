@@ -21,7 +21,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .integrate import integrate_frame, reconstruct_position
 from .liegroup import GroupSpec, is_uniform_grid, quat_mul_rows
 from .mates import ZERO_TOL
 from .profiles import CurvatureProfile
@@ -188,6 +187,7 @@ def synthesize_estimated_profile(p: CurvatureProfile, spec: GroupSpec, h: float
                                  ) -> tuple[CurvatureProfile, EstimatedApparatus]:
     """Integrate the profile, reconstruct positions, estimate the apparatus,
     and package the valid interior as a sampled profile."""
+    from .integrate import integrate_frame, reconstruct_position
     traj = integrate_frame(p, spec, p.s_min, p.s_max, h)
     est = estimate_apparatus(reconstruct_position(traj, spec), spec)
     idx = np.nonzero(est.valid)[0]

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
 from .analysis import DegenerateFitError, ToleranceSet, estimate_apparatus, rel_spread
-from .integrate import FrameTrajectory, PositionCurve
 from .liegroup import GroupSpec, runs
 from .mates import (Segment, conjugate_mate_apparatus, constant_curvature_inverse,
                     natural_mate_apparatus, sign_segments)
 from .profiles import SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples
+
+if TYPE_CHECKING:
+    from .integrate import FrameTrajectory, PositionCurve
 
 # grid of the quadrature round trip of thm5_1, finer than the check grid
 INVERSE_GRID_POINTS = 8001
@@ -82,10 +84,14 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     latter tolerates the noise amplification that differentiating sampled
     estimates incurs.  Mixed domains are segmented and reported per segment.
     """
-    tol = tol or ToleranceSet.analytic()
-    s = p.grid()
+    return _spherical(ProfileSamples(p, spec, p.grid()), tol or ToleranceSet.analytic())
+
+
+def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
+    """The spherical criterion on the samples of a profile at its check
+    grid; see ``spherical_check``."""
+    s = ps.s
     h = float(s[1] - s[0])
-    ps = ProfileSamples(p, spec, s)
     kappa, m, kp = ps.kappa, ps.m, ps.kappa_prime
     zero = np.abs(m) <= tol.zero
     stat_floor = max(tol.zero, tol.spherical_zero_rel * float(np.max(np.abs(m))))
@@ -251,7 +257,7 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
     verdicts["rectifying"] = Verdict(rectifying, fit_residual, tol.constancy,
                                      f"H fit slope {slope:.6g}")
 
-    sph = spherical_check(p, spec, tol)
+    sph = _spherical(ps, tol)
     worst = max((seg.spread for seg in sph.segments), default=float("inf"))
     verdicts["spherical"] = Verdict(sph.is_spherical, worst, tol.spherical_spread,
                                     f"radius {sph.radius}" if sph.radius else "")
@@ -555,12 +561,12 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
     Samples where the discriminant or tau - tau_G sits below the noise floor
     are excluded (the identity degenerates there)."""
     tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol)
+    s = p.grid()
+    ps = ProfileSamples(p, spec, s)
+    sph = _spherical(ps, tol)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("cor3_4", tol.residual, "parent not spherical")
     r = float(sph.radius)
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
     lhs = mps.kappa_prime / mps.kappa
     disc = r * r * ps.kappa * ps.kappa - 1.0
@@ -580,16 +586,16 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
     """For spherical parents with constant-curvature mates: pointwise either
     tau = tau_G or mate torsion - tau_G = -/+ kappa sqrt(r^2 kappa^2 - 1)."""
     tol = tol or ToleranceSet.analytic()
-    sph = spherical_check(p, spec, tol)
+    s = p.grid()
+    ps = ProfileSamples(p, spec, s)
+    sph = _spherical(ps, tol)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("cor5_2", tol.residual, "parent not spherical")
-    s = p.grid()
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
     spread = rel_spread(mps.kappa)
     if spread > tol.constancy:
         return _not_applicable("cor5_2", tol.residual, "mate curvature not constant")
     r = float(sph.radius)
-    ps = ProfileSamples(p, spec, s)
     disc = r * r * ps.kappa * ps.kappa - 1.0
     mask = (np.abs(ps.m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
     if not np.any(mask):

@@ -16,6 +16,7 @@ application requires parentheses.  Whitespace is insignificant.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -37,7 +38,7 @@ class DomainError(ArithmeticError):
 
     def __init__(self, subterm: "Expr", s):
         first = np.ravel(np.asarray(s))[0] if np.ndim(s) else s
-        super().__init__(f"domain error in '{to_text(subterm)}' near s={first!r}")
+        super().__init__(f"domain error in '{to_text(subterm)}' near s={float(first)!r}")
         self.subterm = subterm
         self.s = s
 
@@ -185,7 +186,10 @@ class _Parser:
         tok = self.advance()
         kind, text, offset = tok
         if kind == "num":
-            return Num(float(text))
+            value = float(text)
+            if not math.isfinite(value):
+                raise ExpressionSyntaxError(f"number {text!r} is out of range", offset)
+            return Num(value)
         if kind == "(":
             e = self.expr()
             self.expect(")")
@@ -215,23 +219,31 @@ def parse(text: str) -> Expr:
 # ---------------------------------------------------------------------------
 # evaluation
 
-# Every node is checked, not only the root: a later node can map an overflow
-# back to a finite value (1/exp(1000) is 0).  The checks use the array
-# methods .all()/.any(), which cost under half of np.all/np.any per call.
+# Inside evaluate, overflow, invalid operations and division by zero raise
+# FloatingPointError.  Every leaf is finite (literals and pi, and s, which
+# is checked once per call), and from finite operands a value leaves the
+# reals only through one of those faults, so no node scans its result; a
+# fault is traced back to its first s by _apply.  Underflow yields a finite
+# value and is ignored.  _eval still checks sqrt of a negative, x/0 and a
+# fractional power of a base <= 0 itself: each names the first s that breaks
+# its own rule, which can precede the first non-finite value, and 0^0.5
+# raises no fault at all.
 
-def _check_finite(value, node: Expr, s):
-    if not np.isfinite(value).all():
-        raise DomainError(node, _where(value, lambda x: ~np.isfinite(x), s))
-    return value
+_TRAPS = {"over": "raise", "invalid": "raise", "divide": "raise", "under": "ignore"}
+
+_UFUNCS = {"+": np.add, "-": np.subtract, "*": np.multiply, "/": np.divide,
+           "^": np.power, "sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp}
 
 
 def evaluate(e: Expr, s):
     """Evaluate at a scalar or ndarray ``s``.  IEEE doubles throughout; any
     excursion out of the real domain raises DomainError instead of producing
-    NaN or inf."""
+    NaN or inf, and so does a non-finite ``s``."""
     arraylike = np.ndim(s) > 0
     s = np.asarray(s, dtype=float) if arraylike else float(s)
-    with np.errstate(all="ignore"):
+    if not np.isfinite(s).all():
+        raise DomainError(e, _where(s, _not_finite, s))
+    with np.errstate(**_TRAPS):
         value = _eval(e, s)
     if arraylike and np.ndim(value) == 0:
         value = np.full(s.shape, float(value))
@@ -240,6 +252,8 @@ def evaluate(e: Expr, s):
 
 def _eval(e: Expr, s):
     if isinstance(e, Num):
+        if not math.isfinite(e.value):
+            raise DomainError(e, s)
         return e.value
     if isinstance(e, Pi):
         return np.pi
@@ -255,24 +269,41 @@ def _eval(e: Expr, s):
             return np.sqrt(v)
         if e.op == "abs":
             return np.abs(v)
-        fn = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp}[e.op]
-        return _check_finite(fn(v), e, s)
+        return _apply(e, s, v)
     if isinstance(e, Binary):
         a = _eval(e.left, s)
         b = _eval(e.right, s)
-        if e.op == "+":
-            return _check_finite(a + b, e, s)
-        if e.op == "-":
-            return _check_finite(a - b, e, s)
-        if e.op == "*":
-            return _check_finite(a * b, e, s)
         if e.op == "/":
             if (np.asarray(b) == 0).any():
                 raise DomainError(e, _where(b, lambda x: x == 0, s))
-            return _check_finite(a / b, e, s)
-        if e.op == "^":
-            return _power(e, a, b, s)
+        elif e.op == "^":
+            # integer exponents work for any base; fractional ones need base > 0
+            ev = np.asarray(b)
+            if not (ev == np.floor(ev)).all() and (np.asarray(a) <= 0).any():
+                raise DomainError(e, _where(a, lambda x: x <= 0, s))
+        return _apply(e, s, a, b)
     raise TypeError(f"not an expression node: {e!r}")
+
+
+def _apply(node: Expr, s, *args):
+    """The ufunc of ``node`` on ``args``, under the traps of evaluate.  A
+    trapped fault raises the DomainError of the first s whose value is not
+    finite."""
+    fn = _UFUNCS[node.op]
+    try:
+        return fn(*args)
+    except FloatingPointError:
+        pass
+    with np.errstate(all="ignore"):
+        value = fn(*args)
+    # a raised flag with every value finite is not a domain error
+    if np.isfinite(value).all():
+        return value
+    raise DomainError(node, _where(value, _not_finite, s))
+
+
+def _not_finite(x):
+    return ~np.isfinite(x)
 
 
 def _where(v, pred, s):
@@ -280,16 +311,6 @@ def _where(v, pred, s):
         return s
     mask = pred(np.asarray(v))
     return np.asarray(s)[mask][0]
-
-
-def _power(node: Binary, base, expo, s):
-    # Integer exponents work for any base; fractional ones need base > 0.
-    ev = np.asarray(expo)
-    if (ev == np.floor(ev)).all():
-        return _check_finite(np.power(base, ev), node, s)
-    if (np.asarray(base) <= 0).any():
-        raise DomainError(node, _where(base, lambda x: x <= 0, s))
-    return _check_finite(np.power(base, expo), node, s)
 
 
 # ---------------------------------------------------------------------------
@@ -470,5 +491,7 @@ def ensure_expr(e) -> Expr:
     if isinstance(e, (Num, Pi, Var, Unary, Binary)):
         return e
     if isinstance(e, (int, float)):
+        if not math.isfinite(e):
+            raise ValueError(f"constant {e!r} is not finite")
         return Num(float(e))
     raise TypeError(f"cannot interpret {e!r} as an expression")

@@ -206,7 +206,7 @@ class ProfileSamples:
     def tau_prime(self):
         return self.profile.tau_prime_at(self.s)
 
-    @property
+    @cached_property
     def _positive_kappa(self):
         if np.any(self.kappa <= 0):
             raise FrenetViolation("kappa <= 0 inside the domain", self.s)

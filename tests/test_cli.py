@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -147,6 +148,25 @@ def test_domain_error_exits_3_and_removes_output(tmp_path, capsys):
     assert code == 3
     assert "domain error" in err
     assert not out.exists()
+
+
+def test_domain_error_text_names_the_first_s(capsys):
+    code, out, err = run_cli(["classify", "--group", "r3", "--kappa", "1/s+2",
+                              "--tau", "1", "--domain=-1:1", "--step", "0.01"], capsys)
+    assert code == 3 and out == ""
+    assert err == "domain error: domain error in '1.0/s' near s=0.0\n"
+
+
+@pytest.mark.parametrize("kappa,offset", [("1e999", 0), ("s+1e999", 2)])
+def test_non_finite_literal_exits_2(kappa, offset, capsys):
+    # 1e999 reads as inf, a constant curvature that no numpy fault would flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(["classify", "--group", "r3", "--kappa", kappa,
+                                  "--tau", "s", "--domain=0:1", "--step", "0.01"],
+                                 capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: number '1e999' is out of range at offset {offset}\n"
 
 
 @pytest.mark.parametrize("command", [["synthesize"], ["classify"],

@@ -5,9 +5,10 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvemates.expressions import (DifferentiationError, DomainError,
-                                    ExpressionSyntaxError, differentiate,
-                                    evaluate, parse, to_text)
+from curvemates.expressions import (Binary, DifferentiationError, DomainError,
+                                    ExpressionSyntaxError, Num, Pi, Unary, Var,
+                                    differentiate, ensure_expr, evaluate, parse,
+                                    to_text)
 from curvemates.catalog import PROFILES
 
 
@@ -90,6 +91,43 @@ def test_domain_errors():
     # integer powers of negative bases are fine
     assert ev("s^2", -3.0) == pytest.approx(9.0)
     assert ev("s^3", -2.0) == pytest.approx(-8.0)
+
+
+@pytest.mark.parametrize("text,offset", [("1e999", 0), ("s+1e999", 2),
+                                         ("2*1.5e400^s", 2)])
+def test_non_finite_literal_rejected(text, offset):
+    # "1e999" reads as inf: evaluation traps faults instead of scanning
+    # values, so every leaf must be finite
+    with pytest.raises(ExpressionSyntaxError, match="out of range") as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_constants_rejected(value):
+    with pytest.raises(ValueError, match="not finite"):
+        ensure_expr(value)
+    # a tree built by hand: 1/inf is a finite 0, so only the leaf shows it
+    with pytest.raises(DomainError) as exc:
+        evaluate(Binary("/", Num(1.0), Num(value)), np.array([0.5, 1.0]))
+    assert exc.value.subterm == Num(value)
+
+
+def test_non_finite_s_rejected():
+    with pytest.raises(DomainError) as exc:
+        evaluate(parse("s^2"), np.array([0.0, np.inf, np.nan]))
+    assert exc.value.s == np.inf
+    with pytest.raises(DomainError):
+        evaluate(parse("1"), math.nan)
+
+
+def test_domain_error_message_prints_s_as_a_float():
+    with pytest.raises(DomainError) as exc:
+        ev("1/s", np.array([1.0, 0.0]))
+    assert str(exc.value) == "domain error in '1.0/s' near s=0.0"
+    with pytest.raises(DomainError) as exc:
+        ev("exp(s)", 1e4)
+    assert str(exc.value) == "domain error in 'exp(s)' near s=10000.0"
 
 
 def test_array_evaluation():
@@ -200,3 +238,125 @@ def test_differentiate_linearity(f_text, g_text, a, b, s):
         assume(False)
         return
     assert abs(lhs - rhs) <= 1e-12 * (1 + abs(lhs) + abs(rhs))
+
+
+# ---------------------------------------------------------------------------
+# reference oracle: the evaluator that scanned every node's result
+
+def reference_evaluate(e, s):
+    arraylike = np.ndim(s) > 0
+    s = np.asarray(s, dtype=float) if arraylike else float(s)
+    with np.errstate(all="ignore"):
+        value = _ref_eval(e, s)
+    if arraylike and np.ndim(value) == 0:
+        value = np.full(s.shape, float(value))
+    return value
+
+
+def _ref_check_finite(value, node, s):
+    if not np.isfinite(value).all():
+        raise DomainError(node, _ref_where(value, lambda x: ~np.isfinite(x), s))
+    return value
+
+
+def _ref_eval(e, s):
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Pi):
+        return np.pi
+    if isinstance(e, Var):
+        return s
+    if isinstance(e, Unary):
+        v = _ref_eval(e.arg, s)
+        if e.op == "neg":
+            return -v
+        if e.op == "sqrt":
+            if (np.asarray(v) < 0).any():
+                raise DomainError(e, _ref_where(v, lambda x: x < 0, s))
+            return np.sqrt(v)
+        if e.op == "abs":
+            return np.abs(v)
+        fn = {"sin": np.sin, "cos": np.cos, "tan": np.tan, "exp": np.exp}[e.op]
+        return _ref_check_finite(fn(v), e, s)
+    a = _ref_eval(e.left, s)
+    b = _ref_eval(e.right, s)
+    if e.op == "+":
+        return _ref_check_finite(a + b, e, s)
+    if e.op == "-":
+        return _ref_check_finite(a - b, e, s)
+    if e.op == "*":
+        return _ref_check_finite(a * b, e, s)
+    if e.op == "/":
+        if (np.asarray(b) == 0).any():
+            raise DomainError(e, _ref_where(b, lambda x: x == 0, s))
+        return _ref_check_finite(a / b, e, s)
+    ev_ = np.asarray(b)
+    if (ev_ == np.floor(ev_)).all():
+        return _ref_check_finite(np.power(a, ev_), e, s)
+    if (np.asarray(a) <= 0).any():
+        raise DomainError(e, _ref_where(a, lambda x: x <= 0, s))
+    return _ref_check_finite(np.power(a, b), e, s)
+
+
+def _ref_where(v, pred, s):
+    if np.ndim(v) == 0 or np.ndim(s) == 0:
+        return s
+    mask = pred(np.asarray(v))
+    return np.asarray(s)[mask][0]
+
+
+_constants = st.one_of(
+    st.floats(min_value=-1e300, max_value=1e300, allow_nan=False),
+    st.floats(min_value=-4, max_value=4, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.0, 0.5, 1e300, -1e300, 1e-300, 5e-324]),
+)
+_exponents = st.sampled_from([-3.0, -2.0, -1.0, -0.5, 1.0 / 3.0, 0.5, 1.5, 2.0, 3.0,
+                              400.0, -400.0])
+
+
+def _trees(depth):
+    leaf = st.one_of(st.builds(Num, _constants), st.just(Pi()), st.just(Var()))
+    if depth == 0:
+        return leaf
+    sub = _trees(depth - 1)
+    return st.one_of(
+        leaf,
+        st.builds(Unary, st.sampled_from(["neg", "sin", "cos", "tan", "sqrt",
+                                          "abs", "exp"]), sub),
+        st.builds(Binary, st.sampled_from(["+", "-", "*", "/", "^"]), sub, sub),
+        st.builds(lambda a, c: Binary("^", a, Num(c)), sub, _exponents),
+        # tan a few ulp either side of pi/2
+        st.builds(lambda c, k: Unary("tan", Binary("+", Num(c), Binary("*", Num(k), Var()))),
+                  st.floats(min_value=1.5707963267948950, max_value=1.5707963267948983),
+                  st.sampled_from([0.0, 1e-16, 1.0])),
+        st.builds(lambda c: Unary("exp", Binary("*", Num(c), Var())),
+                  st.floats(min_value=-1000, max_value=1000)),
+    )
+
+
+_grids = st.one_of(
+    st.floats(min_value=-10, max_value=10),
+    st.builds(lambda xs, i: np.insert(np.array(xs), i % (len(xs) + 1), 0.0),
+              st.lists(st.floats(min_value=-10, max_value=10), min_size=1, max_size=12),
+              st.integers(min_value=0, max_value=12)),
+)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).tobytes()
+
+
+@settings(max_examples=600, deadline=None)
+@given(_trees(4), _grids)
+def test_trapping_evaluator_matches_the_scanning_one(e, s):
+    try:
+        want = reference_evaluate(e, s)
+    except DomainError as ref:
+        with pytest.raises(DomainError) as got:
+            evaluate(e, s)
+        assert to_text(got.value.subterm) == to_text(ref.subterm)
+        assert _bits(got.value.s) == _bits(ref.s)
+        return
+    value = evaluate(e, s)
+    assert np.shape(value) == np.shape(want)
+    assert _bits(value) == _bits(want)

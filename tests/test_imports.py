@@ -65,6 +65,14 @@ def test_dunder_lookups_leave_checks_unloaded():
     assert cp.stdout.split() == ["False", "False"]
 
 
+def test_analysis_alone_leaves_the_integrator_unloaded():
+    # the analytic checks never integrate; only synthesize_estimated_profile does
+    code = "import sys, curvemates.analysis; print('curvemates.integrate' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                        text=True, check=True)
+    assert cp.stdout.split() == ["False"]
+
+
 def test_importing_the_package_loads_no_submodule():
     cp = subprocess.run([sys.executable, "-c",
                          "import sys, curvemates; print(sorted(m for m in sys.modules "
