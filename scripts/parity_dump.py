@@ -7,7 +7,12 @@ comparison between two versions of the code.
 For every input profile in r3, so3 and s3 it records ``classify`` in both
 tolerance presets, ``spherical_check``, the 11 profile-only verifiers and
 both analytic mates (segments, and kappa, tau and their derivatives on a
-101-point grid).  An exception is recorded as its type name and message.
+101-point grid).  For every demo profile in r3, so3 and s3 it also records,
+at h = 1e-2, the integrated frames with their step, frame and element
+defects, the reconstructed positions, both direction curves, and
+``estimate_apparatus`` of the parent and of both curves (kappa, tau, tau_G,
+T, N, B and the valid mask).  An exception is recorded as its type name and
+message.
 The inputs are the catalog demo profiles, edge profiles (kappa' undefined at
 a grid point, kappa <= 0, a zero stretch of tau - tau_G, constant sigma, a
 kappa domain error, constant kappa and tau, tau = tau_G, a derivative that
@@ -22,6 +27,7 @@ these outputs are identical, wherever their classes live.
 """
 
 import dataclasses
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -30,6 +36,8 @@ import numpy as np
 
 from curvemates import analysis
 from curvemates.catalog import PROFILES
+from curvemates.integrate import (integrate_direction_curve, integrate_frame,
+                                  reconstruct_position)
 from curvemates.liegroup import group_spec
 from curvemates.mates import conjugate_mate_apparatus, natural_mate_apparatus
 from curvemates.profiles import CurvatureProfile
@@ -127,14 +135,48 @@ def dump(key, p, group):
     return key, rec
 
 
+# step of the integrated corpus
+GEOMETRIC_STEP = 1e-2
+
+
+def estimate_values(curve, spec):
+    est = analysis.estimate_apparatus(curve, spec)
+    return {name: getattr(est, name)
+            for name in ("kappa", "tau", "tau_g", "t", "n", "b", "valid")}
+
+
+def geometric_inputs():
+    """(key, profile, group) of every integrated input."""
+    for name, entry in PROFILES.items():
+        for g in GROUPS:
+            yield f"geometric:{name}:{g}", entry.profile(), g
+
+
+def dump_geometric(key, p, group):
+    spec = group_spec(group)
+    traj = reconstruct_position(
+        integrate_frame(p, spec, p.s_min, p.s_max, GEOMETRIC_STEP), spec)
+    rec = {"frames": [traj.s, traj.t, traj.n, traj.b],
+           "defects": [traj.max_step_defect, traj.max_frame_defect,
+                       traj.max_element_defect],
+           "positions": traj.positions,
+           "estimate": outcome(estimate_values, traj, spec)}
+    for which in ("principal_normal", "binormal"):
+        curve = integrate_direction_curve(traj, which, spec)
+        rec[which] = curve.positions
+        rec[f"estimate:{which}"] = outcome(estimate_values, curve, spec)
+    return key, rec
+
+
 def main() -> int:
     if len(sys.argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     count = outputs = 0
     with open(sys.argv[1], "w", encoding="utf-8") as fh:
-        for args in inputs():
-            key, rec = dump(*args)
+        records = itertools.chain((dump(*args) for args in inputs()),
+                                  (dump_geometric(*args) for args in geometric_inputs()))
+        for key, rec in records:
             fh.write(json.dumps([key, value(rec)], separators=(",", ":")) + "\n")
             count += 1
             outputs += len(rec)

@@ -21,7 +21,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .liegroup import GroupSpec, is_uniform_grid, quat_mul_rows
+from .liegroup import GroupSpec, is_uniform_grid, pull_back_tangent
 from .mates import ZERO_TOL
 from .profiles import CurvatureProfile
 
@@ -108,17 +108,6 @@ def sg_derivative(values: np.ndarray, h: float, window: int = DEFAULT_WINDOW) ->
     return (out / h).reshape(f.shape)
 
 
-def _pull_back_rows(positions: np.ndarray, dpos: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    if spec.family == "r3":
-        return dpos
-    if spec.family == "s3":
-        conj = positions * np.array([1.0, -1.0, -1.0, -1.0])
-        return quat_mul_rows(conj, dpos)[:, 1:]
-    a = np.einsum("nja,njb->nab", positions, dpos)
-    skew = 0.5 * (a - np.transpose(a, (0, 2, 1)))
-    return np.stack([skew[:, 2, 1], skew[:, 0, 2], skew[:, 1, 0]], axis=1)
-
-
 # ---------------------------------------------------------------------------
 # apparatus estimation
 
@@ -157,7 +146,7 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     h = float(s[1] - s[0])
 
     dpos = sg_derivative(positions, h, window)
-    t = _pull_back_rows(positions, dpos, spec)
+    t = pull_back_tangent(positions, dpos, spec)
     tp = sg_derivative(t, h, window)
     kappa = np.linalg.norm(tp, axis=1)
 

@@ -20,7 +20,8 @@ from .analysis import DegenerateFitError, ToleranceSet, estimate_apparatus, rel_
 from .liegroup import GroupSpec, runs
 from .mates import (Segment, conjugate_mate_apparatus, constant_curvature_inverse,
                     natural_mate_apparatus, sign_segments)
-from .profiles import SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples
+from .profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples,
+                       _derivative_samples)
 
 if TYPE_CHECKING:
     from .integrate import FrameTrajectory, PositionCurve
@@ -66,7 +67,7 @@ class SphericalReport:
 
 
 def spherical_check(p: CurvatureProfile, spec: GroupSpec,
-                    tol: Optional[ToleranceSet] = None) -> SphericalReport:
+                    tol: ToleranceSet = ToleranceSet()) -> SphericalReport:
     """Left-shift-on-a-sphere criterion from the curvature data.
 
     Where tau - tau_G vanishes identically the curve is spherical iff kappa
@@ -84,7 +85,7 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     latter tolerates the noise amplification that differentiating sampled
     estimates incurs.  Mixed domains are segmented and reported per segment.
     """
-    return _spherical(ProfileSamples(p, spec, p.grid()), tol or ToleranceSet.analytic())
+    return _spherical(ProfileSamples(p, spec, p.grid()), tol)
 
 
 def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
@@ -159,12 +160,11 @@ def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
 
 
 def _masked_derivative(u: np.ndarray, h: float) -> np.ndarray:
-    """5-point central derivative, NaN wherever the window touches a NaN."""
-    n = len(u)
-    out = np.full(n, np.nan)
-    if n >= 5:
-        core = (u[:-4] - 8.0 * u[1:-3] + 8.0 * u[3:-1] - u[4:]) / (12.0 * h)
-        out[2:-2] = core
+    """5-point central derivative, NaN wherever the window touches a NaN
+    and at the two samples at each end."""
+    out = np.full(len(u), np.nan)
+    if len(u) >= 5:
+        out[2:-2] = _derivative_samples(u, h)[2:-2]
     return out
 
 
@@ -238,9 +238,8 @@ class ClassificationReport:
 
 
 def classify(p: CurvatureProfile, spec: GroupSpec,
-             tol: Optional[ToleranceSet] = None) -> ClassificationReport:
+             tol: ToleranceSet = ToleranceSet()) -> ClassificationReport:
     """Verdicts with residuals for every special-curve class."""
-    tol = tol or ToleranceSet.analytic()
     ps = ProfileSamples(p, spec, p.grid())
 
     verdicts: dict[str, Verdict] = {}
@@ -327,12 +326,11 @@ def _not_applicable(theorem: str, tolerance: float, note: str) -> VerificationRe
 
 
 def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Constant parent curvature c => natural mate spherical with radius 1/c.
 
     The converse is checked on the same data wherever the mate torsion
     differs from the group torsion."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     kappa = ProfileSamples(p, spec, s).kappa
     spread = rel_spread(kappa)
@@ -340,8 +338,10 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
         return _not_applicable("thm4_1", tol.residual,
                                f"kappa not constant (spread {spread:.3g})")
     c = float(np.mean(kappa))
-    mate = natural_mate_apparatus(p, spec)
-    sph = spherical_check(mate.profile, spec, tol)
+    # the mate's grid is the parent's: one set of samples serves the
+    # spherical criterion and the converse
+    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    sph = _spherical(mps, tol)
     if not sph.is_spherical or sph.radius is None:
         return VerificationReport("thm4_1", True, False, None, tol.residual,
                                   {"c": c, "spherical": False},
@@ -353,8 +353,7 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
                "radius_residual": radius_residual, "closure_residual": eq_res}
     # converse: on samples with mate torsion away from tau_G, spherical radius
     # 1/c must force kappa = c (tested as consistency of the same numbers)
-    mate_m = ProfileSamples(mate.profile, spec, s).m
-    conv_mask = np.abs(mate_m) > tol.zero
+    conv_mask = np.abs(mps.m) > tol.zero
     if np.any(conv_mask):
         details["converse_kappa_residual"] = float(
             np.max(np.abs(kappa[conv_mask] - 1.0 / sph.radius)))
@@ -364,10 +363,9 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Constant mate curvature c => parent recovered by the sine/cosine
     quadrature inverse (round trip against the original profile)."""
-    tol = tol or ToleranceSet.analytic()
     mate = natural_mate_apparatus(p, spec)
     s = p.grid(INVERSE_GRID_POINTS)
     kb = ProfileSamples(mate.profile, spec, s).kappa
@@ -412,11 +410,10 @@ def _golden_section(fun: Callable[[float], float], lo: float, hi: float,
 
 
 def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Spherical parent with constant-curvature mate: |mate torsion - tau_G|
     matches the closed trigonometric law with a = c^2 r, up to one fitted
     s-translation."""
-    tol = tol or ToleranceSet.analytic()
     sph = spherical_check(p, spec, tol)
     if not sph.is_spherical or sph.radius is None:
         return _not_applicable("thm5_2", tol.residual, "parent not spherical")
@@ -453,9 +450,8 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """tau - tau_G constant nonzero => natural mate spherical with radius 1/|c|."""
-    tol = tol or ToleranceSet.analytic()
     m = ProfileSamples(p, spec, p.grid()).m
     spread = rel_spread(m)
     if spread > tol.constancy:
@@ -483,9 +479,8 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 # corollary biconditionals
 
 def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> mate torsion equals the group torsion."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     h_spread = rel_spread(ProfileSamples(p, spec, s).H)
     is_gh = h_spread <= tol.constancy
@@ -500,9 +495,8 @@ def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Slant helix <=> natural mate is a general helix."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     slant, sig_spread = _slant_verdict(ProfileSamples(p, spec, s), tol)
     mate = natural_mate_apparatus(p, spec)
@@ -516,10 +510,9 @@ def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_3_3(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Rectifying (H linear, slope a != 0) <=> a kappa^2 = (mate tau - tau_G)
     * mate kappa^2."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     ps = ProfileSamples(p, spec, s)
     rectifying, a, _ = _rectifying_fit(ps, tol)
@@ -554,13 +547,12 @@ def _signed_sqrt_residual(lhs: np.ndarray, base: np.ndarray, disc: np.ndarray,
 
 
 def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Spherical parents satisfy kappa_bar'/kappa_bar = (tau_bar - tau_G) H
     +/- (tau - tau_G) sqrt(r^2 kappa^2 - 1), one sign per segment.
 
     Samples where the discriminant or tau - tau_G sits below the noise floor
     are excluded (the identity degenerates there)."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     ps = ProfileSamples(p, spec, s)
     sph = _spherical(ps, tol)
@@ -582,10 +574,9 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """For spherical parents with constant-curvature mates: pointwise either
     tau = tau_G or mate torsion - tau_G = -/+ kappa sqrt(r^2 kappa^2 - 1)."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     ps = ProfileSamples(p, spec, s)
     sph = _spherical(ps, tol)
@@ -610,9 +601,8 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> conjugate mate is a general helix (needs tau != tau_G)."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     ps = ProfileSamples(p, spec, s)
     if np.min(np.abs(ps.m)) <= tol.zero:
@@ -632,10 +622,9 @@ def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
 
 
 def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
-                   tol: Optional[ToleranceSet] = None) -> VerificationReport:
+                   tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Slant helix <=> conjugate mate is a slant helix; the sigma values are
     opposite up to the sign of tau - tau_G."""
-    tol = tol or ToleranceSet.analytic()
     s = p.grid()
     ps = ProfileSamples(p, spec, s)
     if np.min(np.abs(ps.m)) <= tol.zero:
@@ -660,7 +649,7 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
 
 def verify_mate_geometry(traj: FrameTrajectory, mate_curve: PositionCurve,
                          kind: str, spec: GroupSpec,
-                         tol: Optional[ToleranceSet] = None,
+                         tol: ToleranceSet = ToleranceSet(),
                          other_mate: Optional[PositionCurve] = None) -> VerificationReport:
     """End-to-end geometric checks against estimated apparatus:
 
@@ -670,7 +659,6 @@ def verify_mate_geometry(traj: FrameTrajectory, mate_curve: PositionCurve,
     (iii) mutual orthogonality of the estimated tangents, including the
           cross pair when ``other_mate`` is supplied.
     """
-    tol = tol or ToleranceSet.analytic()
     if traj.positions is None:
         raise ValueError("parent trajectory needs positions")
     est_p = estimate_apparatus(traj, spec)

@@ -23,7 +23,7 @@ from .analysis import ToleranceSet
 from .expressions import DomainError, ExpressionSyntaxError
 from .integrate import (_grid, integrate_direction_curve, integrate_frame,
                         reconstruct_position)
-from .liegroup import GroupSpec, group_spec
+from .liegroup import GroupSpec, group_spec, identity_element
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
                     natural_mate_apparatus)
 from .profiles import CurvatureProfile, FrenetViolation, ProfileSamples
@@ -223,15 +223,9 @@ def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
 
 def _write_csv(path: Optional[str], header: list[str], body) -> None:
     """CSV with LF endings: the header row, then the text chunks of body."""
-    if path is None:
-        sys.stdout.write(",".join(header) + "\n")
-        for chunk in body:
-            sys.stdout.write(chunk)
-        return
-    with _open_out(path) as fh:
+    with _open_out(path) if path is not None else contextlib.nullcontext(sys.stdout) as fh:
         fh.write(",".join(header) + "\n")
-        for chunk in body:
-            fh.write(chunk)
+        fh.writelines(body)
 
 
 @contextlib.contextmanager
@@ -295,9 +289,7 @@ def cmd_synthesize(config: RunConfig) -> int:
         init = Frame(m[0], m[1], m[2])
     g0 = None
     if config.init_position is not None:
-        g0 = config.init_position
-        if spec.family == "so3":
-            g0 = g0.reshape(3, 3)
+        g0 = config.init_position.reshape(identity_element(spec).shape)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1],
                            config.step, init)
     traj = reconstruct_position(traj, spec, g0)

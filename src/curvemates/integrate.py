@@ -34,8 +34,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .liegroup import (SO3, Frame, GroupSpec, identity_element, quat_mul_rows,
-                       renormalize_element)
+from .liegroup import (SO3, Frame, GroupSpec, element_defect, gram_defect,
+                       identity_element, quat_mul_rows, renormalize_element)
 from .profiles import CurvatureProfile, FrenetViolation
 
 # rows per batched operation of the stepper and the scan: bounds their
@@ -157,17 +157,6 @@ def _scan(out: np.ndarray,
         d *= 2
 
 
-def _gram_defect(m: np.ndarray) -> float:
-    """Largest |m m^T - I| entry over a stack of 3x3 matrices, one Gram
-    entry at a time so that no (N, 3, 3) temporary is formed."""
-    worst = 0.0
-    for i in range(3):
-        for j in range(i, 3):
-            dot = np.einsum("nk,nk->n", m[:, i], m[:, j])
-            worst = max(worst, float(np.max(np.abs(dot - (i == j)))))
-    return worst
-
-
 def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
                     h: float, init: Optional[Frame] = None) -> FrameTrajectory:
     """Solve the frame ODE over [s0, s1] with step ~h.
@@ -197,12 +186,12 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
     frames[0] = renormalize_element(SO3, (init or Frame.identity()).as_matrix().astype(float))
     _magnus_steps(algebra(kappa, tau), algebra(kappa_mid, tau_mid), hh, -1.0,
                   _exp_rotations, frames[1:])
-    max_step_defect = _gram_defect(frames[1:])
+    max_step_defect = gram_defect(frames[1:])
     _scan(frames, lambda earlier, later: later @ earlier)
     return FrameTrajectory(
         s=s, t=frames[:, 0], n=frames[:, 1], b=frames[:, 2],
         kappa=kappa, tau=tau, spec=spec, profile=p,
-        max_step_defect=max_step_defect, max_frame_defect=_gram_defect(frames))
+        max_step_defect=max_step_defect, max_frame_defect=gram_defect(frames))
 
 
 def _hermite_midpoints(field: np.ndarray, deriv: np.ndarray, h: float) -> np.ndarray:
@@ -226,13 +215,11 @@ def _integrate_group_positions(s: np.ndarray, field: np.ndarray,
         return out, 0.0
     out = np.empty((s.shape[0],) + g.shape)
     out[0] = renormalize_element(spec, g)
-    if spec.family == "s3":
-        _magnus_steps(field, field_mid, h, spec.lam, _exp_quaternions, out[1:])
-        _scan(out, quat_mul_rows)
-        return out, float(np.max(np.abs(np.linalg.norm(out, axis=1) - 1.0)))
-    _magnus_steps(field, field_mid, h, spec.lam, _exp_rotations, out[1:])
-    _scan(out, np.matmul)
-    return out, _gram_defect(np.swapaxes(out, 1, 2))
+    exp, mul = ((_exp_quaternions, quat_mul_rows) if spec.family == "s3"
+                else (_exp_rotations, np.matmul))
+    _magnus_steps(field, field_mid, h, spec.lam, exp, out[1:])
+    _scan(out, mul)
+    return out, element_defect(spec, out)
 
 
 def reconstruct_position(traj: FrameTrajectory, spec: GroupSpec,

@@ -67,11 +67,19 @@ class Frame:
 
 def frame_defect(frame: Frame) -> float:
     """Max deviation from orthonormality and right-handedness."""
-    m = frame.as_matrix()
-    gram = m @ m.T
-    d = float(np.max(np.abs(gram - np.eye(3))))
-    d = max(d, float(np.max(np.abs(np.cross(frame.t, frame.n) - frame.b))))
-    return d
+    return max(gram_defect(frame.as_matrix()),
+               float(np.max(np.abs(np.cross(frame.t, frame.n) - frame.b))))
+
+
+def gram_defect(m: np.ndarray) -> float:
+    """Largest |m m^T - I| entry of a 3x3 matrix, or over a stack of them,
+    one Gram entry at a time so that no (N, 3, 3) temporary is formed."""
+    worst = 0.0
+    for i in range(3):
+        for j in range(i, 3):
+            dot = np.einsum("...k,...k->...", m[..., i, :], m[..., j, :])
+            worst = max(worst, float(np.max(np.abs(dot - (i == j)))))
+    return worst
 
 
 # ---------------------------------------------------------------------------
@@ -95,6 +103,9 @@ def lie_group_torsion(frame: Frame, spec: GroupSpec) -> float:
 
 # ---------------------------------------------------------------------------
 # group elements
+#
+# vee, gram_defect, quat_mul_rows, element_defect and pull_back_tangent take
+# one element or a stack along leading axes; quat_mul is one-element only.
 
 def identity_element(spec: GroupSpec) -> np.ndarray:
     if spec.family == "r3":
@@ -110,7 +121,7 @@ def hat(v: np.ndarray) -> np.ndarray:
 
 
 def vee(m: np.ndarray) -> np.ndarray:
-    return np.array([m[2, 1], m[0, 2], m[1, 0]])
+    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
 
 
 def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -121,19 +132,16 @@ def quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Row-wise Hamilton product of two (N, 4) stacks, scalar-first."""
-    pw, px, py, pz = p[:, 0], p[:, 1], p[:, 2], p[:, 3]
-    qw, qx, qy, qz = q[:, 0], q[:, 1], q[:, 2], q[:, 3]
+    """Hamilton product, scalar-first, of two quaternions or row by row of
+    two stacks of the same shape."""
+    pw, px, py, pz = p[..., 0], p[..., 1], p[..., 2], p[..., 3]
+    qw, qx, qy, qz = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
     out = np.empty(p.shape)
-    out[:, 0] = pw * qw - (px * qx + py * qy + pz * qz)
-    out[:, 1] = pw * qx + qw * px + (py * qz - pz * qy)
-    out[:, 2] = pw * qy + qw * py + (pz * qx - px * qz)
-    out[:, 3] = pw * qz + qw * pz + (px * qy - py * qx)
+    out[..., 0] = pw * qw - (px * qx + py * qy + pz * qz)
+    out[..., 1] = pw * qx + qw * px + (py * qz - pz * qy)
+    out[..., 2] = pw * qy + qw * py + (pz * qx - px * qz)
+    out[..., 3] = pw * qz + qw * pz + (px * qy - py * qx)
     return out
-
-
-def quat_conj(q: np.ndarray) -> np.ndarray:
-    return np.concatenate(([q[0]], -q[1:]))
 
 
 def renormalize_element(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
@@ -151,12 +159,12 @@ def renormalize_element(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
 
 
 def element_defect(spec: GroupSpec, g: np.ndarray) -> float:
-    """Distance from the group manifold (0 for r3)."""
+    """Largest distance from the group manifold (0 for r3)."""
     if spec.family == "r3":
         return 0.0
     if spec.family == "s3":
-        return abs(float(np.linalg.norm(g)) - 1.0)
-    return float(np.max(np.abs(g.T @ g - np.eye(3))))
+        return float(np.max(np.abs(np.linalg.norm(g, axis=-1) - 1.0)))
+    return gram_defect(np.swapaxes(g, -1, -2))
 
 
 def left_translate_tangent(g: np.ndarray, v: np.ndarray, spec: GroupSpec) -> np.ndarray:
@@ -169,13 +177,14 @@ def left_translate_tangent(g: np.ndarray, v: np.ndarray, spec: GroupSpec) -> np.
 
 
 def pull_back_tangent(g: np.ndarray, dg: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    """Invert left translation: ambient derivative dg at g -> algebra components."""
+    """Invert left translation: ambient derivative dg at g -> algebra
+    components (skew part of g^T dg, vector part of conj(g) dg)."""
     if spec.family == "r3":
         return np.asarray(dg, dtype=float)
     if spec.family == "s3":
-        return quat_mul(quat_conj(g), dg)[1:]
-    a = g.T @ dg
-    return vee(0.5 * (a - a.T))
+        return quat_mul_rows(g * np.array([1.0, -1.0, -1.0, -1.0]), dg)[..., 1:]
+    a = np.einsum("...ja,...jb->...ab", g, dg)
+    return vee(0.5 * (a - np.swapaxes(a, -1, -2)))
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ from curvemates.analysis import (DegenerateFitError, EstimationError,
                                  verify_cor_5_2, verify_cor_6_1, verify_cor_6_2,
                                  verify_mate_geometry, verify_thm_4_1,
                                  verify_thm_5_1, verify_thm_5_2, verify_thm_6_2)
+from curvemates import expressions
 from curvemates.expressions import DomainError
 from curvemates.integrate import (PositionCurve, integrate_direction_curve,
                                   integrate_frame, reconstruct_position)
@@ -285,6 +286,24 @@ def test_thm_4_1(profiles):
 
     rep = verify_thm_4_1(profiles["spherical"], R3)   # kappa not constant
     assert not rep.applicable and rep.ok
+
+
+def test_thm_4_1_evaluates_the_mate_torsion_once(monkeypatch):
+    # the spherical criterion and its converse read the same samples of the
+    # natural mate on the check grid
+    p = prof("3", "2*s", (-3, 3))
+    mate_tau = natural_mate_apparatus(p, SO3).profile.tau_expr
+    evaluate = expressions.evaluate
+    calls = []
+
+    def counting(e, s):
+        calls.append(e is mate_tau)
+        return evaluate(e, s)
+
+    monkeypatch.setattr(expressions, "evaluate", counting)
+    rep = verify_thm_4_1(p, SO3)
+    assert rep.passed
+    assert sum(calls) == 1
 
 
 def test_thm_5_1(profiles):

@@ -4,7 +4,7 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm
 
 from curvemates.analysis import estimate_apparatus
-from curvemates.integrate import (FrameTrajectory, _hermite_midpoints,
+from curvemates.integrate import (FrameTrajectory, PositionCurve, _hermite_midpoints,
                                   _integrate_group_positions,
                                   integrate_direction_curve, integrate_frame,
                                   reconstruct_position)
@@ -176,6 +176,22 @@ def test_double_cover_maps_s3_path_onto_so3_path():
     rots, _ = _integrate_group_positions(traj.s, 2 * v, 2 * v_mid, SO3,
                                          rotation_of(q0[None])[0])
     assert np.max(np.abs(rotation_of(quats) - rots)) <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["slant_helix", "salkowski", "rectifying"])
+def test_double_cover_halves_the_estimated_apparatus(name, profiles):
+    # under q -> R(q) the S3 curve of (kappa, tau) runs at speed 2 in SO(3);
+    # on the grid s -> 2s it is the unit-speed curve of (kappa/2, tau/2),
+    # and the group torsion of SO(3) is 1/2.  The estimator reads only the
+    # rotation matrices, so it shares no formula with the quaternion path
+    p = profiles[name]
+    traj = reconstruct_position(integrate_frame(p, S3, p.s_min, p.s_max, 1e-3), S3)
+    rots = PositionCurve(s=2 * traj.s, positions=rotation_of(traj.positions), spec=SO3)
+    est = estimate_apparatus(rots, SO3)
+    v = est.valid
+    assert np.max(np.abs(est.kappa[v] - traj.kappa[v] / 2)) <= 1e-6
+    assert np.max(np.abs(est.tau[v] - traj.tau[v] / 2)) <= 1e-6
+    assert np.max(np.abs(est.tau_g[v] - 0.5)) <= 1e-12
 
 
 def test_natural_mate_of_circle_is_circle():
