@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Run a fixed corpus of CLI commands and record what each one did, for
+comparison between two versions of the code.
+
+    PYTHONPATH=src python3 scripts/cli_corpus.py OUT
+
+Every command runs in this process through ``cli.main`` at --step 1e-2, on
+the demo profiles and on the edge profiles of ``parity_dump`` (tau shifted
+by tau_G there), each in r3, so3 and s3:
+
+- ``synthesize`` with --out;
+- ``classify`` with --out, at the default tolerances and with the estimated
+  preset passed as --tol-* flags;
+- ``verify`` of all 13 theorem ids with --out;
+- ``mate --mode analytic`` of each kind, to stdout;
+- ``mate --mode both`` of each kind, with --out.
+
+Each command with an empty --out "" follows, once per command on the slant
+helix in r3.  OUT holds one JSON line per command: its arguments, exit code,
+stdout, stderr and the text of its --out file (null when none was written).
+An exception that escapes ``cli.main`` is recorded as its type name and
+message, so no traceback line number enters the file.  The --out path is
+recorded as OUTDIR wherever it is printed.  Two versions of the code give
+byte-identical files (compare with ``cmp``) exactly when these commands
+behave the same.
+"""
+
+import contextlib
+import dataclasses
+import io
+import json
+import os
+import sys
+import tempfile
+
+from curvemates import cli
+from curvemates.analysis import ToleranceSet
+from curvemates.catalog import PROFILES
+
+from parity_dump import EDGE_PROFILES, GROUPS, TAU_G
+
+ESTIMATED = [arg for name, value in dataclasses.asdict(ToleranceSet.estimated()).items()
+             for arg in (f"--tol-{name.replace('_', '-')}", repr(value))]
+
+
+def cases():
+    """(group, kappa, tau, domain) of every input profile."""
+    for entry in PROFILES.values():
+        for g in GROUPS:
+            yield g, entry.kappa, entry.tau, entry.domain
+    for kappa, m, domain in EDGE_PROFILES.values():
+        for g in GROUPS:
+            yield g, kappa, f"{TAU_G[g]!r}+({m})", domain
+
+
+def commands(out):
+    """Argument lists of every command; ``out`` is the --out path."""
+    for g, kappa, tau, (a, b) in cases():
+        profile = ["--group", g, "--kappa", kappa, "--tau", tau,
+                   f"--domain={a!r}:{b!r}", "--step", "1e-2"]
+        yield ["synthesize"] + profile + ["--out", out]
+        yield ["classify"] + profile + ["--out", out]
+        yield ["classify"] + profile + ESTIMATED + ["--out", out]
+        yield (["verify", "--theorems", ",".join(cli.THEOREMS)] + profile
+               + ["--out", out])
+        for kind in ("natural", "conjugate"):
+            yield ["mate", "--kind", kind, "--mode", "analytic"] + profile
+            yield ["mate", "--kind", kind, "--mode", "both"] + profile + ["--out", out]
+    slant = PROFILES["slant_helix"]
+    profile = ["--group", "r3", "--kappa", slant.kappa, "--tau", slant.tau,
+               f"--domain={slant.domain[0]!r}:{slant.domain[1]!r}", "--step", "1e-2"]
+    for command in (["synthesize"], ["classify"], ["verify", "--theorems", "thm4_1"],
+                    ["mate", "--mode", "both"]):
+        yield command + profile + ["--out", ""]
+
+
+def run(argv, out):
+    """One command's record; ``out`` is removed before and after it runs."""
+    if os.path.exists(out):
+        os.remove(out)
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main(argv)
+        except SystemExit as e:          # argparse rejecting the arguments
+            code = e.code
+        except Exception as e:           # recorded as type and message
+            code = f"{type(e).__name__}: {e}"
+    written = None
+    if os.path.exists(out):
+        with open(out, encoding="utf-8", newline="") as fh:
+            written = fh.read()
+        os.remove(out)
+    outdir = os.path.dirname(out)
+    return {"argv": [a.replace(outdir, "OUTDIR") for a in argv], "code": code,
+            "stdout": stdout.getvalue().replace(outdir, "OUTDIR"),
+            "stderr": stderr.getvalue().replace(outdir, "OUTDIR"), "out": written}
+
+
+def main(path: str) -> None:
+    with tempfile.TemporaryDirectory() as tmp, open(path, "w", encoding="utf-8") as fh:
+        out = os.path.join(tmp, "out")
+        for argv in commands(out):
+            fh.write(json.dumps(run(argv, out)) + "\n")
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        sys.exit("usage: cli_corpus.py OUT")
+    main(sys.argv[1])

@@ -10,9 +10,9 @@ the Magnus step is exact and the errors are round-off.
 
 import numpy as np
 
-from curvemates.analysis import synthesize_estimated_profile
+from curvemates.analysis import estimate_apparatus
 from curvemates.catalog import PROFILES
-from curvemates.integrate import integrate_frame
+from curvemates.integrate import integrate_frame, reconstruct_position
 from curvemates.liegroup import R3
 from curvemates.profiles import CurvatureProfile
 
@@ -38,10 +38,11 @@ def estimator_orders():
     print("end-to-end estimator error (slant helix demo profile):")
     prev = None
     for h in (0.04, 0.02, 0.01, 0.005, 0.0025):
-        prof_est, _ = synthesize_estimated_profile(p, R3, h)
-        sg = prof_est.s_grid
-        ke = np.max(np.abs(prof_est.kappa_samples - np.asarray(p.kappa_at(sg))))
-        te = np.max(np.abs(prof_est.tau_samples - np.asarray(p.tau_at(sg))))
+        traj = integrate_frame(p, R3, p.s_min, p.s_max, h)
+        est = estimate_apparatus(reconstruct_position(traj, R3), R3)
+        v = est.valid
+        ke = np.max(np.abs(est.kappa[v] - np.asarray(p.kappa_at(est.s[v]))))
+        te = np.max(np.abs(est.tau[v] - np.asarray(p.tau_at(est.s[v]))))
         note = ""
         if prev is not None:
             note = f"  ratios {prev[0] / ke:6.2f} {prev[1] / te:6.2f}"

@@ -13,11 +13,9 @@ The public names below are imported from their modules on first use, so
 import importlib
 
 _EXPORTS = {
-    "analysis": ("EstimatedApparatus", "ToleranceSet", "estimate_apparatus",
-                 "synthesize_estimated_profile"),
-    "checks": ("ClassificationReport", "SphereFit", "SphericalReport",
-               "VerificationReport", "classify", "left_shift_sphere_fit",
-               "spherical_check", "verify_cor_3_1", "verify_cor_3_2",
+    "analysis": ("EstimatedApparatus", "ToleranceSet", "estimate_apparatus"),
+    "checks": ("ClassificationReport", "SphericalReport", "VerificationReport",
+               "classify", "spherical_check", "verify_cor_3_1", "verify_cor_3_2",
                "verify_cor_3_3", "verify_cor_3_4", "verify_cor_5_2",
                "verify_cor_6_1", "verify_cor_6_2", "verify_mate_geometry",
                "verify_thm_4_1", "verify_thm_5_1", "verify_thm_5_2",
@@ -27,9 +25,7 @@ _EXPORTS = {
     "integrate": ("FrameTrajectory", "PositionCurve", "integrate_direction_curve",
                   "integrate_frame", "reconstruct_position"),
     "liegroup": ("R3", "S3", "SO3", "Frame", "GroupSpec", "bracket",
-                 "covariant_derivative", "frame_defect", "group_spec",
-                 "left_shift", "left_translate_tangent", "lie_group_torsion",
-                 "pull_back_tangent"),
+                 "group_spec", "pull_back_tangent"),
     "mates": ("MateApparatus", "NotAFrenetMate", "Segment",
               "conjugate_mate_apparatus", "constant_curvature_inverse",
               "natural_mate_apparatus"),

@@ -21,18 +21,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .liegroup import GroupSpec, is_uniform_grid, pull_back_tangent
+from .liegroup import GroupSpec, bracket, is_uniform_grid, pull_back_tangent
 from .mates import ZERO_TOL
-from .profiles import CurvatureProfile
 
 DEFAULT_WINDOW = 11
 
 
 class EstimationError(ValueError):
-    pass
-
-
-class DegenerateFitError(ValueError):
     pass
 
 
@@ -164,24 +159,12 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     bhat = np.cross(that, nhat)
     bhat = bhat / np.linalg.norm(bhat, axis=1, keepdims=True)
     nprime = sg_derivative(nhat, h, window)
-    tn_bracket = spec.lam * np.cross(that, nhat)
+    tn_bracket = bracket(that, nhat, spec)
     tau_g = 0.5 * np.sum(tn_bracket * bhat, axis=1)
     tau = np.sum((nprime + 0.5 * tn_bracket) * bhat, axis=1)
     return EstimatedApparatus(s=s, kappa=kappa, tau=tau, tau_g=tau_g,
                               t=that, n=nhat, b=bhat, valid=valid,
                               spec=spec, window=window)
-
-
-def synthesize_estimated_profile(p: CurvatureProfile, spec: GroupSpec, h: float
-                                 ) -> tuple[CurvatureProfile, EstimatedApparatus]:
-    """Integrate the profile, reconstruct positions, estimate the apparatus,
-    and package the valid interior as a sampled profile."""
-    from .integrate import integrate_frame, reconstruct_position
-    traj = integrate_frame(p, spec, p.s_min, p.s_max, h)
-    est = estimate_apparatus(reconstruct_position(traj, spec), spec)
-    idx = np.nonzero(est.valid)[0]
-    prof = CurvatureProfile.from_samples(est.s[idx], est.kappa[idx], est.tau[idx])
-    return prof, est
 
 
 def __getattr__(name: str):

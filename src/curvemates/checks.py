@@ -1,5 +1,5 @@
-"""Classification and verification: the spherical criterion, the sphere
-fit, ``classify`` and the theorem verifiers.
+"""Classification and verification: the spherical criterion, ``classify``
+and the theorem verifiers.
 
 The profile checks read exactly evaluated curvature data
 (``ProfileSamples``); ``verify_mate_geometry`` reads the apparatus that
@@ -16,7 +16,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from .analysis import DegenerateFitError, ToleranceSet, estimate_apparatus, rel_spread
+from .analysis import ToleranceSet, estimate_apparatus, rel_spread
 from .liegroup import GroupSpec, runs
 from .mates import (Segment, conjugate_mate_apparatus, constant_curvature_inverse,
                     natural_mate_apparatus, sign_segments)
@@ -184,38 +184,6 @@ def _integrated_closure(u: np.ndarray, hvals: np.ndarray, h: float) -> Optional[
         val = float(np.max(np.abs(drift)) / length)
         worst = val if worst is None else max(worst, val)
     return worst
-
-
-# ---------------------------------------------------------------------------
-# sphere fit of a sampled algebra curve
-
-@dataclass
-class SphereFit:
-    center: np.ndarray
-    radius: float
-    rms: float
-
-
-def left_shift_sphere_fit(alpha: np.ndarray) -> SphereFit:
-    """Algebraic least-squares sphere through sampled algebra points.
-
-    Solves 2 p.c + (r^2 - |c|^2) = |p|^2 linearly; the fitted center is
-    reported rather than assumed central."""
-    pts = np.asarray(alpha, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
-        raise DegenerateFitError("need at least 4 three-dimensional samples")
-    a = np.concatenate([2.0 * pts, np.ones((pts.shape[0], 1))], axis=1)
-    b = np.sum(pts * pts, axis=1)
-    sol, _, rank, _ = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 4:
-        raise DegenerateFitError("degenerate sample geometry (rank < 4)")
-    center = sol[:3]
-    r2 = sol[3] + center @ center
-    if r2 <= 0:
-        raise DegenerateFitError("negative squared radius")
-    radius = math.sqrt(r2)
-    rms = float(np.sqrt(np.mean((np.linalg.norm(pts - center, axis=1) - radius) ** 2)))
-    return SphereFit(center, radius, rms)
 
 
 # ---------------------------------------------------------------------------

@@ -125,8 +125,9 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key, value in (("kappa", kappa), ("tau", tau)):
         if not isinstance(value, (str, int, float)):
             raise ConfigError(f"{key} must be an expression or a number, got {value!r}")
-    # open() would take a number as a file descriptor
-    if out is not None and not isinstance(out, str):
+    # open() would take a number as a file descriptor; an empty path names
+    # no file, for every command alike
+    if out is not None and not (isinstance(out, str) and out):
         raise ConfigError(f"out must be a file path, got {out!r}")
     if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
         raise ConfigError(f"domain must be [a, b], got {domain!r}")
@@ -427,6 +428,7 @@ def cmd_verify(config: RunConfig) -> int:
     spec = config.spec()
     p = config.profile()
     results = []
+    reports = []
     traces = []
     curves = None
     for theorem in config.theorems:
@@ -445,9 +447,10 @@ def cmd_verify(config: RunConfig) -> int:
         if report.hypothesis_note:
             entry["note"] = report.hypothesis_note
         results.append(entry)
+        reports.append(report)
         if report.trace is not None:
             traces.append((theorem, report.trace))
-    all_ok = all(r["pass"] or not r["applicable"] for r in results)
+    all_ok = all(report.ok for report in reports)
     payload = {
         "schema_version": SCHEMA_VERSION,
         "group": config.group,

@@ -65,12 +65,6 @@ class Frame:
         return np.vstack([self.t, self.n, self.b])
 
 
-def frame_defect(frame: Frame) -> float:
-    """Max deviation from orthonormality and right-handedness."""
-    return max(gram_defect(frame.as_matrix()),
-               float(np.max(np.abs(np.cross(frame.t, frame.n) - frame.b))))
-
-
 def gram_defect(m: np.ndarray) -> float:
     """Largest |m m^T - I| entry of a 3x3 matrix, or over a stack of them,
     one Gram entry at a time so that no (N, 3, 3) temporary is formed."""
@@ -90,17 +84,6 @@ def bracket(u: np.ndarray, v: np.ndarray, spec: GroupSpec) -> np.ndarray:
     return spec.lam * np.cross(u, v)
 
 
-def covariant_derivative(u: np.ndarray, u_prime: np.ndarray, t: np.ndarray,
-                         spec: GroupSpec) -> np.ndarray:
-    """Covariant derivative along a curve with tangent t: u' + (1/2)[t, u]."""
-    return np.asarray(u_prime) + 0.5 * bracket(t, u, spec)
-
-
-def lie_group_torsion(frame: Frame, spec: GroupSpec) -> float:
-    """(1/2)<[t, n], b>; equals lam/2 for any right-handed orthonormal frame."""
-    return 0.5 * float(np.dot(bracket(frame.t, frame.n, spec), frame.b))
-
-
 # ---------------------------------------------------------------------------
 # group elements
 #
@@ -113,11 +96,6 @@ def identity_element(spec: GroupSpec) -> np.ndarray:
     if spec.family == "so3":
         return np.eye(3)
     return np.array([1.0, 0.0, 0.0, 0.0])
-
-
-def hat(v: np.ndarray) -> np.ndarray:
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
 
 
 def vee(m: np.ndarray) -> np.ndarray:
@@ -167,15 +145,6 @@ def element_defect(spec: GroupSpec, g: np.ndarray) -> float:
     return gram_defect(np.swapaxes(g, -1, -2))
 
 
-def left_translate_tangent(g: np.ndarray, v: np.ndarray, spec: GroupSpec) -> np.ndarray:
-    """Push algebra components v to the ambient tangent space at g."""
-    if spec.family == "r3":
-        return np.asarray(v, dtype=float)
-    if spec.family == "s3":
-        return quat_mul(g, np.concatenate(([0.0], v)))
-    return g @ hat(v)
-
-
 def pull_back_tangent(g: np.ndarray, dg: np.ndarray, spec: GroupSpec) -> np.ndarray:
     """Invert left translation: ambient derivative dg at g -> algebra
     components (skew part of g^T dg, vector part of conj(g) dg)."""
@@ -188,7 +157,7 @@ def pull_back_tangent(g: np.ndarray, dg: np.ndarray, spec: GroupSpec) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# left shift
+# uniform grids
 
 def cumulative_quadrature(values: np.ndarray, h: float) -> np.ndarray:
     """Cumulative integral on a uniform grid, O(h^4) at every grid point.
@@ -218,23 +187,6 @@ def cumulative_quadrature(values: np.ndarray, h: float) -> np.ndarray:
         out[n - 1] = out[n - 2] + (h / 24.0) * (
             f[n - 4] - 5.0 * f[n - 3] + 19.0 * f[n - 2] + 9.0 * f[n - 1])
     return out
-
-
-def left_shift(s: np.ndarray, tangents: np.ndarray, alpha0: np.ndarray) -> np.ndarray:
-    """Sampled algebra-valued curve alpha(s) = alpha0 + integral of the
-    left-invariant tangent components.
-
-    ``s`` must be a uniform grid; ``tangents`` holds t(s) rows.  By
-    construction alpha'(s) equals the left-translated tangent of the curve
-    the components came from.
-    """
-    s = np.asarray(s, dtype=float)
-    t = np.asarray(tangents, dtype=float)
-    if s.shape[0] < 3:
-        raise ValueError("left shift needs at least 3 samples")
-    if not is_uniform_grid(s):
-        raise ValueError("left shift requires a uniform s-grid")
-    return np.asarray(alpha0, dtype=float) + cumulative_quadrature(t, float(s[1] - s[0]))
 
 
 def is_uniform_grid(s: np.ndarray) -> bool:

@@ -45,14 +45,10 @@ class Segment:
     s_max: float
     sign: int
 
-    def contains(self, s) -> np.ndarray:
-        s = np.asarray(s)
-        return (s >= self.s_min) & (s <= self.s_max)
-
 
 @dataclass(frozen=True)
 class MateApparatus:
-    """Curvature/torsion/frames of a natural or conjugate mate."""
+    """Curvature, torsion and validity segments of a natural or conjugate mate."""
 
     kind: str                     # "natural" | "conjugate"
     profile: CurvatureProfile     # the mate's own (kappa, tau)
@@ -66,34 +62,6 @@ class MateApparatus:
 
     def tau_at(self, s):
         return self.profile.tau_at(s)
-
-    def sign_at(self, s):
-        """Per-segment sign of tau - tau_G (NaN outside every segment)."""
-        s = np.asarray(s, dtype=float)
-        out = np.full(s.shape, np.nan)
-        for seg in self.segments:
-            out = np.where(seg.contains(s), float(seg.sign), out)
-        return out if s.ndim else float(out)
-
-    def frames_at(self, s):
-        """Mate frame rows (T, N, B) in parent-frame coordinates, shape (n, 3) each."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        if self.kind == "natural":
-            ps = ProfileSamples(self.parent, self.spec, s)
-            k, m, w = ps.kappa, ps.m, ps.omega
-            zero = np.zeros_like(k)
-            one = np.ones_like(k)
-            t = np.stack([zero, one, zero], axis=1)
-            n = np.stack([-k / w, zero, m / w], axis=1)
-            b = np.stack([m / w, zero, k / w], axis=1)
-            return t, n, b
-        sign = np.atleast_1d(self.sign_at(s))
-        zero = np.zeros_like(sign)
-        one = np.ones_like(sign)
-        t = np.stack([zero, zero, one], axis=1)
-        n = np.stack([zero, -sign, zero], axis=1)
-        b = np.stack([sign, zero, zero], axis=1)
-        return t, n, b
 
 
 def sign_segments(s: np.ndarray, m: np.ndarray, zero_tol: float) -> tuple[Segment, ...]:

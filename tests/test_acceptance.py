@@ -6,8 +6,8 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the lines.
 import numpy as np
 
 from curvemates.analysis import (ToleranceSet, estimate_apparatus,
-                                 spherical_check, synthesize_estimated_profile,
-                                 verify_cor_3_1, verify_cor_3_2, verify_cor_6_1,
+                                 spherical_check, verify_cor_3_1,
+                                 verify_cor_3_2, verify_cor_6_1,
                                  verify_cor_6_2, verify_mate_geometry,
                                  verify_thm_4_1, verify_thm_5_2, verify_thm_6_2)
 from curvemates.expressions import differentiate, evaluate, parse
@@ -21,6 +21,7 @@ from conftest import (GENERAL_HELIX_BATTERY, MATE_REFERENCE,
                       NON_GENERAL_HELIX_BATTERY, NON_SLANT_BATTERY,
                       SLANT_BATTERY)
 from curvemates.catalog import PROFILES
+from oracles import estimated_profile
 
 
 def report(num, desc, ok, detail=""):
@@ -77,7 +78,7 @@ def test_criterion_3_end_to_end_oracle():
     for entry in PROFILES.values():
         p = entry.profile()
         for h in tolerances:
-            prof_est, _ = synthesize_estimated_profile(p, R3, h)
+            prof_est, _ = estimated_profile(p, R3, h)
             sg = prof_est.s_grid
             worst[h] = max(
                 worst[h],
@@ -112,18 +113,15 @@ def test_criterion_4_spherical_mate_theorems():
                    and abs(rep.details["radius"] - 1 / np.sqrt(2)) <= 1e-8,
                    rep.max_residual))
 
-    parent, _ = synthesize_estimated_profile(PROFILES["salkowski"].profile(),
-                                             R3, 1e-3)
+    parent, _ = estimated_profile(PROFILES["salkowski"].profile(), R3, 1e-3)
     rep = verify_thm_4_1(parent, R3, estimated)
     checks.append(("thm4_1 estimated", rep.passed and rep.max_residual <= 1e-3,
                    rep.max_residual))
-    parent, _ = synthesize_estimated_profile(PROFILES["spherical"].profile(),
-                                             R3, 1e-3)
+    parent, _ = estimated_profile(PROFILES["spherical"].profile(), R3, 1e-3)
     rep = verify_thm_5_2(parent, R3, estimated)
     checks.append(("thm5_2 estimated", rep.passed and rep.max_residual <= 1e-3,
                    rep.max_residual))
-    parent, _ = synthesize_estimated_profile(PROFILES["anti_salkowski"].profile(),
-                                             R3, 1e-3)
+    parent, _ = estimated_profile(PROFILES["anti_salkowski"].profile(), R3, 1e-3)
     rep = verify_thm_6_2(parent, R3, estimated)
     checks.append(("thm6_2 estimated", rep.passed and rep.max_residual <= 1e-3,
                    rep.max_residual))
@@ -159,7 +157,7 @@ def test_criterion_6_group_torsion_estimates():
     devs = {}
     for spec, tau in ((R3, "1"), (SO3, "1.5"), (S3, "2")):
         p = CurvatureProfile.from_expressions("2", tau, (0.0, 2.0))
-        _, est = synthesize_estimated_profile(p, spec, 1e-3)
+        _, est = estimated_profile(p, spec, 1e-3)
         devs[spec.family] = float(np.max(np.abs(est.tau_g[est.valid]
                                                 - spec.tau_g)))
     ok = all(d <= 1e-6 for d in devs.values())

@@ -2,25 +2,25 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from curvemates.analysis import (DegenerateFitError, EstimationError,
-                                 ToleranceSet, classify, estimate_apparatus,
-                                 left_shift_sphere_fit, rel_spread,
-                                 sg_derivative, spherical_check,
-                                 synthesize_estimated_profile, verify_cor_3_1,
+from curvemates.analysis import (EstimationError, ToleranceSet, classify,
+                                 estimate_apparatus, rel_spread,
+                                 sg_derivative, spherical_check, verify_cor_3_1,
                                  verify_cor_3_2, verify_cor_3_3, verify_cor_3_4,
                                  verify_cor_5_2, verify_cor_6_1, verify_cor_6_2,
                                  verify_mate_geometry, verify_thm_4_1,
                                  verify_thm_5_1, verify_thm_5_2, verify_thm_6_2)
 from curvemates import expressions
+from curvemates.catalog import PROFILES
 from curvemates.expressions import DomainError
 from curvemates.integrate import (PositionCurve, integrate_direction_curve,
                                   integrate_frame, reconstruct_position)
-from curvemates.liegroup import R3, S3, SO3, hat, left_shift, quat_mul_rows
+from curvemates.liegroup import R3, S3, SO3, quat_mul_rows
 from curvemates.mates import natural_mate_apparatus
 from curvemates.profiles import CurvatureProfile
 
 from conftest import (GENERAL_HELIX_BATTERY, NON_GENERAL_HELIX_BATTERY,
                       NON_SLANT_BATTERY, SLANT_BATTERY)
+from oracles import estimated_profile, hat, left_shift, sphere_fit
 
 
 def prof(kappa, tau, domain):
@@ -42,7 +42,7 @@ def test_estimate_unit_speed_circle_radius_two():
 
 def test_estimate_synthesized_spherical_profile(profiles):
     p = profiles["spherical"]
-    prof_est, est = synthesize_estimated_profile(p, R3, 1e-3)
+    prof_est, est = estimated_profile(p, R3, 1e-3)
     sg = prof_est.s_grid
     assert np.max(np.abs(prof_est.kappa_samples - np.asarray(p.kappa_at(sg)))) <= 1e-4
     assert np.max(np.abs(prof_est.tau_samples - np.asarray(p.tau_at(sg)))) <= 1e-4
@@ -51,7 +51,7 @@ def test_estimate_synthesized_spherical_profile(profiles):
 def test_estimated_group_torsion_s3_flat_case():
     # kappa = 1, tau = 1 = tau_G on S3
     p = prof("1", "1", (0.0, 3.0))
-    _, est = synthesize_estimated_profile(p, S3, 1e-3)
+    _, est = estimated_profile(p, S3, 1e-3)
     assert np.max(np.abs(est.tau_g[est.valid] - 1.0)) <= 1e-6
 
 
@@ -59,7 +59,7 @@ def test_estimated_group_torsion_all_groups():
     # same kappa and tau - tau_G in each group
     for spec, tau in ((R3, "1"), (SO3, "1.5"), (S3, "2")):
         p = prof("2", tau, (0.0, 2.0))
-        _, est = synthesize_estimated_profile(p, spec, 1e-3)
+        _, est = estimated_profile(p, spec, 1e-3)
         assert np.max(np.abs(est.tau_g[est.valid] - spec.tau_g)) <= 1e-6
 
 
@@ -110,8 +110,6 @@ def test_one_uniform_grid_check_for_samples_shift_and_estimator():
         estimate_apparatus(PositionCurve(s=s, positions=pos, spec=R3), R3)
     with pytest.raises(ValueError, match="uniform"):
         CurvatureProfile.from_samples(s, 1 + 0 * s, 0 * s)
-    with pytest.raises(ValueError, match="uniform"):
-        left_shift(s, pos, np.zeros(3))
 
 
 def test_sg_derivative_window5_is_classic_stencil():
@@ -130,7 +128,7 @@ def test_estimator_order_at_coarse_steps(profiles):
     p = profiles["slant_helix"]
     errs = {}
     for h in (0.02, 0.01):
-        prof_est, _ = synthesize_estimated_profile(p, R3, h)
+        prof_est, _ = estimated_profile(p, R3, h)
         sg = prof_est.s_grid
         errs[h] = (np.max(np.abs(prof_est.kappa_samples - np.asarray(p.kappa_at(sg)))),
                    np.max(np.abs(prof_est.tau_samples - np.asarray(p.tau_at(sg)))))
@@ -185,28 +183,33 @@ def test_sphere_fit_exact_samples():
     rng = np.random.default_rng(8)
     pts = rng.normal(size=(200, 3))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    fit = left_shift_sphere_fit(pts)
-    np.testing.assert_allclose(fit.center, 0.0, atol=1e-12)
-    assert fit.radius == pytest.approx(1.0, abs=1e-12)
-    assert fit.rms <= 1e-12
+    center, radius, rms = sphere_fit(pts)
+    np.testing.assert_allclose(center, 0.0, atol=1e-12)
+    assert radius == pytest.approx(1.0, abs=1e-12)
+    assert rms <= 1e-12
 
 
-def test_sphere_fit_of_spherical_left_shift(profiles):
-    p = profiles["spherical"]
-    traj = reconstruct_position(integrate_frame(p, R3, 0, np.pi, 1e-3), R3)
-    alpha = left_shift(traj.s, traj.t, traj.positions[0])
-    fit = left_shift_sphere_fit(alpha)
-    assert abs(fit.radius - np.sqrt(2)) <= 1e-4
-    # curvature criterion and geometric fit agree on the radius
-    rep = spherical_check(p, R3)
-    assert abs(fit.radius - rep.radius) <= 1e-3
-
-
-def test_sphere_fit_degenerate_collinear():
-    s = np.linspace(0, 1, 50)
-    pts = np.stack([s, 2 * s, -s], axis=1)
-    with pytest.raises(DegenerateFitError):
-        left_shift_sphere_fit(pts)
+def test_sphere_fit_of_spherical_left_shift():
+    # the left shift of a spherical curve lies on a sphere in the algebra:
+    # a geometric fit of the integrated tangents shares no formula with the
+    # closure criterion, yet must reproduce classify's radius.  Cases: the
+    # spherical demo profile and the natural mates of the Salkowski and
+    # anti-Salkowski profiles (thm4_1, thm6_2), tau shifted by tau_G
+    for spec in (R3, SO3, S3):
+        for name, mate in (("spherical", False), ("salkowski", True),
+                           ("anti_salkowski", True)):
+            entry = PROFILES[name]
+            p = prof(entry.kappa, f"{spec.tau_g!r}+({entry.tau})", entry.domain)
+            if mate:
+                p = natural_mate_apparatus(p, spec).profile
+            traj = integrate_frame(p, spec, p.s_min, p.s_max, 1e-3)
+            _, radius, rms = sphere_fit(left_shift(traj.s, traj.t, np.zeros(3)))
+            rep = classify(p, spec).spherical
+            assert rep.is_spherical, (name, spec.family)
+            assert abs(radius - rep.radius) <= 1e-9, (name, spec.family)
+            assert rms <= 1e-9, (name, spec.family)
+            if name == "spherical":
+                assert abs(radius - np.sqrt(2)) <= 1e-4
 
 
 # ---------------------------------------------------------------------------
@@ -350,15 +353,15 @@ def test_thm_6_2(profiles):
 
 def test_estimated_paths_for_spherical_theorems(profiles):
     tol = ToleranceSet.estimated()
-    parent, _ = synthesize_estimated_profile(profiles["salkowski"], R3, 1e-3)
+    parent, _ = estimated_profile(profiles["salkowski"], R3, 1e-3)
     rep = verify_thm_4_1(parent, R3, tol)
     assert rep.passed and rep.max_residual <= 1e-3
 
-    parent, _ = synthesize_estimated_profile(profiles["spherical"], R3, 1e-3)
+    parent, _ = estimated_profile(profiles["spherical"], R3, 1e-3)
     rep = verify_thm_5_2(parent, R3, tol)
     assert rep.passed and rep.max_residual <= 1e-3
 
-    parent, _ = synthesize_estimated_profile(profiles["anti_salkowski"], R3, 1e-3)
+    parent, _ = estimated_profile(profiles["anti_salkowski"], R3, 1e-3)
     rep = verify_thm_6_2(parent, R3, tol)
     assert rep.passed and rep.max_residual <= 1e-3
 

@@ -519,6 +519,24 @@ def test_malformed_config_exits_2(flags, config, key, tmp_path, capsys):
     assert err.startswith("error: ") and key in err
 
 
+@pytest.mark.parametrize("command", [["synthesize"], ["mate"], ["classify"],
+                                     ["verify", "--theorems", "thm6_2"]])
+@pytest.mark.parametrize("from_config", [False, True], ids=["flag", "config"])
+def test_empty_out_exits_2(command, from_config, tmp_path, capsys):
+    # one rule for every command: an empty path is rejected before any run
+    args = ["--group", "r3", "--kappa", "3*cos(s)", "--tau", "sqrt(2)",
+            "--domain=-1.5:1.5", "--step", "1e-2"]
+    if from_config:
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text('{"out": ""}', encoding="utf-8")
+        args += ["--config", str(cfg_path)]
+    else:
+        args += ["--out", ""]
+    code, stdout, err = run_cli(command + args, capsys)
+    assert (code, stdout) == (2, "")
+    assert err == "error: out must be a file path, got ''\n"
+
+
 @pytest.mark.parametrize("kappa", ["2*\u00b2", "2+\u0663"])
 def test_non_ascii_digit_exits_2(kappa, capsys):
     code, out, err = run_cli(["synthesize", "--group", "r3", "--kappa", kappa,

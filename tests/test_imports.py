@@ -66,7 +66,7 @@ def test_dunder_lookups_leave_checks_unloaded():
 
 
 def test_analysis_alone_leaves_the_integrator_unloaded():
-    # the analytic checks never integrate; only synthesize_estimated_profile does
+    # the estimator and the analytic checks read samples; they never integrate
     code = "import sys, curvemates.analysis; print('curvemates.integrate' in sys.modules)"
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True,
                         text=True, check=True)
@@ -81,13 +81,11 @@ def test_importing_the_package_loads_no_submodule():
     assert cp.stdout.strip() == "['curvemates']"
 
 
-# every name the package exported when it imported its modules eagerly
+# every public name of the package, by its home module
 EXPORTS = {
-    "analysis": ["EstimatedApparatus", "ToleranceSet", "estimate_apparatus",
-                 "synthesize_estimated_profile"],
-    "checks": ["ClassificationReport", "SphereFit", "SphericalReport",
-               "VerificationReport", "classify", "left_shift_sphere_fit",
-               "spherical_check", "verify_cor_3_1", "verify_cor_3_2",
+    "analysis": ["EstimatedApparatus", "ToleranceSet", "estimate_apparatus"],
+    "checks": ["ClassificationReport", "SphericalReport", "VerificationReport",
+               "classify", "spherical_check", "verify_cor_3_1", "verify_cor_3_2",
                "verify_cor_3_3", "verify_cor_3_4", "verify_cor_5_2",
                "verify_cor_6_1", "verify_cor_6_2", "verify_mate_geometry",
                "verify_thm_4_1", "verify_thm_5_1", "verify_thm_5_2",
@@ -97,9 +95,7 @@ EXPORTS = {
     "integrate": ["FrameTrajectory", "PositionCurve", "integrate_direction_curve",
                   "integrate_frame", "reconstruct_position"],
     "liegroup": ["R3", "S3", "SO3", "Frame", "GroupSpec", "bracket",
-                 "covariant_derivative", "frame_defect", "group_spec",
-                 "left_shift", "left_translate_tangent", "lie_group_torsion",
-                 "pull_back_tangent"],
+                 "group_spec", "pull_back_tangent"],
     "mates": ["MateApparatus", "NotAFrenetMate", "Segment",
               "conjugate_mate_apparatus", "constant_curvature_inverse",
               "natural_mate_apparatus"],

@@ -8,8 +8,10 @@ from curvemates.integrate import (FrameTrajectory, PositionCurve, _hermite_midpo
                                   _integrate_group_positions,
                                   integrate_direction_curve, integrate_frame,
                                   reconstruct_position)
-from curvemates.liegroup import R3, S3, SO3, Frame, element_defect, hat
+from curvemates.liegroup import R3, S3, SO3, Frame, element_defect
 from curvemates.profiles import CurvatureProfile, FrenetViolation
+
+from oracles import hat
 
 
 def constant_coefficient_frame(kappa, m, s):

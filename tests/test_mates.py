@@ -20,6 +20,7 @@ from curvemates.profiles import (CurvatureProfile, FrenetViolation,
                                  harmonic_curvature, sigma)
 
 from conftest import MATE_REFERENCE
+from oracles import mate_frames
 
 
 def test_natural_mate_matches_reference_forms(profiles):
@@ -51,8 +52,8 @@ def test_conjugate_segments_split_at_torsion_zeros(profiles):
     assert mate.segments[1].sign == 1
     assert abs(mate.segments[0].s_max) < 5e-3
     assert abs(mate.segments[1].s_min) < 5e-3
-    assert mate.sign_at(1.0) == 1.0
-    assert mate.sign_at(-1.0) == -1.0
+    # the conjugate binormal is sign T
+    np.testing.assert_array_equal(mate_frames(mate, [1.0, -1.0])[2][:, 0], [1.0, -1.0])
 
 
 def test_conjugate_requires_nonvanishing_torsion_gap():
@@ -71,7 +72,7 @@ def test_mate_frames_orthonormal_and_right_handed(profiles):
             for seg in mate.segments:
                 pad = 0.05 * (seg.s_max - seg.s_min)
                 s = np.linspace(seg.s_min + pad, seg.s_max - pad, 64)
-                t, n, b = mate.frames_at(s)
+                t, n, b = mate_frames(mate, s)
                 for arr in (t, n, b):
                     np.testing.assert_allclose(np.linalg.norm(arr, axis=1), 1.0,
                                                atol=1e-12)
@@ -86,7 +87,7 @@ def test_mate_lie_torsion_equals_parent(profiles):
         for builder in (natural_mate_apparatus, conjugate_mate_apparatus):
             mate = builder(p, spec)
             s = np.linspace(1.1, 2.9, 17)
-            t, n, b = mate.frames_at(s)
+            t, n, b = mate_frames(mate, s)
             for i in range(len(s)):
                 val = 0.5 * np.dot(bracket(t[i], n[i], spec), b[i])
                 assert val == pytest.approx(spec.tau_g, abs=1e-12)
