@@ -16,13 +16,19 @@ by tau_G there), each in r3, so3 and s3:
 - ``mate --mode both`` of each kind, with --out.
 
 Each command with an empty --out "" follows, once per command on the slant
-helix in r3.  OUT holds one JSON line per command: its arguments, exit code,
-stdout, stderr and the text of its --out file (null when none was written).
-An exception that escapes ``cli.main`` is recorded as its type name and
-message, so no traceback line number enters the file.  The --out path is
-recorded as OUTDIR wherever it is printed.  Two versions of the code give
-byte-identical files (compare with ``cmp``) exactly when these commands
-behave the same.
+helix in r3.  Last come ``mate --mode both`` of each kind and ``verify`` of
+cor6_3 and cor6_4 on a helix in every group, with --out, on grids around the
+estimator's shortest: 30 samples (one short), 31, and 11 (--step 0.1).
+
+Before each command, the --out path is filled with SENTINEL, so the record
+of a failing command shows whether the file it was given survived.  OUT
+holds one JSON line per command: its arguments, exit code, stdout, stderr
+and the text at the --out path after the command (null where no file is
+left there).  An exception that escapes ``cli.main`` is recorded as its
+type name and message, so no traceback line number enters the file.  The
+--out path is recorded as OUTDIR wherever it is printed.  Two versions of
+the code give byte-identical files (compare with ``cmp``) exactly when
+these commands behave the same.
 """
 
 import contextlib
@@ -38,6 +44,8 @@ from curvemates.analysis import ToleranceSet
 from curvemates.catalog import PROFILES
 
 from parity_dump import EDGE_PROFILES, GROUPS, TAU_G
+
+SENTINEL = "written before the command ran\n"
 
 ESTIMATED = [arg for name, value in dataclasses.asdict(ToleranceSet.estimated()).items()
              for arg in (f"--tol-{name.replace('_', '-')}", repr(value))]
@@ -72,12 +80,20 @@ def commands(out):
     for command in (["synthesize"], ["classify"], ["verify", "--theorems", "thm4_1"],
                     ["mate", "--mode", "both"]):
         yield command + profile + ["--out", ""]
+    for g in GROUPS:
+        for domain, step in (("0:0.29", "0.01"), ("0:0.3", "0.01"), ("0:1", "0.1")):
+            profile = ["--group", g, "--kappa", "2", "--tau", f"{TAU_G[g]!r}+1",
+                       f"--domain={domain}", "--step", step]
+            for kind in ("natural", "conjugate"):
+                yield ["mate", "--kind", kind, "--mode", "both"] + profile + ["--out", out]
+            yield ["verify", "--theorems", "cor6_3,cor6_4"] + profile + ["--out", out]
 
 
 def run(argv, out):
-    """One command's record; ``out`` is removed before and after it runs."""
-    if os.path.exists(out):
-        os.remove(out)
+    """One command's record; ``out`` holds SENTINEL before it runs and is
+    removed after."""
+    with open(out, "w", encoding="utf-8", newline="") as fh:
+        fh.write(SENTINEL)
     stdout, stderr = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
         try:

@@ -25,6 +25,8 @@ from .liegroup import GroupSpec, bracket, is_uniform_grid, pull_back_tangent
 from .mates import ZERO_TOL
 
 DEFAULT_WINDOW = 11
+# samples at each end outside the valid span, one half window per nested derivative
+MARGIN = 3 * (DEFAULT_WINDOW // 2)
 
 
 class EstimationError(ValueError):
@@ -145,11 +147,8 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     tp = sg_derivative(t, h, window)
     kappa = np.linalg.norm(tp, axis=1)
 
-    half = window // 2
-    margin = 3 * half
     valid = np.zeros(n, dtype=bool)
-    if n > 2 * margin:
-        valid[margin:n - margin] = True
+    valid[MARGIN:n - MARGIN] = True     # empty unless n > 2 * MARGIN
     if np.any(kappa[valid] < 1e-9):
         raise EstimationError("kappa below 1e-9 on an interior window; "
                               "not a Frenet curve there")

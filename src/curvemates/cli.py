@@ -1,15 +1,15 @@
 """Command-line front end: synthesize trajectories, build mates, classify,
 and verify, emitting plot-ready CSV and machine-readable JSON.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/config error,
-3 domain error during evaluation (no partial output is left behind),
-4 degenerate conjugate mate (tau identically equal to the group torsion).
+Exit codes: 0 success, 1 verification failure, 2 parse/config error (also a
+derivative outside the grammar, or a grid too short for the estimator),
+3 domain error during evaluation, 4 degenerate conjugate mate (tau
+identically equal to the group torsion).
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import os
 import sys
@@ -20,7 +20,7 @@ import numpy as np
 
 from . import analysis
 from .analysis import ToleranceSet
-from .expressions import DomainError, ExpressionSyntaxError
+from .expressions import DifferentiationError, DomainError, ExpressionSyntaxError
 from .integrate import (_grid, integrate_direction_curve, integrate_frame,
                         reconstruct_position)
 from .liegroup import GroupSpec, group_spec, identity_element
@@ -58,10 +58,7 @@ class RunConfig:
         return group_spec(self.group)
 
     def profile(self) -> CurvatureProfile:
-        try:
-            return CurvatureProfile.from_expressions(self.kappa, self.tau, self.domain)
-        except ExpressionSyntaxError as e:
-            raise ConfigError(str(e)) from e
+        return CurvatureProfile.from_expressions(self.kappa, self.tau, self.domain)
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -222,27 +219,10 @@ def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
                            for r, m in zip(rows, marks)])
 
 
-def _write_csv(path: Optional[str], header: list[str], body) -> None:
-    """CSV with LF endings: the header row, then the text chunks of body."""
-    with _open_out(path) if path is not None else contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.writelines(body)
-
-
-@contextlib.contextmanager
-def _open_out(path: str):
-    """The output file, opened for LF text; failing to open or write it is
-    a ConfigError."""
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            yield fh
-    except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e}") from e
-
-
-def _remove_partial(path: Optional[str]) -> None:
-    if path and os.path.exists(path):
-        os.remove(path)
+def _csv(header: list[str], body):
+    """CSV text chunks: the header row, then the chunks of body."""
+    yield ",".join(header) + "\n"
+    yield from body
 
 
 def _jsonable(obj):
@@ -251,7 +231,7 @@ def _jsonable(obj):
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        obj = obj.item()
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, float) and not np.isfinite(obj):
@@ -259,13 +239,35 @@ def _jsonable(obj):
     return obj
 
 
-def _emit_json(payload: dict, path: Optional[str] = None) -> None:
+def _json(payload: dict) -> str:
     import json
-    text = json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
-    if path:
-        with _open_out(path) as fh:
-            fh.write(text)
-    sys.stdout.write(text)
+    return json.dumps(_jsonable(payload), indent=2, allow_nan=False) + "\n"
+
+
+def _write(path: Optional[str], chunks) -> None:
+    """The text chunks to stdout (path None) or to the file at path, with LF
+    endings.  Failing to open the file touches nothing; failing to write it
+    removes it if it is a regular file.  Either is a ConfigError."""
+    if path is None:
+        sys.stdout.writelines(chunks)
+        return
+    fh = None
+    try:
+        fh = open(path, "w", encoding="utf-8", newline="\n")
+        with fh:
+            fh.writelines(chunks)
+    except OSError as e:
+        if fh is not None and os.path.isfile(path):
+            os.remove(path)
+        raise ConfigError(f"cannot write {path}: {e}") from e
+
+
+def _check_estimator_grid(config: RunConfig) -> None:
+    """Reject a grid on which the estimator leaves no sample to compare."""
+    n = len(_grid(*config.domain, config.step))
+    if n <= 2 * analysis.MARGIN:
+        raise ConfigError(f"the grid has {n} samples; comparing estimated values "
+                          f"needs at least {2 * analysis.MARGIN + 1}")
 
 
 def _flat(positions: np.ndarray) -> np.ndarray:
@@ -274,9 +276,10 @@ def _flat(positions: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns its exit code and its outputs, in the order main
+# writes them, as (file path, or None for stdout, text chunks)
 
-def cmd_synthesize(config: RunConfig) -> int:
+def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
     spec = config.spec()
     p = config.profile()
     init = None
@@ -300,12 +303,11 @@ def cmd_synthesize(config: RunConfig) -> int:
                  "kappa", "tau", "H", "sigma", "omega"])
     columns = [traj.s, _flat(traj.positions), traj.t, traj.n, traj.b,
                traj.kappa, traj.tau, ps.H, ps.sigma, ps.omega]
-    _write_csv(config.out, header,
-               _csv_rows(columns, blank=(header.index("sigma"), np.isnan(ps.sigma))))
-    return 0
+    blank = (header.index("sigma"), np.isnan(ps.sigma))
+    return 0, [(config.out, _csv(header, _csv_rows(columns, blank=blank)))]
 
 
-def cmd_mate(config: RunConfig) -> int:
+def cmd_mate(config: RunConfig) -> tuple[int, list]:
     spec = config.spec()
     p = config.profile()
     kind = config.kind
@@ -321,9 +323,10 @@ def cmd_mate(config: RunConfig) -> int:
     if mode == "analytic":
         s = _grid(config.domain[0], config.domain[1], config.step)
         analytic = ProfileSamples(mate.profile, spec, s)
-        _write_csv(config.out, ["s", "kappa", "tau"],
-                   _csv_rows([s, analytic.kappa, analytic.tau]))
-        return 0
+        return 0, [(config.out, _csv(["s", "kappa", "tau"],
+                                     _csv_rows([s, analytic.kappa, analytic.tau])))]
+    if mode == "both":
+        _check_estimator_grid(config)
 
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
     traj = reconstruct_position(traj, spec)
@@ -335,14 +338,11 @@ def cmd_mate(config: RunConfig) -> int:
 
     if mode == "geometric":
         header = ["s"] + pos_cols + ["kappa_est", "tau_est"]
-        _write_csv(config.out, header, _csv_rows(
-            [s, _flat(curve.positions), est.kappa, est.tau]))
-        return 0
+        return 0, [(config.out, _csv(header, _csv_rows(
+            [s, _flat(curve.positions), est.kappa, est.tau])))]
 
     analytic = ProfileSamples(mate.profile, spec, s)
     header = ["s", "kappa_analytic", "tau_analytic"] + pos_cols + ["kappa_est", "tau_est"]
-    _write_csv(config.out, header, _csv_rows(
-        [s, analytic.kappa, analytic.tau, _flat(curve.positions), est.kappa, est.tau]))
     v = est.valid
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -352,11 +352,12 @@ def cmd_mate(config: RunConfig) -> int:
         "max_abs_kappa_diff": float(np.max(np.abs(est.kappa[v] - analytic.kappa[v]))),
         "max_abs_tau_diff": float(np.max(np.abs(est.tau[v] - analytic.tau[v]))),
     }
-    _emit_json(summary)
-    return 0
+    return 0, [(config.out, _csv(header, _csv_rows(
+        [s, analytic.kappa, analytic.tau, _flat(curve.positions), est.kappa, est.tau]))),
+               (None, [_json(summary)])]
 
 
-def cmd_classify(config: RunConfig) -> int:
+def cmd_classify(config: RunConfig) -> tuple[int, list]:
     spec = config.spec()
     p = config.profile()
     report = analysis.classify(p, spec, config.tolerances)
@@ -382,13 +383,14 @@ def cmd_classify(config: RunConfig) -> int:
                      for seg in report.segments],
         "tolerances": dataclasses.asdict(config.tolerances),
     }
-    _emit_json(payload, config.out)
-    return 0
+    text = [_json(payload)]
+    return 0, ([(config.out, text)] if config.out else []) + [(None, text)]
 
 
 def _mate_curves(p: CurvatureProfile, spec: GroupSpec, config: RunConfig):
     """Parent trajectory with its natural and conjugate direction curves,
     the conjugate one None where tau - tau_G vanishes identically."""
+    _check_estimator_grid(config)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
     traj = reconstruct_position(traj, spec)
     natural = integrate_direction_curve(traj, "principal_normal", spec)
@@ -418,7 +420,7 @@ def _run_theorem(theorem: str, p: CurvatureProfile, spec: GroupSpec,
                                          other_mate=natural)
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: RunConfig) -> tuple[int, list]:
     if not config.theorems:
         raise ConfigError("verify requires --theorems")
     unknown = [t for t in config.theorems if t not in THEOREMS]
@@ -442,7 +444,7 @@ def cmd_verify(config: RunConfig) -> int:
             "pass": report.passed,
             "max_residual": report.max_residual,
             "tolerance": report.tolerance,
-            "details": _jsonable(report.details),
+            "details": report.details,
         }
         if report.hypothesis_note:
             entry["note"] = report.hypothesis_note
@@ -460,14 +462,14 @@ def cmd_verify(config: RunConfig) -> int:
         "results": results,
         "all_ok": all_ok,
     }
+    outputs = [(None, [_json(payload)])]
     # the trace file first: a failed write then prints no report
     if config.out and traces:
         body = (chunk for theorem, (s, resid) in traces
                 for chunk in _csv_rows([s, resid], blank=(1, ~np.isfinite(resid)),
                                        prefix=f"{theorem},"))
-        _write_csv(config.out, ["theorem", "s", "residual"], body)
-    _emit_json(payload)
-    return 0 if all_ok else 1
+        outputs.insert(0, (config.out, _csv(["theorem", "s", "residual"], body)))
+    return (0 if all_ok else 1), outputs
 
 
 # ---------------------------------------------------------------------------
@@ -534,23 +536,21 @@ def main(argv=None) -> int:
     if args.command is None:
         parser.print_usage(sys.stderr)
         return 2
-    out = getattr(args, "out", None)
     try:
         config = build_config(args)
-        out = config.out
         handler = {"synthesize": cmd_synthesize, "mate": cmd_mate,
                    "classify": cmd_classify, "verify": cmd_verify}[args.command]
-        return handler(config)
-    except (ConfigError, ExpressionSyntaxError, FrenetViolation) as e:
-        _remove_partial(out)
+        code, outputs = handler(config)
+        for path, chunks in outputs:
+            _write(path, chunks)
+        return code
+    except (ConfigError, ExpressionSyntaxError, DifferentiationError, FrenetViolation) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except DomainError as e:
-        _remove_partial(out)
         print(f"domain error: {e}", file=sys.stderr)
         return 3
     except NotAFrenetMate as e:
-        _remove_partial(out)
         print(f"error: {e}", file=sys.stderr)
         return 4
 

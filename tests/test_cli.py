@@ -1,6 +1,11 @@
+import errno
+import io
 import json
+import os
+import stat
 import subprocess
 import sys
+import time
 import warnings
 from pathlib import Path
 
@@ -182,6 +187,98 @@ def test_unwritable_out_exits_2(command, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [["synthesize"], ["mate"], ["classify"],
+                                     ["verify", "--theorems", "thm6_2"]])
+def test_out_naming_a_directory_exits_2_and_keeps_it(command, tmp_path, capsys):
+    out = tmp_path / "a_directory"
+    out.mkdir()
+    (out / "inside.txt").write_text("kept", encoding="utf-8")
+    code, stdout, err = run_cli(command + ["--group", "r3", "--kappa", "3*cos(s)",
+                                           "--tau", "sqrt(2)", "--domain=-1.5:1.5",
+                                           "--step", "1e-2", "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert (out / "inside.txt").read_text(encoding="utf-8") == "kept"
+
+
+@pytest.mark.parametrize("command", [["synthesize"], ["mate"], ["classify"],
+                                     ["verify", "--theorems", "thm6_2"]])
+@pytest.mark.parametrize("flags,code", [(["--kappa", "1", "--step=-1"], 2),
+                                        (["--kappa", "sqrt(s)", "--step", "1e-2"], 3)],
+                         ids=["config-error", "domain-error"])
+def test_failing_command_keeps_an_existing_out_file(command, flags, code, tmp_path,
+                                                    capsys):
+    # the command fails before it writes: a file it did not write stays as it was
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"written earlier\r\n")
+    assert run_cli(command + ["--group", "r3", "--tau", "1", "--domain=-1:1",
+                              "--out", str(out)] + flags, capsys)[0] == code
+    assert out.read_bytes() == b"written earlier\r\n"
+
+
+class FullAfterOneWrite(io.FileIO):
+    """A file whose writes fail as on a full disk once it holds any bytes."""
+
+    def write(self, b):
+        if self.tell():
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+        return super().write(b)
+
+
+@pytest.mark.parametrize("command", [["synthesize"], ["verify", "--theorems", "thm6_2"]])
+def test_write_failing_partway_removes_the_partial_file(command, tmp_path, capsys,
+                                                       monkeypatch):
+    from curvemates import cli
+    opened = []
+
+    def open_full(path, mode, **kwargs):
+        opened.append(path)
+        raw = FullAfterOneWrite(path, mode)
+        return io.TextIOWrapper(io.BufferedWriter(raw), **kwargs)
+
+    monkeypatch.setattr(cli, "open", open_full, raising=False)
+    out = tmp_path / "partial.csv"
+    code, stdout, err = run_cli(command + ["--group", "r3", "--kappa", "3*cos(s)",
+                                           "--tau", "sqrt(2)", "--domain=-1.5:1.5",
+                                           "--step", "1e-3", "--out", str(out)], capsys)
+    assert opened == [str(out)]
+    assert (code, stdout) == (2, "")       # verify: no report after a failed trace
+    assert err.startswith(f"error: cannot write {out}: [Errno {errno.ENOSPC}]")
+    assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_write_failing_on_a_pipe_keeps_the_pipe(tmp_path):
+    # the reader hangs up after one byte; only a regular file is removed
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    cmd = [sys.executable, "-m", "curvemates.cli", "synthesize", "--group", "r3",
+           "--kappa", "2", "--tau", "1", "--domain", "0:1", "--step", "1e-3",
+           "--out", str(fifo)]
+    cp = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        data, deadline = b"", time.monotonic() + 120
+        try:
+            # b"" until the command opens the pipe, BlockingIOError until it writes
+            while not data and cp.poll() is None and time.monotonic() < deadline:
+                try:
+                    data = os.read(reader, 1)
+                except BlockingIOError:
+                    pass
+                time.sleep(0.01)
+        finally:
+            os.close(reader)
+        stdout, err = cp.communicate(timeout=120)
+    finally:
+        cp.kill()           # a no-op once the command has exited
+        cp.wait()
+    assert data
+    assert (cp.returncode, stdout) == (2, "")
+    assert err.startswith(f"error: cannot write {fifo}: [Errno {errno.EPIPE}]")
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
 def test_verify_prints_nothing_when_out_cannot_be_written(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     code, stdout, err = run_cli(["verify", "--theorems", "thm6_2", "--group", "r3",
@@ -236,6 +333,25 @@ def test_mate_geometric_mode(tmp_path, capsys):
     assert code == 0
     header, _ = read_csv(out)
     assert header == ["s", "x", "y", "z", "kappa_est", "tau_est"]
+
+
+@pytest.mark.parametrize("command", [["mate", "--mode", "both"],
+                                     ["verify", "--theorems", "cor6_3"],
+                                     ["verify", "--theorems", "cor6_4"]])
+def test_grid_too_short_for_the_estimator_exits_2(command, tmp_path, capsys):
+    # the estimator leaves 15 samples out at each end: 30 leave none to compare
+    out = tmp_path / "short.csv"
+    args = command + ["--group", "so3", "--kappa", "2", "--tau", "1",
+                      "--step", "0.01", "--out", str(out)]
+    code, stdout, err = run_cli(args + ["--domain=0:0.29"], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == ("error: the grid has 30 samples; comparing estimated values "
+                   "needs at least 31\n")
+    assert not out.exists()
+    code, stdout, _ = run_cli(args + ["--domain=0:0.3"], capsys)
+    assert code == 0
+    if command[0] == "mate":
+        assert json.loads(stdout)["samples_compared"] == 1
 
 
 def test_conjugate_of_flat_torsion_exits_4(capsys):
@@ -535,6 +651,16 @@ def test_empty_out_exits_2(command, from_config, tmp_path, capsys):
     code, stdout, err = run_cli(command + args, capsys)
     assert (code, stdout) == (2, "")
     assert err == "error: out must be a file path, got ''\n"
+
+
+@pytest.mark.parametrize("command", [["synthesize"], ["mate"], ["classify"],
+                                     ["verify", "--theorems", "cor3_2"]])
+def test_derivative_outside_the_grammar_exits_2(command, capsys):
+    code, out, err = run_cli(command + ["--group", "so3", "--kappa", "2+s^s",
+                                        "--tau", "1", "--domain", "0.5:1.5",
+                                        "--step", "1e-2"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: exponent depends on s; derivative leaves the grammar\n"
 
 
 @pytest.mark.parametrize("kappa", ["2*\u00b2", "2+\u0663"])

@@ -145,6 +145,9 @@ def test_differentiate_textbook():
     d2 = differentiate(parse("s^2+s-2"))
     for s in (0.0, 1.0, 4.5):
         assert evaluate(d2, s) == pytest.approx(2 * s + 1, abs=1e-12)
+    d3 = differentiate(parse("tan(2*s)"))
+    for s in (0.0, 0.5, -0.7):         # clear of the poles at +-pi/4
+        assert evaluate(d3, s) == pytest.approx(2 / math.cos(2 * s) ** 2, rel=1e-13)
 
 
 def test_differentiate_matches_central_difference_on_demo_formulas():

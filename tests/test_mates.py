@@ -37,12 +37,18 @@ def test_natural_mate_matches_reference_forms(profiles):
 def test_conjugate_mate_matches_reference_forms(profiles):
     for name, p in profiles.items():
         ref = MATE_REFERENCE[name]
-        mate = conjugate_mate_apparatus(p, R3)
         s = np.linspace(p.s_min, p.s_max, 2001)
-        np.testing.assert_allclose(mate.kappa_at(s), ref["kappa_star"](s),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(mate.tau_at(s), ref["tau_star"](s),
-                                   rtol=0, atol=1e-12)
+        # sampled copies too, tau shifted by tau_G and read at their nodes,
+        # where tau* = kappa + tau_G differs from kappa
+        copies = [(p, R3)] + [
+            (CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s) + spec.tau_g), spec)
+            for spec in (R3, SO3, S3)]
+        for parent, spec in copies:
+            mate = conjugate_mate_apparatus(parent, spec)
+            np.testing.assert_allclose(mate.kappa_at(s), ref["kappa_star"](s),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mate.tau_at(s), ref["tau_star"](s) + spec.tau_g,
+                                       rtol=0, atol=1e-12)
 
 
 def test_conjugate_segments_split_at_torsion_zeros(profiles):
