@@ -19,6 +19,11 @@ Each command with an empty --out "" follows, once per command on the slant
 helix in r3.  Last come ``mate --mode both`` of each kind and ``verify`` of
 cor6_3 and cor6_4 on a helix in every group, with --out, on grids around the
 estimator's shortest: 30 samples (one short), 31, and 11 (--step 0.1).
+Then come the commands of ``CONFIGS``, each reading its settings from a
+config file written next to the --out path: a start position in each group,
+a numeric kappa, ``verify`` without theorems, an unknown tolerance name, a
+missing setting, and numbers that must be rejected (true or false, not
+finite, past the float range, or a start position outside its group).
 
 Before each command, the --out path is filled with SENTINEL, so the record
 of a failing command shows whether the file it was given survived.  OUT
@@ -61,6 +66,35 @@ def cases():
             yield g, kappa, f"{TAU_G[g]!r}+({m})", domain
 
 
+SYNTH = {"group": "r3", "kappa": "2+sin(s)", "tau": "1+s", "domain": [0, 2],
+         "step": 0.01}
+
+# (command, config file contents) of the config-file commands
+CONFIGS = [
+    (["synthesize"], {**SYNTH, "init_position": [0.5, -1.0, 2.0]}),
+    (["synthesize"], {**SYNTH, "group": "so3",
+                      "init_position": [0, -1, 0, 1, 0, 0, 0, 0, 1]}),
+    (["synthesize"], {**SYNTH, "group": "s3", "init_position": [0.5, 0.5, -0.5, 0.5]}),
+    (["classify"], {**SYNTH, "kappa": 2}),
+    (["verify"], SYNTH),
+    (["classify"], {**SYNTH, "tolerances": {"bogus": 1}}),
+    (["synthesize"], {k: v for k, v in SYNTH.items() if k != "step"}),
+    (["classify"], {**SYNTH, "kappa": True}),
+    (["classify"], {**SYNTH, "tau": False}),
+    (["synthesize"], {**SYNTH, "domain": [0, 10], "step": True}),
+    (["synthesize"], {**SYNTH, "domain": [0, True]}),
+    (["classify"], {**SYNTH, "tolerances": {"residual": True}}),
+    (["synthesize"], {**SYNTH, "init_frame": [True, 0, 0, 0, True, 0, 0, 0, True]}),
+    (["synthesize"], {**SYNTH, "init_position": [True, False, False]}),
+    (["classify"], {**SYNTH, "kappa": float("inf")}),
+    (["classify"], {**SYNTH, "tau": float("nan")}),
+    (["classify"], {**SYNTH, "kappa": 10 ** 400}),
+    (["synthesize"], {**SYNTH, "group": "so3",
+                      "init_position": [1, 0, 0, 0, 1, 0, 0, 0, -1]}),
+    (["synthesize"], {**SYNTH, "group": "s3", "init_position": [0, 0, 0, 0]}),
+]
+
+
 def commands(out):
     """Argument lists of every command; ``out`` is the --out path."""
     for g, kappa, tau, (a, b) in cases():
@@ -87,6 +121,11 @@ def commands(out):
             for kind in ("natural", "conjugate"):
                 yield ["mate", "--kind", kind, "--mode", "both"] + profile + ["--out", out]
             yield ["verify", "--theorems", "cor6_3,cor6_4"] + profile + ["--out", out]
+    config = os.path.join(os.path.dirname(out), "config.json")
+    for command, data in CONFIGS:
+        with open(config, "w", encoding="utf-8") as fh:
+            json.dump(data, fh)
+        yield command + ["--config", config, "--out", out]
 
 
 def run(argv, out):

@@ -22,12 +22,12 @@ def frame_order():
     # the truncation error is below round-off
     p = CurvatureProfile.from_expressions("3*cos(s)", "3*sin(s)", (0, 1.0))
     ref = integrate_frame(p, R3, 0, 1.0, 1e-4)
-    ref_end = ref.frame_at(len(ref.s) - 1).as_matrix()
+    ref_end = np.vstack([ref.t[-1], ref.n[-1], ref.b[-1]])
     print("frame integrator endpoint error vs fine-step reference (h=1e-4):")
     prev = None
     for h in (0.1, 0.05, 0.025, 0.0125):
         traj = integrate_frame(p, R3, 0, 1.0, h)
-        err = np.max(np.abs(traj.frame_at(len(traj.s) - 1).as_matrix() - ref_end))
+        err = np.max(np.abs(np.vstack([traj.t[-1], traj.n[-1], traj.b[-1]]) - ref_end))
         note = "" if prev is None else f"  ratio {prev / err:6.2f}"
         print(f"  h={h:<6g} err={err:.3e}{note}")
         prev = err

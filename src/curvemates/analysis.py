@@ -120,7 +120,6 @@ class EstimatedApparatus:
     n: np.ndarray
     b: np.ndarray
     valid: np.ndarray      # interior mask clear of one-sided stencil margins
-    spec: GroupSpec
     window: int            # the differentiation window used
 
 
@@ -162,8 +161,7 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     tau_g = 0.5 * np.sum(tn_bracket * bhat, axis=1)
     tau = np.sum((nprime + 0.5 * tn_bracket) * bhat, axis=1)
     return EstimatedApparatus(s=s, kappa=kappa, tau=tau, tau_g=tau_g,
-                              t=that, n=nhat, b=bhat, valid=valid,
-                              spec=spec, window=window)
+                              t=that, n=nhat, b=bhat, valid=valid, window=window)
 
 
 def __getattr__(name: str):

@@ -17,7 +17,7 @@ from typing import TYPE_CHECKING, Callable, Optional
 import numpy as np
 
 from .analysis import ToleranceSet, estimate_apparatus, rel_spread
-from .liegroup import GroupSpec, runs
+from .liegroup import GroupSpec, cumulative_quadrature, runs
 from .mates import (Segment, conjugate_mate_apparatus, constant_curvature_inverse,
                     natural_mate_apparatus, sign_segments)
 from .profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples,
@@ -50,8 +50,6 @@ class SphericalReport:
     is_spherical: bool
     radius: Optional[float]
     segments: list[SphericalSegment]
-    spread_tol: float
-    residual_tol: float
     trace: Optional[tuple[np.ndarray, np.ndarray]] = None  # (s, closure residual)
 
     @property
@@ -155,8 +153,7 @@ def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
         consistent = (max(radii) - min(radii)) <= tol.spherical_spread * max(radii)
     is_spherical = all_ok and consistent and bool(radii)
     radius = float(np.mean(radii)) if is_spherical else (radii[0] if radii else None)
-    return SphericalReport(is_spherical, radius, segments, tol.spherical_spread,
-                           tol.spherical_residual, trace=(s, trace))
+    return SphericalReport(is_spherical, radius, segments, trace=(s, trace))
 
 
 def _masked_derivative(u: np.ndarray, h: float) -> np.ndarray:
@@ -171,7 +168,6 @@ def _masked_derivative(u: np.ndarray, h: float) -> np.ndarray:
 def _integrated_closure(u: np.ndarray, hvals: np.ndarray, h: float) -> Optional[float]:
     """Closure residual in integrated form, per unit length, worst over the
     contiguous unmasked runs of u."""
-    from .liegroup import cumulative_quadrature
     ok = ~np.isnan(u)
     worst = None
     for i0, i1, flag in runs(ok):
@@ -202,7 +198,6 @@ class ClassificationReport:
     verdicts: dict[str, Verdict]
     spherical: SphericalReport
     segments: tuple[Segment, ...]
-    tolerances: ToleranceSet
 
 
 def classify(p: CurvatureProfile, spec: GroupSpec,
@@ -240,7 +235,7 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
         max(k_spread, t_spread), tol.constancy)
 
     segments = sign_segments(ps.s, ps.m, tol.zero)
-    return ClassificationReport(verdicts, sph, segments, tol)
+    return ClassificationReport(verdicts, sph, segments)
 
 
 def _slant_verdict(ps: ProfileSamples, tol: ToleranceSet) -> tuple[bool, Optional[float]]:
@@ -293,12 +288,26 @@ def _not_applicable(theorem: str, tolerance: float, note: str) -> VerificationRe
                               hypothesis_note=note)
 
 
+def _radius_residual(sph: SphericalReport, expected: float, details: dict) -> float:
+    """How far the spherical report's radius is from the expected one.
+
+    Where every segment is ``constant_kappa`` the curve is a circle, which
+    lies on every sphere of at least its own radius, while the report gives
+    the smallest: there the residual is by how much the circle exceeds the
+    expected sphere, and the details say that the mate is a circle."""
+    if all(seg.case == "constant_kappa" for seg in sph.segments):
+        details["mate_is_circle"] = True
+        return max(0.0, sph.radius - expected)
+    return abs(sph.radius - expected)
+
+
 def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Constant parent curvature c => natural mate spherical with radius 1/c.
 
-    The converse is checked on the same data wherever the mate torsion
-    differs from the group torsion."""
+    A mate that is a circle (the parent is a circular helix) passes when
+    its radius is at most 1/c.  The converse is checked on the same data
+    wherever the mate torsion differs from the group torsion."""
     s = p.grid()
     kappa = ProfileSamples(p, spec, s).kappa
     spread = rel_spread(kappa)
@@ -314,11 +323,11 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
         return VerificationReport("thm4_1", True, False, None, tol.residual,
                                   {"c": c, "spherical": False},
                                   hypothesis_note="mate not spherical")
-    radius_residual = abs(sph.radius - 1.0 / c)
+    details = {"c": c, "radius": sph.radius, "expected_radius": 1.0 / c}
+    radius_residual = _radius_residual(sph, 1.0 / c, details)
     eq_res = sph.max_eq_residual or 0.0
     residual = max(radius_residual, eq_res)
-    details = {"c": c, "radius": sph.radius, "expected_radius": 1.0 / c,
-               "radius_residual": radius_residual, "closure_residual": eq_res}
+    details.update(radius_residual=radius_residual, closure_residual=eq_res)
     # converse: on samples with mate torsion away from tau_G, spherical radius
     # 1/c must force kappa = c (tested as consistency of the same numbers)
     conv_mask = np.abs(mps.m) > tol.zero
@@ -419,7 +428,10 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
 
 def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
-    """tau - tau_G constant nonzero => natural mate spherical with radius 1/|c|."""
+    """tau - tau_G constant nonzero => natural mate spherical with radius 1/|c|.
+
+    A mate that is a circle (the parent is a circular helix) passes when
+    its radius is at most 1/|c|."""
     m = ProfileSamples(p, spec, p.grid()).m
     spread = rel_spread(m)
     if spread > tol.constancy:
@@ -433,14 +445,12 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
     if not sph.is_spherical or sph.radius is None:
         return VerificationReport("thm6_2", True, False, None, tol.residual,
                                   {"c": c}, hypothesis_note="mate not spherical")
-    radius_residual = abs(sph.radius - 1.0 / abs(c))
+    details = {"c": c, "radius": sph.radius, "expected_radius": 1.0 / abs(c)}
     eq_res = sph.max_eq_residual or 0.0
-    residual = max(radius_residual, eq_res)
+    residual = max(_radius_residual(sph, 1.0 / abs(c), details), eq_res)
+    details["closure_residual"] = eq_res
     return VerificationReport("thm6_2", True, residual <= tol.residual, residual,
-                              tol.residual,
-                              {"c": c, "radius": sph.radius,
-                               "expected_radius": 1.0 / abs(c),
-                               "closure_residual": eq_res}, trace=sph.trace)
+                              tol.residual, details, trace=sph.trace)
 
 
 # ---------------------------------------------------------------------------
@@ -464,9 +474,21 @@ def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
 
 def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
-    """Slant helix <=> natural mate is a general helix."""
+    """Slant helix <=> natural mate is a general helix.
+
+    Needs H' not identically 0.  On a general helix (H constant, the test of
+    ``classify`` and cor3_1) sigma is undefined, and the check is not
+    applicable; Izumiya & Takeuchi (Turk. J. Math. 28, 2004) count a general
+    helix as a slant helix with angle pi/2, and its natural mate is a
+    general helix (cor3_1)."""
     s = p.grid()
-    slant, sig_spread = _slant_verdict(ProfileSamples(p, spec, s), tol)
+    ps = ProfileSamples(p, spec, s)
+    h_spread = rel_spread(ps.H)
+    if h_spread <= tol.constancy:
+        return _not_applicable("cor3_2", tol.constancy,
+                               f"general helix (H spread {h_spread:.3g}): "
+                               "H' vanishes identically; sigma undefined")
+    slant, sig_spread = _slant_verdict(ps, tol)
     mate = natural_mate_apparatus(p, spec)
     mate_h_spread = rel_spread(ProfileSamples(mate.profile, spec, s).H)
     mate_gh = mate_h_spread <= tol.constancy

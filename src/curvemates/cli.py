@@ -2,9 +2,10 @@
 and verify, emitting plot-ready CSV and machine-readable JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/config error (also a
-derivative outside the grammar, or a grid too short for the estimator),
-3 domain error during evaluation, 4 degenerate conjugate mate (tau
-identically equal to the group torsion).
+derivative outside the grammar, a grid too short for the estimator, or an
+output, stdout included, that cannot be written), 3 domain error during
+evaluation, 4 degenerate conjugate mate (tau identically equal to the group
+torsion).
 """
 
 from __future__ import annotations
@@ -72,6 +73,15 @@ def _parse_domain(text: str) -> tuple[float, float]:
 
 
 _TOL_FIELDS = [f.name for f in dataclasses.fields(ToleranceSet)]
+_FLOAT_MAX = sys.float_info.max
+
+
+def _holds_bool(value) -> bool:
+    """Whether value is JSON true or false, or a list holding one at any
+    depth: Python would read it as the number 1 or 0."""
+    if isinstance(value, (list, tuple)):
+        return any(_holds_bool(v) for v in value)
+    return isinstance(value, bool)
 
 
 def _numbers(data: dict, key: str, size: int) -> Optional[np.ndarray]:
@@ -115,6 +125,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     out = pick("out", "out")
     if None in (group, kappa, tau, domain, step):
         raise ConfigError("group, kappa, tau, domain and step are all required")
+    for key, value in (("kappa", kappa), ("tau", tau), ("domain", domain),
+                       ("step", step), ("init_frame", data.get("init_frame")),
+                       ("init_position", data.get("init_position"))):
+        if _holds_bool(value):
+            raise ConfigError(f"{key} takes numbers, not true or false, got {value!r}")
     try:
         family = group_spec(str(group)).family
     except ValueError as e:
@@ -122,6 +137,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key, value in (("kappa", kappa), ("tau", tau)):
         if not isinstance(value, (str, int, float)):
             raise ConfigError(f"{key} must be an expression or a number, got {value!r}")
+        # compared rather than converted, so an integer past the float range
+        # is rejected here instead of overflowing later
+        if not (isinstance(value, str) or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+            raise ConfigError(f"{key} must be finite, got {value!r}")
     # open() would take a number as a file descriptor; an empty path names
     # no file, for every command alike
     if out is not None and not (isinstance(out, str) and out):
@@ -157,7 +176,8 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
     for name, value in tol_kwargs.items():
-        if not (isinstance(value, (int, float)) and 0 <= value < np.inf):
+        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+                and 0 <= value < np.inf):
             raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value!r}")
     tolerances = ToleranceSet(**tol_kwargs)
 
@@ -247,9 +267,25 @@ def _json(payload: dict) -> str:
 def _write(path: Optional[str], chunks) -> None:
     """The text chunks to stdout (path None) or to the file at path, with LF
     endings.  Failing to open the file touches nothing; failing to write it
-    removes it if it is a regular file.  Either is a ConfigError."""
+    removes it if it is a regular file.  Either is a ConfigError, and so is
+    failing to write stdout."""
     if path is None:
-        sys.stdout.writelines(chunks)
+        try:
+            sys.stdout.writelines(chunks)
+            sys.stdout.flush()
+        except OSError as e:
+            # the interpreter flushes stdout again at exit; where stdout is a
+            # file descriptor, that flush then goes to devnull instead of
+            # raising a second time
+            try:
+                fd = sys.stdout.fileno()
+            except (OSError, ValueError):
+                fd = None
+            if fd is not None:
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, fd)
+                os.close(devnull)
+            raise ConfigError(f"cannot write stdout: {e}") from e
         return
     fh = None
     try:
@@ -282,18 +318,20 @@ def _flat(positions: np.ndarray) -> np.ndarray:
 def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
     spec = config.spec()
     p = config.profile()
-    init = None
+    init = g0 = None
+    # the frame and the position are projected onto their groups once, which
+    # would silently turn a reflection into an unrelated rotation, and has
+    # no unit quaternion to give for 0
     if config.init_frame is not None:
-        from .liegroup import Frame
-        m = config.init_frame.reshape(3, 3)
-        # the frame is projected onto the nearest rotation, which would
-        # silently turn a left-handed frame into an unrelated one
-        if not np.linalg.det(m) > 0:
+        init = config.init_frame.reshape(3, 3)
+        if not np.linalg.det(init) > 0:
             raise ConfigError("init_frame must be a right-handed frame (det > 0)")
-        init = Frame(m[0], m[1], m[2])
-    g0 = None
     if config.init_position is not None:
         g0 = config.init_position.reshape(identity_element(spec).shape)
+        if spec.family == "so3" and not np.linalg.det(g0) > 0:
+            raise ConfigError("init_position must be a rotation matrix (det > 0)")
+        if spec.family == "s3" and not 0 < np.linalg.norm(g0) < np.inf:
+            raise ConfigError("init_position must be a nonzero quaternion of finite norm")
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1],
                            config.step, init)
     traj = reconstruct_position(traj, spec, g0)

@@ -34,7 +34,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .liegroup import (SO3, Frame, GroupSpec, element_defect, gram_defect,
+from .liegroup import (SO3, GroupSpec, element_defect, gram_defect,
                        identity_element, quat_mul_rows, renormalize_element)
 from .profiles import CurvatureProfile, FrenetViolation
 
@@ -54,8 +54,6 @@ class FrameTrajectory:
     b: np.ndarray
     kappa: np.ndarray    # (N,)
     tau: np.ndarray
-    spec: GroupSpec
-    profile: CurvatureProfile
     positions: Optional[np.ndarray] = None
     max_step_defect: float = 0.0    # orthonormality defect of the one-step exponentials
     max_frame_defect: float = 0.0   # orthonormality defect of the frames
@@ -64,9 +62,6 @@ class FrameTrajectory:
     @property
     def h(self) -> float:
         return float(self.s[1] - self.s[0])
-
-    def frame_at(self, i: int) -> Frame:
-        return Frame(self.t[i], self.n[i], self.b[i])
 
 
 @dataclass
@@ -158,13 +153,14 @@ def _scan(out: np.ndarray,
 
 
 def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
-                    h: float, init: Optional[Frame] = None) -> FrameTrajectory:
+                    h: float, init: Optional[np.ndarray] = None) -> FrameTrajectory:
     """Solve the frame ODE over [s0, s1] with step ~h.
 
-    Spans that are not integer multiples of h round to the nearest step
-    count.  Profile values at half-steps come from direct expression
-    evaluation, or cubic interpolation for sampled profiles.  The initial
-    frame is projected onto the rotations once.
+    ``init`` is the initial frame as a 3x3 matrix with rows T, N, B (the
+    identity when None); it is projected onto the rotations once.  Spans
+    that are not integer multiples of h round to the nearest step count.
+    Profile values at half-steps come from direct expression evaluation, or
+    cubic interpolation for sampled profiles.
     """
     s = _grid(s0, s1, h)
     hh = float(s[1] - s[0])
@@ -183,14 +179,15 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
         return np.column_stack([spec.tau_g - tor, np.zeros_like(kap), -kap])
 
     frames = np.empty((s.shape[0], 3, 3))
-    frames[0] = renormalize_element(SO3, (init or Frame.identity()).as_matrix().astype(float))
+    frames[0] = renormalize_element(
+        SO3, np.eye(3) if init is None else np.asarray(init, dtype=float))
     _magnus_steps(algebra(kappa, tau), algebra(kappa_mid, tau_mid), hh, -1.0,
                   _exp_rotations, frames[1:])
     max_step_defect = gram_defect(frames[1:])
     _scan(frames, lambda earlier, later: later @ earlier)
     return FrameTrajectory(
         s=s, t=frames[:, 0], n=frames[:, 1], b=frames[:, 2],
-        kappa=kappa, tau=tau, spec=spec, profile=p,
+        kappa=kappa, tau=tau,
         max_step_defect=max_step_defect, max_frame_defect=gram_defect(frames))
 
 

@@ -49,22 +49,6 @@ SO3 = group_spec("so3")
 S3 = group_spec("s3")
 
 
-@dataclass(frozen=True)
-class Frame:
-    """Left-invariant components of a right-handed orthonormal frame (T, N, B)."""
-
-    t: np.ndarray
-    n: np.ndarray
-    b: np.ndarray
-
-    @classmethod
-    def identity(cls) -> "Frame":
-        return cls(np.array([1.0, 0, 0]), np.array([0, 1.0, 0]), np.array([0, 0, 1.0]))
-
-    def as_matrix(self) -> np.ndarray:
-        return np.vstack([self.t, self.n, self.b])
-
-
 def gram_defect(m: np.ndarray) -> float:
     """Largest |m m^T - I| entry of a 3x3 matrix, or over a stack of them,
     one Gram entry at a time so that no (N, 3, 3) temporary is formed."""

@@ -54,7 +54,6 @@ class MateApparatus:
     profile: CurvatureProfile     # the mate's own (kappa, tau)
     tau_g: float                  # inherited from the parent group
     parent: CurvatureProfile
-    spec: GroupSpec
     segments: tuple[Segment, ...]
 
     def kappa_at(self, s):
@@ -111,7 +110,7 @@ def _natural_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
         mate_profile = CurvatureProfile.from_samples(
             p.s_grid, ps.omega, tg + ps.H_prime / (1.0 + h * h))
     seg = Segment(p.s_min, p.s_max, 1)
-    return MateApparatus("natural", mate_profile, tg, p, spec, (seg,))
+    return MateApparatus("natural", mate_profile, tg, p, (seg,))
 
 
 def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
@@ -129,7 +128,7 @@ def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     else:
         mate_profile = CurvatureProfile.from_samples(
             p.s_grid, np.abs(p.tau_samples - tg), p.kappa_samples + tg)
-    return MateApparatus("conjugate", mate_profile, tg, p, spec, segments)
+    return MateApparatus("conjugate", mate_profile, tg, p, segments)
 
 
 def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain, n: int,

@@ -30,14 +30,28 @@ def left_translate_tangent(g, v, spec):
     return np.array([[-x, -y, -z], [w, -z, y], [z, w, -x], [-y, x, w]]) @ v
 
 
+def left_translate(g, x, spec):
+    """The group product g x of g with one element or a stack of them: a sum
+    in R^3, a matrix product in SO(3), and in S^3 the quaternion x (scalar
+    first) multiplied by the left-multiplication matrix of g."""
+    if spec.family == "r3":
+        return g + x
+    if spec.family == "so3":
+        return g @ x
+    w, a, b, c = g
+    return x @ np.array([[w, -a, -b, -c], [a, w, -c, b], [b, c, w, -a], [c, -b, a, w]]).T
+
+
 def covariant_derivative(u, u_prime, t, spec):
     """u' + (1/2)[t, u] along a curve with tangent t."""
     return np.asarray(u_prime) + 0.5 * bracket(t, u, spec)
 
 
 def lie_group_torsion(frame, spec):
-    """(1/2)<[T, N], B>, which is tau_G for any right-handed orthonormal frame."""
-    return 0.5 * float(np.dot(bracket(frame.t, frame.n, spec), frame.b))
+    """(1/2)<[T, N], B> of a frame given as a 3x3 matrix with rows T, N, B,
+    which is tau_G for any right-handed orthonormal frame."""
+    t, n, b = frame
+    return 0.5 * float(np.dot(bracket(t, n, spec), b))
 
 
 def left_shift(s, tangents, alpha0):

@@ -351,6 +351,20 @@ def test_thm_6_2(profiles):
     assert not rep.applicable and rep.ok
 
 
+@pytest.mark.parametrize("spec", [R3, SO3, S3], ids=["r3", "so3", "s3"])
+def test_circle_mate_lies_on_the_theorem_spheres(spec):
+    # kappa = 2, tau - tau_G = 1.5: the natural mate has tau_bar = tau_G and
+    # kappa_bar = omega = 2.5, a circle of radius 0.4, which lies on the
+    # spheres of radius 1/2 (thm4_1) and 1/1.5 (thm6_2)
+    p = prof("2", f"{spec.tau_g!r}+1.5", (0, 4))
+    for verify, expected in ((verify_thm_4_1, 0.5), (verify_thm_6_2, 1 / 1.5)):
+        rep = verify(p, spec)
+        assert rep.applicable and rep.passed, rep.details
+        assert rep.details["mate_is_circle"]
+        assert rep.details["radius"] == pytest.approx(0.4, abs=1e-12)
+        assert rep.details["expected_radius"] == pytest.approx(expected, abs=1e-12)
+
+
 def test_estimated_paths_for_spherical_theorems(profiles):
     tol = ToleranceSet.estimated()
     parent, _ = estimated_profile(profiles["salkowski"], R3, 1e-3)
@@ -394,6 +408,11 @@ def test_cor_3_2_battery():
     for k, t, dom in NON_SLANT_BATTERY:
         rep = verify_cor_3_2(prof(k, t, dom), R3)
         assert rep.passed and not rep.details["slant"], (k, t, rep.details)
+    # H' vanishes identically on a general helix, so sigma is undefined
+    for k, t, dom in GENERAL_HELIX_BATTERY:
+        rep = verify_cor_3_2(prof(k, t, dom), R3)
+        assert rep.ok and not rep.applicable, (k, t, rep.details)
+        assert "sigma undefined" in rep.hypothesis_note
 
 
 def test_cor_6_1_battery():

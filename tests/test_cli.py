@@ -12,8 +12,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from scipy.linalg import expm
+
 from curvemates.catalog import PROFILES
 from curvemates.cli import _csv_rows, main
+from curvemates.liegroup import group_spec, identity_element
+
+from oracles import hat, left_translate
 
 
 def run_cli(args, capsys):
@@ -279,6 +284,25 @@ def test_write_failing_on_a_pipe_keeps_the_pipe(tmp_path):
     assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
+def test_write_failing_on_stdout_exits_2():
+    # the reader closes stdout after one line, long before the CSV ends
+    cmd = [sys.executable, "-m", "curvemates.cli", "synthesize", "--group", "r3",
+           "--kappa", "2", "--tau", "1", "--domain", "0:1", "--step", "1e-3"]
+    cp = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        first = cp.stdout.readline()
+        cp.stdout.close()
+        _, err = cp.communicate(timeout=120)
+    finally:
+        cp.kill()           # a no-op once the command has exited
+        cp.wait()
+    assert first.startswith("s,x,y,z,")
+    assert cp.returncode == 2
+    # nothing else: no traceback, and no second failure at the final flush
+    assert err == (f"error: cannot write stdout: [Errno {errno.EPIPE}] "
+                   f"{os.strerror(errno.EPIPE)}\n")
+
+
 def test_verify_prints_nothing_when_out_cannot_be_written(tmp_path, capsys):
     out = tmp_path / "missing" / "x.csv"
     code, stdout, err = run_cli(["verify", "--theorems", "thm6_2", "--group", "r3",
@@ -521,6 +545,39 @@ def test_synthesize_with_init_frame_config(tmp_path, capsys):
     assert t0 == pytest.approx([0.0, 1.0, 0.0], abs=1e-12)
 
 
+INIT_POSITIONS = {
+    "r3": [0.5, -1.0, 2.0],
+    "so3": expm(hat(np.array([0.3, -0.7, 0.4]))).ravel().tolist(),
+    "s3": [0.5, 0.5, -0.5, 0.5],
+}
+
+
+@pytest.mark.parametrize("group", sorted(INIT_POSITIONS))
+def test_init_position_left_translates_the_curve(group, tmp_path, capsys):
+    # gamma' = gamma v is left invariant: starting at g0 instead of the
+    # identity multiplies every position by g0 on the left
+    spec = group_spec(group)
+    g0 = np.array(INIT_POSITIONS[group])
+    positions = []
+    for init in ({}, {"init_position": g0.tolist()}):
+        cfg = {"group": group, "kappa": "2+sin(s)", "tau": "1+s", "domain": [0, 2],
+               "step": 0.01, **init}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        code, _, _ = run_cli(["synthesize", "--config", str(cfg_path),
+                              "--out", str(out)], capsys)
+        assert code == 0
+        _, rows = read_csv(out)
+        positions.append(np.array([[float(c) for c in row[1:1 + g0.size]]
+                                   for row in rows]))
+    shape = identity_element(spec).shape
+    start, moved = (p.reshape((-1,) + shape) for p in positions)
+    ref = left_translate(g0.reshape(shape), start, spec)
+    # measured: 0, 4.2e-16 and 2.8e-16 (r3, so3, s3)
+    assert np.max(np.abs(moved - ref)) <= 1e-12
+
+
 def test_left_handed_init_frame_exits_2(tmp_path, capsys):
     cfg = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
            "step": 0.01, "init_frame": [1, 0, 0, 0, 1, 0, 0, 0, -1]}
@@ -535,11 +592,12 @@ def test_left_handed_init_frame_exits_2(tmp_path, capsys):
 
 
 def test_verify_unknown_theorem_exits_2(capsys):
-    code, _, err = run_cli(["verify", "--group", "r3", "--kappa", "1", "--tau", "1",
-                            "--domain", "0:1", "--step", "1e-2",
-                            "--theorems", "thm9_9"], capsys)
-    assert code == 2
-    assert "unknown theorem" in err
+    for flags, message in ((["--theorems", "thm9_9"], "unknown theorem"),
+                           ([], "verify requires --theorems")):
+        code, _, err = run_cli(["verify", "--group", "r3", "--kappa", "1", "--tau", "1",
+                                "--domain", "0:1", "--step", "1e-2"] + flags, capsys)
+        assert code == 2
+        assert message in err
 
 
 def test_verify_failure_exits_1(capsys):
@@ -563,16 +621,17 @@ def test_not_applicable_counts_as_ok(capsys):
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):
-    cfg = {"group": "r3", "kappa": "2", "tau": "1", "domain": [0, 2],
-           "step": 0.01}
-    cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
-    out = tmp_path / "o.csv"
-    code, _, _ = run_cli(["synthesize", "--config", str(cfg_path),
-                          "--step", "0.02", "--out", str(out)], capsys)
-    assert code == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 101  # step override applied
+    for kappa in ("2", 2):      # an expression, or a JSON number
+        cfg = {"group": "r3", "kappa": kappa, "tau": "1", "domain": [0, 2],
+               "step": 0.01}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "o.csv"
+        code, _, _ = run_cli(["synthesize", "--config", str(cfg_path),
+                              "--step", "0.02", "--out", str(out)], capsys)
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 101  # step override applied
 
 
 def test_step_too_large_rejected(capsys):
@@ -597,10 +656,14 @@ def test_bad_tolerance_flag_exits_2(name, value, capsys):
 
 def test_bad_tolerance_in_config_exits_2(tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text('{"tolerances": {"constancy": NaN}}', encoding="utf-8")
-    code, _, err = run_cli(CLASSIFY_FLAT + ["--config", str(cfg_path)], capsys)
-    assert code == 2
-    assert "tolerance constancy " in err
+    for text, message in (('{"tolerances": {"constancy": NaN}}', "tolerance constancy "),
+                          ('{"tolerances": {"constancy": true}}', "tolerance constancy "),
+                          ('{"tolerances": {"bogus": 1}}',
+                           "unknown tolerance names: ['bogus']")):
+        cfg_path.write_text(text, encoding="utf-8")
+        code, _, err = run_cli(CLASSIFY_FLAT + ["--config", str(cfg_path)], capsys)
+        assert code == 2, text
+        assert message in err
 
 
 SYNTH_CONFIG = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
@@ -622,10 +685,28 @@ SYNTH_CONFIG = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
     ([], {**SYNTH_CONFIG, "theorems": 5}, "theorems"),
     ([], {**SYNTH_CONFIG, "tau": [1]}, "tau"),
     ([], {**SYNTH_CONFIG, "out": ["o.csv"]}, "out"),
+    ([], {k: v for k, v in SYNTH_CONFIG.items() if k != "step"}, "required"),
+    ([], {**SYNTH_CONFIG, "kappa": True}, "kappa"),
+    ([], {**SYNTH_CONFIG, "tau": False}, "tau"),
+    ([], {**SYNTH_CONFIG, "domain": [0, 10], "step": True}, "step"),
+    ([], {**SYNTH_CONFIG, "domain": [0, True]}, "domain"),
+    ([], {**SYNTH_CONFIG, "init_frame": [True, 0, 0, 0, True, 0, 0, 0, True]},
+     "init_frame"),
+    ([], {**SYNTH_CONFIG, "init_position": [True, False, False]}, "init_position"),
+    ([], {**SYNTH_CONFIG, "kappa": float("inf")}, "kappa"),
+    ([], {**SYNTH_CONFIG, "tau": float("nan")}, "tau"),
+    ([], {**SYNTH_CONFIG, "kappa": 10 ** 400}, "kappa"),
+    ([], {**SYNTH_CONFIG, "group": "so3",
+          "init_position": [1, 0, 0, 0, 1, 0, 0, 0, -1]}, "init_position"),
+    ([], {**SYNTH_CONFIG, "group": "s3", "init_position": [0, 0, 0, 0]},
+     "init_position"),
 ], ids=["step-nan", "domain-inf", "domain-minus-inf", "top-level-list",
         "domain-one-number", "step-text", "init-frame-3", "init-position-r3-4",
         "init-position-so3-4", "init-position-s3-3", "tolerances-list",
-        "theorems-number", "tau-list", "out-list"])
+        "theorems-number", "tau-list", "out-list", "step-missing", "kappa-true",
+        "tau-false", "step-true", "domain-true", "init-frame-true",
+        "init-position-true", "kappa-inf", "tau-nan", "kappa-past-float-range",
+        "init-position-so3-reflection", "init-position-s3-zero"])
 def test_malformed_config_exits_2(flags, config, key, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")

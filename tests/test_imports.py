@@ -94,7 +94,7 @@ EXPORTS = {
                     "evaluate", "parse", "to_text"],
     "integrate": ["FrameTrajectory", "PositionCurve", "integrate_direction_curve",
                   "integrate_frame", "reconstruct_position"],
-    "liegroup": ["R3", "S3", "SO3", "Frame", "GroupSpec", "bracket",
+    "liegroup": ["R3", "S3", "SO3", "GroupSpec", "bracket",
                  "group_spec", "pull_back_tangent"],
     "mates": ["MateApparatus", "NotAFrenetMate", "Segment",
               "conjugate_mate_apparatus", "constant_curvature_inverse",

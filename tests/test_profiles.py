@@ -227,15 +227,13 @@ def test_frame_rotation_residuals(profiles):
         f = getattr(traj, field)
         fd = (f[2:] - f[:-2]) / (2 * h)
         for i in range(1, len(s) - 1):
-            frame = traj.frame_at(i)
-            omega_alg = (big[i][0] * frame.t + big[i][1] * frame.n
-                         + big[i][2] * frame.b)
-            d_alg = (d_vec[i][0] * frame.t + d_vec[i][1] * frame.n
-                     + d_vec[i][2] * frame.b)
+            t, n, b = traj.t[i], traj.n[i], traj.b[i]
+            omega_alg = big[i][0] * t + big[i][1] * n + big[i][2] * b
+            d_alg = d_vec[i][0] * t + d_vec[i][1] * n + d_vec[i][2] * b
             u = f[i]
             worst_plain = max(worst_plain, float(np.max(np.abs(
                 fd[i - 1] - np.cross(omega_alg, u)))))
-            cov = covariant_derivative(u, fd[i - 1], frame.t, R3)
+            cov = covariant_derivative(u, fd[i - 1], t, R3)
             worst_cov = max(worst_cov, float(np.max(np.abs(
                 cov - np.cross(d_alg, u)))))
     assert worst_plain <= 1e-6
