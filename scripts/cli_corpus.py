@@ -25,6 +25,12 @@ a numeric kappa, ``verify`` without theorems, an unknown tolerance name, a
 missing setting, and numbers that must be rejected (true or false, not
 finite, past the float range, or a start position outside its group).
 
+Last of all come the benchmark's own commands at its step, --step 1e-3:
+``synthesize`` of each demo profile and ``mate --mode both`` of each kind
+on the slant helix and Salkowski, in every group, with --out.  Their
+outputs are megabytes, so each of these records holds a blake2b digest of
+its stdout and --out text in their place.
+
 Before each command, the --out path is filled with SENTINEL, so the record
 of a failing command shows whether the file it was given survived.  OUT
 holds one JSON line per command: its arguments, exit code, stdout, stderr
@@ -38,6 +44,7 @@ these commands behave the same.
 
 import contextlib
 import dataclasses
+import hashlib
 import io
 import json
 import os
@@ -128,6 +135,19 @@ def commands(out):
         yield command + ["--config", config, "--out", out]
 
 
+def bench_commands(out):
+    """Argument lists of the benchmark's commands, at its step."""
+    for name, entry in PROFILES.items():
+        for g in GROUPS:
+            profile = ["--group", g, "--kappa", entry.kappa, "--tau", entry.tau,
+                       f"--domain={entry.domain[0]!r}:{entry.domain[1]!r}",
+                       "--step", "1e-3", "--out", out]
+            yield ["synthesize"] + profile
+            if name in ("slant_helix", "salkowski"):
+                for kind in ("natural", "conjugate"):
+                    yield ["mate", "--kind", kind, "--mode", "both"] + profile
+
+
 def run(argv, out):
     """One command's record; ``out`` holds SENTINEL before it runs and is
     removed after."""
@@ -157,6 +177,11 @@ def main(path: str) -> None:
         out = os.path.join(tmp, "out")
         for argv in commands(out):
             fh.write(json.dumps(run(argv, out)) + "\n")
+        for argv in bench_commands(out):
+            record = run(argv, out)
+            text = json.dumps([record.pop("stdout"), record.pop("out")])
+            record["digest"] = hashlib.blake2b(text.encode()).hexdigest()
+            fh.write(json.dumps(record) + "\n")
 
 
 if __name__ == "__main__":

@@ -620,6 +620,11 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_2", tol.constancy,
                                "tau - tau_G vanishes somewhere")
+    h_spread = rel_spread(ps.H)
+    if h_spread <= tol.constancy:
+        return _not_applicable("cor6_2", tol.constancy,
+                               f"general helix (H spread {h_spread:.3g}): "
+                               "H' vanishes identically; sigma undefined")
     slant, sig_spread = _slant_verdict(ps, tol)
     cps = ProfileSamples(conjugate_mate_apparatus(p, spec).profile, spec, s)
     conj_slant, conj_spread = _slant_verdict(cps, tol)

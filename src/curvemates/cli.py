@@ -209,34 +209,28 @@ _POSITION_COLUMNS = {
 }
 
 
-# rows formatted at a time: bounds the Python floats and text held at once
-_CHUNK_ROWS = 128
+# rows formatted at a time: bounds the arrays of one chunk, about 48 bytes
+# a cell each (83 KB for 27-cell so3 trajectory rows); 128 rows formatted
+# 17 % faster but raised the peak RSS of a synthesize by another 0.07 MB
+_CHUNK_ROWS = 64
 
 
 def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
     """CSV body text, in chunks, with 17-significant-digit numerics.
 
     ``columns`` hold one row per CSV row (1-D, or 2-D for several cells);
-    their cells fill each row left to right after ``prefix``, literal text
-    without "%".  ``blank = (j, mask)`` leaves cell j empty in the rows
-    where mask is set: an empty cell stands for an undefined value (never
-    NaN).  Each row is formatted by one prebuilt template ("%.0s" prints
-    no cell).
+    their cells fill each row left to right after ``prefix``, literal text.
+    ``blank = (j, mask)`` leaves cell j empty in the rows where mask is set:
+    an empty cell stands for an undefined value (never NaN).
     """
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
-    cells = ["%.17g"] * width
-    full = prefix + ",".join(cells) + "\n"
-    if blank is not None:
-        cells[blank[0]] = "%.0s"
-        empty = prefix + ",".join(cells) + "\n"
+    from . import csvfmt    # here: only the commands that write CSV need it
     for i in range(0, len(columns[0]), _CHUNK_ROWS):
-        rows = np.column_stack([c[i:i + _CHUNK_ROWS] for c in columns]).tolist()
-        if blank is None:
-            yield "".join([full % tuple(r) for r in rows])
-        else:
-            marks = blank[1][i:i + _CHUNK_ROWS].tolist()
-            yield "".join([(empty if m else full) % tuple(r)
-                           for r, m in zip(rows, marks)])
+        cells = np.column_stack([c[i:i + _CHUNK_ROWS] for c in columns])
+        empty = None
+        if blank is not None:
+            empty = np.zeros(cells.shape, bool)
+            empty[:, blank[0]] = blank[1][i:i + _CHUNK_ROWS]
+        yield csvfmt.format_rows(cells, empty, prefix)
 
 
 def _csv(header: list[str], body):

@@ -107,17 +107,23 @@ def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def renormalize_element(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    """Project back onto the group manifold (no-op for r3)."""
+    """Project back onto the group manifold (no-op for r3).
+
+    Raises ValueError where no nearby group element exists: a matrix with
+    det <= 0 or a non-finite entry, a quaternion of zero or non-finite norm."""
     if spec.family == "r3":
         return g
     if spec.family == "s3":
-        return g / np.linalg.norm(g)
+        norm = np.linalg.norm(g)
+        if not 0 < norm < np.inf:
+            raise ValueError(f"a quaternion of norm {norm} has no nearest unit quaternion")
+        return g / norm
+    if not (np.all(np.isfinite(g)) and np.linalg.det(g) > 0):
+        raise ValueError("a matrix with det <= 0 or a non-finite entry "
+                         "has no nearest rotation")
+    # det g > 0, so the polar factor u vt is a rotation
     u, _, vt = np.linalg.svd(g)
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return r
+    return u @ vt
 
 
 def element_defect(spec: GroupSpec, g: np.ndarray) -> float:

@@ -435,6 +435,14 @@ def test_cor_6_2_battery():
         assert rep.passed and not rep.details["slant"], (k, t, rep.details)
 
 
+@pytest.mark.parametrize("spec", [R3, SO3, S3], ids=["r3", "so3", "s3"])
+def test_cor_6_2_is_not_applicable_on_a_general_helix(spec):
+    # sigma is undefined on both sides, as in cor3_2
+    rep = verify_cor_6_2(prof("2", f"{spec.tau_g!r}+1.5", (0, 4)), spec)
+    assert rep.ok and not rep.applicable, rep.details
+    assert "sigma undefined" in rep.hypothesis_note
+
+
 def test_cor_3_3(profiles):
     rep = verify_cor_3_3(profiles["rectifying"], R3)
     assert rep.passed and rep.details["rectifying"]

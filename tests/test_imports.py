@@ -39,9 +39,11 @@ def run_child(argv):
     return ast.literal_eval(cp.stdout)
 
 
+# csvfmt serves the CSV outputs only: never --show-tolerances, classify, or
+# verify without --out
 @pytest.mark.parametrize("argv,extra,bound,reads_json", [
-    (["synthesize"] + PROFILE, set(), [], False),
-    (["mate", "--mode", "both"] + PROFILE, set(), [], True),
+    (["synthesize"] + PROFILE, {"curvemates.csvfmt"}, [], False),
+    (["mate", "--mode", "both"] + PROFILE, {"curvemates.csvfmt"}, [], True),
     (["--show-tolerances"], set(), [], False),
     (["classify"] + PROFILE, {"curvemates.checks"}, ["classify"], True),
     (["verify", "--theorems", "cor3_1"] + PROFILE, {"curvemates.checks"},

@@ -118,6 +118,17 @@ def test_frenet_violation_detected():
         integrate_frame(p, R3, 0, 1, 1e-2)
 
 
+def test_start_with_no_nearby_group_element_raises():
+    # a reflection is no frame, and 0 no unit quaternion: neither is
+    # projected onto an unrelated start
+    p = CurvatureProfile.from_expressions("2", "1", (0, 1))
+    with pytest.raises(ValueError):
+        integrate_frame(p, SO3, 0, 1, 0.1, np.diag([1.0, 1.0, -1.0]))
+    traj = integrate_frame(p, S3, 0, 1, 0.1)
+    with pytest.raises(ValueError):
+        reconstruct_position(traj, S3, np.zeros(4))
+
+
 def test_reconstruct_circle():
     p = CurvatureProfile.from_expressions("1", "0", (0, 2 * np.pi))
     traj = integrate_frame(p, R3, 0, 2 * np.pi, 1e-3)

@@ -172,6 +172,19 @@ def test_renormalize_and_defect():
     assert np.linalg.det(m2) > 0
 
 
+@pytest.mark.parametrize("spec,g", [
+    (SO3, np.diag([1.0, 1.0, -1.0])),
+    (SO3, np.zeros((3, 3))),
+    (SO3, np.where(np.eye(3) > 0, np.nan, 0.0)),
+    (S3, np.zeros(4)),
+    (S3, np.array([np.inf, 0.0, 0.0, 0.0])),
+    (S3, np.array([np.nan, 1.0, 0.0, 0.0])),
+], ids=["so3-reflection", "so3-zero", "so3-nan", "s3-zero", "s3-inf", "s3-nan"])
+def test_renormalize_rejects_an_element_with_no_nearest_group_element(spec, g):
+    with pytest.raises(ValueError):
+        renormalize_element(spec, g)
+
+
 def test_left_shift_line():
     s = np.linspace(0, 2, 101)
     d = np.array([0.5, -0.25, 1.0])
