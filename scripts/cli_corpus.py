@@ -13,17 +13,20 @@ by tau_G there), each in r3, so3 and s3:
   preset passed as --tol-* flags;
 - ``verify`` of all 13 theorem ids with --out;
 - ``mate --mode analytic`` of each kind, to stdout;
-- ``mate --mode both`` of each kind, with --out.
+- ``mate --mode both`` and ``mate --mode geometric`` of each kind, with
+  --out.
 
 Each command with an empty --out "" follows, once per command on the slant
-helix in r3.  Last come ``mate --mode both`` of each kind and ``verify`` of
-cor6_3 and cor6_4 on a helix in every group, with --out, on grids around the
-estimator's shortest: 30 samples (one short), 31, and 11 (--step 0.1).
-Then come the commands of ``CONFIGS``, each reading its settings from a
-config file written next to the --out path: a start position in each group,
-a numeric kappa, ``verify`` without theorems, an unknown tolerance name, a
-missing setting, and numbers that must be rejected (true or false, not
-finite, past the float range, or a start position outside its group).
+helix in r3.  Last come ``mate --mode both`` and ``mate --mode geometric``
+of each kind and ``verify`` of cor6_3 and cor6_4 on a helix in every group,
+with --out, on grids around the estimator's shortest: 30 samples (one
+short), 31, and 11 (--step 0.1).  Then come the commands of ``CONFIGS``,
+each reading its settings from a config file written next to the --out
+path: a start position in each group, a numeric kappa, ``verify`` without
+theorems, an unknown tolerance name, a missing setting, numbers that must
+be rejected (true or false, not finite, past the float range, or a start
+position outside its group), and keys that the command does not read (one
+command per key, a misspelt ``init_fram`` among them).
 
 Last of all come the benchmark's own commands at its step, --step 1e-3:
 ``synthesize`` of each demo profile and ``mate --mode both`` of each kind
@@ -99,6 +102,13 @@ CONFIGS = [
     (["synthesize"], {**SYNTH, "group": "so3",
                       "init_position": [1, 0, 0, 0, 1, 0, 0, 0, -1]}),
     (["synthesize"], {**SYNTH, "group": "s3", "init_position": [0, 0, 0, 0]}),
+    (["mate"], {**SYNTH, "init_frame": [0, 1, 0, -1, 0, 0, 0, 0, 1]}),
+    (["mate"], {**SYNTH, "theorems": ["thm4_1"]}),
+    (["classify"], {**SYNTH, "init_position": [0.5, -1.0, 2.0]}),
+    (["classify"], {**SYNTH, "mode": "both"}),
+    (["verify"], {**SYNTH, "theorems": ["thm6_2"], "init_position": [0.5, -1.0, 2.0]}),
+    (["synthesize"], {**SYNTH, "kind": "conjugate"}),
+    (["synthesize"], {**SYNTH, "init_fram": [0, 1, 0, -1, 0, 0, 0, 0, 1]}),
 ]
 
 
@@ -114,7 +124,8 @@ def commands(out):
                + ["--out", out])
         for kind in ("natural", "conjugate"):
             yield ["mate", "--kind", kind, "--mode", "analytic"] + profile
-            yield ["mate", "--kind", kind, "--mode", "both"] + profile + ["--out", out]
+            for mode in ("both", "geometric"):
+                yield ["mate", "--kind", kind, "--mode", mode] + profile + ["--out", out]
     slant = PROFILES["slant_helix"]
     profile = ["--group", "r3", "--kappa", slant.kappa, "--tau", slant.tau,
                f"--domain={slant.domain[0]!r}:{slant.domain[1]!r}", "--step", "1e-2"]
@@ -126,7 +137,8 @@ def commands(out):
             profile = ["--group", g, "--kappa", "2", "--tau", f"{TAU_G[g]!r}+1",
                        f"--domain={domain}", "--step", step]
             for kind in ("natural", "conjugate"):
-                yield ["mate", "--kind", kind, "--mode", "both"] + profile + ["--out", out]
+                for mode in ("both", "geometric"):
+                    yield ["mate", "--kind", kind, "--mode", mode] + profile + ["--out", out]
             yield ["verify", "--theorems", "cor6_3,cor6_4"] + profile + ["--out", out]
     config = os.path.join(os.path.dirname(out), "config.json")
     for command, data in CONFIGS:

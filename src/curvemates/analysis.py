@@ -120,7 +120,6 @@ class EstimatedApparatus:
     n: np.ndarray
     b: np.ndarray
     valid: np.ndarray      # interior mask clear of one-sided stencil margins
-    window: int            # the differentiation window used
 
 
 def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
@@ -133,21 +132,19 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     s = np.asarray(curve.s, dtype=float)
     positions = np.asarray(curve.positions, dtype=float)
     n = s.shape[0]
-    if n < 9:
-        raise EstimationError("need at least 9 samples")
+    if n <= 2 * MARGIN:
+        raise EstimationError(f"need at least {2 * MARGIN + 1} samples, got {n}")
     if not is_uniform_grid(s):
         raise EstimationError("estimation requires a uniform s-grid")
-    # DEFAULT_WINDOW, clamped to the longest odd window of a short input
-    window = min(DEFAULT_WINDOW, n if n % 2 else n - 1)
     h = float(s[1] - s[0])
 
-    dpos = sg_derivative(positions, h, window)
+    dpos = sg_derivative(positions, h)
     t = pull_back_tangent(positions, dpos, spec)
-    tp = sg_derivative(t, h, window)
+    tp = sg_derivative(t, h)
     kappa = np.linalg.norm(tp, axis=1)
 
     valid = np.zeros(n, dtype=bool)
-    valid[MARGIN:n - MARGIN] = True     # empty unless n > 2 * MARGIN
+    valid[MARGIN:n - MARGIN] = True
     if np.any(kappa[valid] < 1e-9):
         raise EstimationError("kappa below 1e-9 on an interior window; "
                               "not a Frenet curve there")
@@ -156,12 +153,12 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     nhat = tp / kappa_safe[:, None]
     bhat = np.cross(that, nhat)
     bhat = bhat / np.linalg.norm(bhat, axis=1, keepdims=True)
-    nprime = sg_derivative(nhat, h, window)
+    nprime = sg_derivative(nhat, h)
     tn_bracket = bracket(that, nhat, spec)
     tau_g = 0.5 * np.sum(tn_bracket * bhat, axis=1)
     tau = np.sum((nprime + 0.5 * tn_bracket) * bhat, axis=1)
     return EstimatedApparatus(s=s, kappa=kappa, tau=tau, tau_g=tau_g,
-                              t=that, n=nhat, b=bhat, valid=valid, window=window)
+                              t=that, n=nhat, b=bhat, valid=valid)
 
 
 def __getattr__(name: str):

@@ -642,49 +642,48 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
 # ---------------------------------------------------------------------------
 # geometric mate checks (Bertrand / mutual orthogonality)
 
-def verify_mate_geometry(traj: FrameTrajectory, mate_curve: PositionCurve,
-                         kind: str, spec: GroupSpec,
-                         tol: ToleranceSet = ToleranceSet(),
-                         other_mate: Optional[PositionCurve] = None) -> VerificationReport:
-    """End-to-end geometric checks against estimated apparatus:
+def verify_mate_geometry(traj: FrameTrajectory, natural: PositionCurve,
+                         conjugate: Optional[PositionCurve], spec: GroupSpec,
+                         tol: ToleranceSet = ToleranceSet()) -> dict[str, VerificationReport]:
+    """End-to-end geometric checks against estimated apparatus, as the
+    reports of cor6_3 (natural mate) and cor6_4 (conjugate mate):
 
-    (i)   the mate's estimated tangent equals the parent's N (natural) or
+    (i)   each mate's estimated tangent equals the parent's N (natural) or
           B (conjugate);
     (ii)  Bertrand property for the conjugate mate: estimated N* is +/-N;
-    (iii) mutual orthogonality of the estimated tangents, including the
-          cross pair when ``other_mate`` is supplied.
+    (iii) mutual orthogonality of the three estimated tangents, one
+          residual shared by both reports.
+
+    ``conjugate`` is None where tau - tau_G vanishes identically; both
+    reports are then not applicable.
     """
+    if conjugate is None:
+        note = "tau - tau_G vanishes identically"
+        return {"cor6_3": _not_applicable("cor6_3", tol.orthogonality, note),
+                "cor6_4": _not_applicable("cor6_4", tol.bertrand, note)}
     if traj.positions is None:
         raise ValueError("parent trajectory needs positions")
-    est_p = estimate_apparatus(traj, spec)
-    est_m = estimate_apparatus(mate_curve, spec)
-    mask = est_p.valid & est_m.valid
-    target = traj.n if kind == "natural" else traj.b
-    tangent_res = float(np.max(np.linalg.norm(est_m.t[mask] - target[mask], axis=1)))
-    ortho_vals = [float(np.max(np.abs(np.sum(est_p.t[mask] * est_m.t[mask], axis=1))))]
-    details = {"tangent_residual": tangent_res}
-    passed = tangent_res <= tol.tangent
+    est_p, est_n, est_c = (estimate_apparatus(c, spec) for c in (traj, natural, conjugate))
+    # the three curves share one grid, so one valid mask
+    mask = est_p.valid
+    ortho = max(float(np.max(np.abs(np.sum(a.t[mask] * b.t[mask], axis=1))))
+                for a, b in ((est_p, est_n), (est_n, est_c), (est_p, est_c)))
+    tangent_n, tangent_c = (float(np.max(np.linalg.norm(est.t[mask] - target[mask], axis=1)))
+                            for est, target in ((est_n, traj.n), (est_c, traj.b)))
+    # exclude samples too close to inflections of the mate for a stable N*
+    stable = mask & (est_c.kappa >= 1e-3)
+    diff_minus = np.linalg.norm(est_c.n[stable] - est_p.n[stable], axis=1)
+    diff_plus = np.linalg.norm(est_c.n[stable] + est_p.n[stable], axis=1)
+    bertrand = float(np.max(np.minimum(diff_minus, diff_plus))) if np.any(stable) else None
 
-    if kind == "conjugate":
-        # exclude samples too close to inflections of the mate for a stable N*
-        stable = mask & (est_m.kappa >= 1e-3)
-        diff_minus = np.linalg.norm(est_m.n[stable] - est_p.n[stable], axis=1)
-        diff_plus = np.linalg.norm(est_m.n[stable] + est_p.n[stable], axis=1)
-        bertrand = float(np.max(np.minimum(diff_minus, diff_plus))) if np.any(stable) else None
-        details["bertrand_residual"] = bertrand
-        if bertrand is None or bertrand > tol.bertrand:
-            passed = False
-
-    if other_mate is not None:
-        est_o = estimate_apparatus(other_mate, spec)
-        m2 = mask & est_o.valid
-        ortho_vals.append(float(np.max(np.abs(np.sum(est_m.t[m2] * est_o.t[m2], axis=1)))))
-        ortho_vals.append(float(np.max(np.abs(np.sum(est_p.t[m2] * est_o.t[m2], axis=1)))))
-    ortho = max(ortho_vals)
-    details["orthogonality_residual"] = ortho
-    if ortho > tol.orthogonality:
-        passed = False
-    residual = max(v for v in [tangent_res, details.get("bertrand_residual"), ortho]
-                   if v is not None)
-    name = "cor6_4" if kind == "conjugate" else "cor6_3"
-    return VerificationReport(name, True, passed, residual, tol.tangent, details)
+    natural_report = VerificationReport(
+        "cor6_3", True, tangent_n <= tol.tangent and ortho <= tol.orthogonality,
+        max(tangent_n, ortho), tol.tangent,
+        {"tangent_residual": tangent_n, "orthogonality_residual": ortho})
+    passed = (tangent_c <= tol.tangent and bertrand is not None
+              and bertrand <= tol.bertrand and ortho <= tol.orthogonality)
+    conjugate_report = VerificationReport(
+        "cor6_4", True, passed, max(v for v in (tangent_c, bertrand, ortho) if v is not None),
+        tol.tangent, {"tangent_residual": tangent_c, "bertrand_residual": bertrand,
+                      "orthogonality_residual": ortho})
+    return {"cor6_3": natural_report, "cor6_4": conjugate_report}

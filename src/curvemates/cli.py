@@ -2,8 +2,9 @@
 and verify, emitting plot-ready CSV and machine-readable JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/config error (also a
-derivative outside the grammar, a grid too short for the estimator, or an
-output, stdout included, that cannot be written), 3 domain error during
+config key the command does not read, a derivative outside the grammar, a
+grid too short for the estimator, or an output, stdout included, that
+cannot be written), 3 domain error during
 evaluation, 4 degenerate conjugate mate (tau identically equal to the group
 torsion).
 """
@@ -73,6 +74,14 @@ def _parse_domain(text: str) -> tuple[float, float]:
 
 
 _TOL_FIELDS = [f.name for f in dataclasses.fields(ToleranceSet)]
+# the config file keys every command reads, and those of one command
+_COMMON_KEYS = {"group", "kappa", "tau", "domain", "step", "out", "tolerances"}
+_COMMAND_KEYS = {
+    "synthesize": {"init_frame", "init_position"},
+    "mate": {"kind", "mode"},
+    "classify": set(),
+    "verify": {"theorems"},
+}
 _FLOAT_MAX = sys.float_info.max
 
 
@@ -109,6 +118,11 @@ def build_config(args: argparse.Namespace) -> RunConfig:
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
+        # a key no command reads, or one this command ignores, is more
+        # likely a typo or a mistaken command than a setting to drop
+        unread = sorted(set(data) - _COMMON_KEYS - _COMMAND_KEYS[args.command])
+        if unread:
+            raise ConfigError(f"{args.command} does not read config keys {unread}")
 
     def pick(flag, key, default=None):
         v = getattr(args, flag, None)
@@ -357,9 +371,7 @@ def cmd_mate(config: RunConfig) -> tuple[int, list]:
         analytic = ProfileSamples(mate.profile, spec, s)
         return 0, [(config.out, _csv(["s", "kappa", "tau"],
                                      _csv_rows([s, analytic.kappa, analytic.tau])))]
-    if mode == "both":
-        _check_estimator_grid(config)
-
+    _check_estimator_grid(config)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
     traj = reconstruct_position(traj, spec)
     which = "principal_normal" if kind == "natural" else "binormal"
@@ -419,9 +431,10 @@ def cmd_classify(config: RunConfig) -> tuple[int, list]:
     return 0, ([(config.out, text)] if config.out else []) + [(None, text)]
 
 
-def _mate_curves(p: CurvatureProfile, spec: GroupSpec, config: RunConfig):
-    """Parent trajectory with its natural and conjugate direction curves,
-    the conjugate one None where tau - tau_G vanishes identically."""
+def _mate_geometry(p: CurvatureProfile, spec: GroupSpec, config: RunConfig) -> dict:
+    """Reports of cor6_3 and cor6_4 from one integration of the parent and
+    its direction curves, the conjugate one left out where tau - tau_G
+    vanishes identically."""
     _check_estimator_grid(config)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
     traj = reconstruct_position(traj, spec)
@@ -429,27 +442,10 @@ def _mate_curves(p: CurvatureProfile, spec: GroupSpec, config: RunConfig):
     try:
         conjugate_mate_apparatus(p, spec)
     except NotAFrenetMate:
-        return traj, natural, None
-    return traj, natural, integrate_direction_curve(traj, "binormal", spec)
-
-
-def _run_theorem(theorem: str, p: CurvatureProfile, spec: GroupSpec,
-                 tol: ToleranceSet, curves):
-    """Report of one theorem; cor6_3 and cor6_4 read ``curves``, the
-    result of ``_mate_curves``, and the others call their verifier."""
-    if theorem not in ("cor6_3", "cor6_4"):
-        # looked up per call, so a verifier wrapped after import is the one run
-        return getattr(analysis, f"verify_{theorem[:3]}_{theorem[3:]}")(p, spec, tol)
-    traj, natural, conjugate = curves
-    if conjugate is None:
-        tolerance = tol.orthogonality if theorem == "cor6_3" else tol.bertrand
-        return analysis._not_applicable(theorem, tolerance,
-                                        "tau - tau_G vanishes identically")
-    if theorem == "cor6_3":
-        return analysis.verify_mate_geometry(traj, natural, "natural", spec, tol,
-                                             other_mate=conjugate)
-    return analysis.verify_mate_geometry(traj, conjugate, "conjugate", spec, tol,
-                                         other_mate=natural)
+        conjugate = None
+    else:
+        conjugate = integrate_direction_curve(traj, "binormal", spec)
+    return analysis.verify_mate_geometry(traj, natural, conjugate, spec, config.tolerances)
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, list]:
@@ -464,12 +460,17 @@ def cmd_verify(config: RunConfig) -> tuple[int, list]:
     results = []
     reports = []
     traces = []
-    curves = None
+    mate_reports = None
     for theorem in config.theorems:
-        # cor6_3 and cor6_4 share one integration, run when first needed
-        if theorem in ("cor6_3", "cor6_4") and curves is None:
-            curves = _mate_curves(p, spec, config)
-        report = _run_theorem(theorem, p, spec, config.tolerances, curves)
+        if theorem in ("cor6_3", "cor6_4"):
+            # both come from one integration, run when first needed
+            if mate_reports is None:
+                mate_reports = _mate_geometry(p, spec, config)
+            report = mate_reports[theorem]
+        else:
+            # looked up per call, so a verifier wrapped after import is the one run
+            report = getattr(analysis, f"verify_{theorem[:3]}_{theorem[3:]}")(
+                p, spec, config.tolerances)
         entry = {
             "theorem": theorem,
             "applicable": report.applicable,

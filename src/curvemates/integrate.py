@@ -204,14 +204,13 @@ def _integrate_group_positions(s: np.ndarray, field: np.ndarray,
 
     Returns the positions and their largest distance from the group."""
     h = float(s[1] - s[0])
-    g = identity_element(spec) if g0 is None else np.array(g0, dtype=float)
+    g = renormalize_element(
+        spec, identity_element(spec) if g0 is None else np.array(g0, dtype=float))
+    out = np.empty((s.shape[0],) + g.shape)
+    out[0] = g
     if spec.family == "r3":
-        out = np.empty((s.shape[0], 3))
-        out[0] = g
         out[1:] = g + np.cumsum(_magnus_exponents(field, field_mid, h, spec.lam), axis=0)
         return out, 0.0
-    out = np.empty((s.shape[0],) + g.shape)
-    out[0] = renormalize_element(spec, g)
     exp, mul = ((_exp_quaternions, quat_mul_rows) if spec.family == "s3"
                 else (_exp_rotations, np.matmul))
     _magnus_steps(field, field_mid, h, spec.lam, exp, out[1:])

@@ -107,11 +107,14 @@ def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def renormalize_element(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
-    """Project back onto the group manifold (no-op for r3).
+    """Project back onto the group manifold (the identity map for r3).
 
-    Raises ValueError where no nearby group element exists: a matrix with
-    det <= 0 or a non-finite entry, a quaternion of zero or non-finite norm."""
+    Raises ValueError where no nearby group element exists: a translation
+    with a non-finite entry, a matrix with det <= 0 or a non-finite entry, a
+    quaternion of zero or non-finite norm."""
     if spec.family == "r3":
+        if not np.all(np.isfinite(g)):
+            raise ValueError("a translation with a non-finite entry is no point of R^3")
         return g
     if spec.family == "s3":
         norm = np.linalg.norm(g)

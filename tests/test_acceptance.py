@@ -204,16 +204,16 @@ def test_criterion_8_orthogonality_and_bertrand():
     traj = reconstruct_position(integrate_frame(slant, R3, -1.5, 1.5, 1e-3), R3)
     nat = integrate_direction_curve(traj, "principal_normal", R3)
     conj = integrate_direction_curve(traj, "binormal", R3)
-    rep_n = verify_mate_geometry(traj, nat, "natural", R3, other_mate=conj)
-    rep_c = verify_mate_geometry(traj, conj, "conjugate", R3, other_mate=nat)
+    reports = verify_mate_geometry(traj, nat, conj, R3)
+    rep_n, rep_c = reports["cor6_3"], reports["cor6_4"]
     results.append(("r3", rep_n, rep_c))
 
     p = CurvatureProfile.from_expressions("1", "2", (0.0, 3.0))
     traj = reconstruct_position(integrate_frame(p, S3, 0, 3, 1e-3), S3)
     nat = integrate_direction_curve(traj, "principal_normal", S3)
     conj = integrate_direction_curve(traj, "binormal", S3)
-    rep_n = verify_mate_geometry(traj, nat, "natural", S3, other_mate=conj)
-    rep_c = verify_mate_geometry(traj, conj, "conjugate", S3, other_mate=nat)
+    reports = verify_mate_geometry(traj, nat, conj, S3)
+    rep_n, rep_c = reports["cor6_3"], reports["cor6_4"]
     results.append(("s3", rep_n, rep_c))
 
     ok = True

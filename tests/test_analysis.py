@@ -102,6 +102,19 @@ def test_estimate_needs_nine_samples():
         estimate_apparatus(PositionCurve(s=s, positions=pos, spec=R3), R3)
 
 
+def test_estimate_needs_31_samples():
+    # the valid span starts 15 samples in from each end; 30 samples leave
+    # it empty, so the estimator refuses them instead of returning nothing
+    def arc(n):
+        s = np.linspace(0, 1, n)
+        return PositionCurve(s=s, positions=np.stack([np.cos(s), np.sin(s), 0 * s], axis=1),
+                             spec=R3)
+
+    with pytest.raises(EstimationError, match="at least 31 samples, got 30"):
+        estimate_apparatus(arc(30), R3)
+    assert np.count_nonzero(estimate_apparatus(arc(31), R3).valid) == 1
+
+
 def test_one_uniform_grid_check_for_samples_shift_and_estimator():
     s = np.linspace(0, 1, 101)
     s[50] += 1e-9
@@ -473,11 +486,12 @@ def test_mate_geometry_r3(profiles):
     traj = reconstruct_position(integrate_frame(p, R3, -1.5, 1.5, 1e-3), R3)
     nat = integrate_direction_curve(traj, "principal_normal", R3)
     conj = integrate_direction_curve(traj, "binormal", R3)
-    rep = verify_mate_geometry(traj, nat, "natural", R3, other_mate=conj)
+    reports = verify_mate_geometry(traj, nat, conj, R3)
+    rep = reports["cor6_3"]
     assert rep.passed
     assert rep.details["tangent_residual"] <= 1e-5
     assert rep.details["orthogonality_residual"] <= 1e-5
-    rep = verify_mate_geometry(traj, conj, "conjugate", R3, other_mate=nat)
+    rep = reports["cor6_4"]
     assert rep.passed
     assert rep.details["bertrand_residual"] <= 1e-4
 
@@ -487,18 +501,26 @@ def test_mate_geometry_s3():
     traj = reconstruct_position(integrate_frame(p, S3, 0, 3, 1e-3), S3)
     nat = integrate_direction_curve(traj, "principal_normal", S3)
     conj = integrate_direction_curve(traj, "binormal", S3)
-    rep = verify_mate_geometry(traj, conj, "conjugate", S3, other_mate=nat)
+    rep = verify_mate_geometry(traj, nat, conj, S3)["cor6_4"]
     assert rep.passed
     est = estimate_apparatus(traj, S3)
     assert np.max(np.abs(est.tau_g[est.valid] - 1.0)) <= 1e-6
 
 
 def test_mate_geometry_planar_natural_only():
+    # tau == tau_G: no conjugate mate, so neither check applies
     p = prof("1", "0", (0, 3))
     traj = reconstruct_position(integrate_frame(p, R3, 0, 3, 1e-3), R3)
     nat = integrate_direction_curve(traj, "principal_normal", R3)
-    rep = verify_mate_geometry(traj, nat, "natural", R3)
-    assert rep.passed
+    tol = ToleranceSet(orthogonality=0.25, bertrand=0.5)
+    reports = verify_mate_geometry(traj, nat, None, R3, tol)
+    assert list(reports) == ["cor6_3", "cor6_4"]
+    for theorem, tolerance in (("cor6_3", tol.orthogonality), ("cor6_4", tol.bertrand)):
+        rep = reports[theorem]
+        assert rep.theorem == theorem
+        assert not rep.applicable and not rep.passed and rep.ok
+        assert rep.max_residual is None and rep.tolerance == tolerance
+        assert rep.hypothesis_note == "tau - tau_G vanishes identically"
 
 
 # ---------------------------------------------------------------------------

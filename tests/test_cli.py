@@ -15,7 +15,7 @@ import pytest
 from scipy.linalg import expm
 
 from curvemates.catalog import PROFILES
-from curvemates.cli import _csv_rows, main
+from curvemates.cli import THEOREMS, _csv_rows, main
 from curvemates.liegroup import group_spec, identity_element
 
 from oracles import hat, left_translate
@@ -361,20 +361,23 @@ def test_mate_geometric_mode(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["mate", "--mode", "both"],
                                      ["verify", "--theorems", "cor6_3"],
-                                     ["verify", "--theorems", "cor6_4"]])
+                                     ["verify", "--theorems", "cor6_4"],
+                                     ["mate", "--mode", "geometric", "--kind", "natural"],
+                                     ["mate", "--mode", "geometric", "--kind", "conjugate"]])
 def test_grid_too_short_for_the_estimator_exits_2(command, tmp_path, capsys):
     # the estimator leaves 15 samples out at each end: 30 leave none to compare
     out = tmp_path / "short.csv"
     args = command + ["--group", "so3", "--kappa", "2", "--tau", "1",
                       "--step", "0.01", "--out", str(out)]
-    code, stdout, err = run_cli(args + ["--domain=0:0.29"], capsys)
-    assert (code, stdout) == (2, "")
-    assert err == ("error: the grid has 30 samples; comparing estimated values "
-                   "needs at least 31\n")
-    assert not out.exists()
+    for extra, n in ((["--domain=0:0.29"], 30), (["--domain=0:1", "--step", "0.1"], 11)):
+        code, stdout, err = run_cli(args + extra, capsys)
+        assert (code, stdout) == (2, "")
+        assert err == (f"error: the grid has {n} samples; comparing estimated values "
+                       "needs at least 31\n")
+        assert not out.exists()
     code, stdout, _ = run_cli(args + ["--domain=0:0.3"], capsys)
     assert code == 0
-    if command[0] == "mate":
+    if "both" in command:
         assert json.loads(stdout)["samples_compared"] == 1
 
 
@@ -487,6 +490,28 @@ def test_verify_mate_geometry_theorems(capsys):
     assert code == 0
     entry = json.loads(stdout)["results"][0]
     assert not entry["applicable"]
+
+
+def test_verify_estimates_each_mate_curve_once(capsys, monkeypatch):
+    # cor6_3 and cor6_4 read one estimate each of the parent and its two
+    # direction curves, and no other theorem estimates anything
+    from curvemates import checks
+    estimate_apparatus = checks.estimate_apparatus
+    calls = []
+
+    def counting(curve, spec):
+        calls.append(curve)
+        return estimate_apparatus(curve, spec)
+
+    monkeypatch.setattr(checks, "estimate_apparatus", counting)
+    base = ["verify", "--group", "so3", "--kappa", "3*cos(s)", "--tau", "sqrt(2)",
+            "--domain=-1.5:1.5", "--step", "1e-2"]
+    for theorems in ("cor6_3,cor6_4", ",".join(THEOREMS)):
+        calls.clear()
+        code, _, _ = run_cli(base + ["--theorems", theorems], capsys)
+        assert code == 0
+        assert len(calls) == 3
+        assert len({id(curve) for curve in calls}) == 3
 
 
 def test_verify_integrates_mate_curves_once(capsys, tmp_path, monkeypatch):
@@ -714,6 +739,36 @@ def test_malformed_config_exits_2(flags, config, key, tmp_path, capsys):
                                 capsys)
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and key in err
+
+
+# a value of each key that one command reads, and of a misspelt key
+COMMAND_KEYS = {"init_frame": [1, 0, 0, 0, 1, 0, 0, 0, 1], "init_position": [0, 0, 0],
+                "kind": "natural", "mode": "analytic", "theorems": ["thm6_2"],
+                "init_fram": [1, 0, 0, 0, 1, 0, 0, 0, 1]}
+READS = {"synthesize": ("init_frame", "init_position"), "mate": ("kind", "mode"),
+         "classify": (), "verify": ("theorems",)}
+
+
+@pytest.mark.parametrize("command", list(READS))
+def test_config_key_a_command_does_not_read_exits_2(command, tmp_path, capsys):
+    # an ignored key would run something other than what the file says
+    cfg_path = tmp_path / "cfg.json"
+    config = {**SYNTH_CONFIG, "tolerances": {"residual": 1e-8}}
+    for key in READS[command]:
+        config[key] = COMMAND_KEYS[key]
+    cfg_path.write_text(json.dumps(config), encoding="utf-8")
+    code, _, _ = run_cli([command, "--config", str(cfg_path)], capsys)
+    assert code == 0
+    for key in sorted(set(COMMAND_KEYS) - set(READS[command])):
+        cfg_path.write_text(json.dumps({**config, key: COMMAND_KEYS[key]}),
+                            encoding="utf-8")
+        code, stdout, err = run_cli([command, "--config", str(cfg_path)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err == f"error: {command} does not read config keys ['{key}']\n"
+    if command == "verify":
+        cfg_path.write_text(json.dumps({**config, "theorems": 5}), encoding="utf-8")
+        code, _, err = run_cli([command, "--config", str(cfg_path)], capsys)
+        assert code == 2 and "theorems must be a list" in err
 
 
 @pytest.mark.parametrize("command", [["synthesize"], ["mate"], ["classify"],

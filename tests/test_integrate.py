@@ -119,14 +119,20 @@ def test_frenet_violation_detected():
 
 
 def test_start_with_no_nearby_group_element_raises():
-    # a reflection is no frame, and 0 no unit quaternion: neither is
-    # projected onto an unrelated start
+    # a reflection is no frame, 0 no unit quaternion and a non-finite
+    # translation no point: none is taken as the start
     p = CurvatureProfile.from_expressions("2", "1", (0, 1))
     with pytest.raises(ValueError):
         integrate_frame(p, SO3, 0, 1, 0.1, np.diag([1.0, 1.0, -1.0]))
     traj = integrate_frame(p, S3, 0, 1, 0.1)
     with pytest.raises(ValueError):
         reconstruct_position(traj, S3, np.zeros(4))
+    traj = reconstruct_position(integrate_frame(p, R3, 0, 1, 0.1), R3)
+    for g0 in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
+        with pytest.raises(ValueError, match="non-finite"):
+            reconstruct_position(traj, R3, np.array(g0))
+        with pytest.raises(ValueError, match="non-finite"):
+            integrate_direction_curve(traj, "binormal", R3, np.array(g0))
 
 
 def test_reconstruct_circle():
