@@ -46,7 +46,6 @@ these commands behave the same.
 """
 
 import contextlib
-import dataclasses
 import hashlib
 import io
 import json
@@ -62,7 +61,7 @@ from parity_dump import EDGE_PROFILES, GROUPS, TAU_G
 
 SENTINEL = "written before the command ran\n"
 
-ESTIMATED = [arg for name, value in dataclasses.asdict(ToleranceSet.estimated()).items()
+ESTIMATED = [arg for name, value in ToleranceSet.estimated()._asdict().items()
              for arg in (f"--tol-{name.replace('_', '-')}", repr(value))]
 
 

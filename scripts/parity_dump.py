@@ -101,6 +101,9 @@ def value(x):
     if isinstance(x, np.ndarray):
         return {"dtype": str(x.dtype), "shape": list(x.shape),
                 "values": [value(v) for v in x.ravel().tolist()]}
+    if hasattr(x, "_fields"):   # a NamedTuple record, before its tuple form
+        return {"class": type(x).__name__,
+                **{name: value(getattr(x, name)) for name in x._fields}}
     if isinstance(x, (list, tuple)):
         return [value(v) for v in x]
     if isinstance(x, dict):

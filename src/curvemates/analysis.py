@@ -16,8 +16,8 @@ estimates never loads them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -36,8 +36,7 @@ class EstimationError(ValueError):
 # ---------------------------------------------------------------------------
 # tolerances
 
-@dataclass(frozen=True)
-class ToleranceSet:
+class ToleranceSet(NamedTuple):
     """Every tolerance used by classification and verification.
 
     Two presets reflect two noise floors: exactly evaluated profiles versus
@@ -108,8 +107,7 @@ def sg_derivative(values: np.ndarray, h: float, window: int = DEFAULT_WINDOW) ->
 # ---------------------------------------------------------------------------
 # apparatus estimation
 
-@dataclass
-class EstimatedApparatus:
+class EstimatedApparatus(NamedTuple):
     """Frenet data recovered from positions only."""
 
     s: np.ndarray

@@ -6,13 +6,12 @@ Frenet condition holds with margin.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .profiles import CurvatureProfile
 
 
-@dataclass(frozen=True)
-class NamedProfile:
+class NamedProfile(NamedTuple):
     name: str
     kappa: str
     tau: str

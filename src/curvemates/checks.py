@@ -11,8 +11,7 @@ when one of them is first looked up there.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -33,8 +32,7 @@ INVERSE_GRID_POINTS = 8001
 # ---------------------------------------------------------------------------
 # spherical criterion
 
-@dataclass
-class SphericalSegment:
+class SphericalSegment(NamedTuple):
     s_min: float
     s_max: float
     case: str                 # "constant_kappa" | "general"
@@ -45,8 +43,7 @@ class SphericalSegment:
     eq_residual_integrated: Optional[float] = None
 
 
-@dataclass
-class SphericalReport:
+class SphericalReport(NamedTuple):
     is_spherical: bool
     radius: Optional[float]
     segments: list[SphericalSegment]
@@ -185,16 +182,14 @@ def _integrated_closure(u: np.ndarray, hvals: np.ndarray, h: float) -> Optional[
 # ---------------------------------------------------------------------------
 # classification
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     passed: bool
     residual: Optional[float]
     tolerance: float
     note: str = ""
 
 
-@dataclass
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     verdicts: dict[str, Verdict]
     spherical: SphericalReport
     segments: tuple[Segment, ...]
@@ -266,14 +261,13 @@ def _rectifying_fit(ps: ProfileSamples, tol: ToleranceSet):
 # ---------------------------------------------------------------------------
 # verification reports
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     theorem: str
     applicable: bool
     passed: bool
     max_residual: Optional[float]
     tolerance: float
-    details: dict = field(default_factory=dict)
+    details: dict     # no default: a default would be one dict shared by every report
     hypothesis_note: str = ""
     trace: Optional[tuple[np.ndarray, np.ndarray]] = None
 
@@ -284,7 +278,7 @@ class VerificationReport:
 
 
 def _not_applicable(theorem: str, tolerance: float, note: str) -> VerificationReport:
-    return VerificationReport(theorem, False, False, None, tolerance,
+    return VerificationReport(theorem, False, False, None, tolerance, {},
                               hypothesis_note=note)
 
 

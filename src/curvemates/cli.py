@@ -12,11 +12,9 @@ torsion).
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
-from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -28,7 +26,8 @@ from .integrate import (_grid, integrate_direction_curve, integrate_frame,
 from .liegroup import GroupSpec, group_spec, identity_element
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
                     natural_mate_apparatus)
-from .profiles import CurvatureProfile, FrenetViolation, ProfileSamples
+from .profiles import (CurvatureProfile, FrenetViolation, ProfileSamples,
+                       require_frenet)
 
 SCHEMA_VERSION = "1"
 
@@ -41,8 +40,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     group: str
     kappa: str
     tau: str
@@ -51,8 +49,8 @@ class RunConfig:
     out: Optional[str] = None
     mode: str = "analytic"
     kind: str = "natural"
-    theorems: list[str] = field(default_factory=list)
-    tolerances: ToleranceSet = field(default_factory=ToleranceSet.analytic)
+    theorems: tuple[str, ...] = ()
+    tolerances: ToleranceSet = ToleranceSet.analytic()
     init_frame: Optional[np.ndarray] = None      # 9 numbers, rows T, N, B
     init_position: Optional[np.ndarray] = None   # the group's 3, 9 or 4 numbers
 
@@ -73,7 +71,7 @@ def _parse_domain(text: str) -> tuple[float, float]:
         raise ConfigError(f"bad domain {text!r}: {e}") from e
 
 
-_TOL_FIELDS = [f.name for f in dataclasses.fields(ToleranceSet)]
+_TOL_FIELDS = ToleranceSet._fields
 # the config file keys every command reads, and those of one command
 _COMMON_KEYS = {"group", "kappa", "tau", "domain", "step", "out", "tolerances"}
 _COMMAND_KEYS = {
@@ -207,7 +205,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                      out=out,
                      mode=pick("mode", "mode", "analytic"),
                      kind=pick("kind", "kind", "natural"),
-                     theorems=theorems, tolerances=tolerances,
+                     theorems=tuple(theorems), tolerances=tolerances,
                      init_frame=_numbers(data, "init_frame", 9),
                      init_position=_numbers(data, "init_position",
                                             len(_POSITION_COLUMNS[family])))
@@ -234,8 +232,9 @@ def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
 
     ``columns`` hold one row per CSV row (1-D, or 2-D for several cells);
     their cells fill each row left to right after ``prefix``, literal text.
-    ``blank = (j, mask)`` leaves cell j empty in the rows where mask is set:
-    an empty cell stands for an undefined value (never NaN).
+    ``blank = (j, mask)`` leaves cell j (an index, or a list of them) empty
+    in the rows where mask is set: an empty cell stands for an undefined
+    value (never NaN).
     """
     from . import csvfmt    # here: only the commands that write CSV need it
     for i in range(0, len(columns[0]), _CHUNK_ROWS):
@@ -243,7 +242,7 @@ def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
         empty = None
         if blank is not None:
             empty = np.zeros(cells.shape, bool)
-            empty[:, blank[0]] = blank[1][i:i + _CHUNK_ROWS]
+            empty.T[blank[0]] = blank[1][i:i + _CHUNK_ROWS]
         yield csvfmt.format_rows(cells, empty, prefix)
 
 
@@ -368,9 +367,15 @@ def cmd_mate(config: RunConfig) -> tuple[int, list]:
 
     if mode == "analytic":
         s = _grid(config.domain[0], config.domain[1], config.step)
+        # the mate formulas hold where the parent is a Frenet curve, and the
+        # mate is one inside its segments only: elsewhere its cells stay empty
+        require_frenet(p.kappa_at(s), s)
+        outside = np.ones(s.shape, bool)
+        for seg in mate.segments:
+            outside &= (s < seg.s_min) | (s > seg.s_max)
         analytic = ProfileSamples(mate.profile, spec, s)
-        return 0, [(config.out, _csv(["s", "kappa", "tau"],
-                                     _csv_rows([s, analytic.kappa, analytic.tau])))]
+        return 0, [(config.out, _csv(["s", "kappa", "tau"], _csv_rows(
+            [s, analytic.kappa, analytic.tau], blank=([1, 2], outside))))]
     _check_estimator_grid(config)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
     traj = reconstruct_position(traj, spec)
@@ -425,7 +430,7 @@ def cmd_classify(config: RunConfig) -> tuple[int, list]:
         },
         "segments": [{"s_min": seg.s_min, "s_max": seg.s_max, "sign": seg.sign}
                      for seg in report.segments],
-        "tolerances": dataclasses.asdict(config.tolerances),
+        "tolerances": config.tolerances._asdict(),
     }
     text = [_json(payload)]
     return 0, ([(config.out, text)] if config.out else []) + [(None, text)]
@@ -551,11 +556,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _show_tolerances() -> None:
     print("default tolerances (analytic preset):")
-    analytic = dataclasses.asdict(ToleranceSet.analytic())
+    analytic = ToleranceSet.analytic()._asdict()
     for name, value in analytic.items():
         print(f"  {name:22s} {value:g}")
     print("estimated preset overrides:")
-    for name, value in dataclasses.asdict(ToleranceSet.estimated()).items():
+    for name, value in ToleranceSet.estimated()._asdict().items():
         if analytic[name] != value:
             print(f"  {name:22s} {value:g}")
 

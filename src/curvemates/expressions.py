@@ -17,8 +17,7 @@ application requires parentheses.  Whitespace is insignificant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from typing import NamedTuple, Union
 
 import numpy as np
 
@@ -47,29 +46,40 @@ class DifferentiationError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: float
 
 
-@dataclass(frozen=True)
-class Pi:
-    pass
+class _Constant:
+    """A node without fields: equal to the other nodes of its own class
+    only, so that Pi() != Var()."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return type(other) is type(self)
+
+    def __hash__(self):
+        return hash(type(self).__name__)
+
+    def __repr__(self):
+        return f"{type(self).__name__}()"
 
 
-@dataclass(frozen=True)
-class Var:
-    pass
+class Pi(_Constant):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Unary:
+class Var(_Constant):
+    __slots__ = ()
+
+
+class Unary(NamedTuple):
     op: str  # 'neg' or a function name
     arg: "Expr"
 
 
-@dataclass(frozen=True)
-class Binary:
+class Binary(NamedTuple):
     op: str  # '+', '-', '*', '/', '^'
     left: "Expr"
     right: "Expr"

@@ -29,14 +29,13 @@ come from cubic Hermite interpolation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .liegroup import (SO3, GroupSpec, element_defect, gram_defect,
                        identity_element, quat_mul_rows, renormalize_element)
-from .profiles import CurvatureProfile, FrenetViolation
+from .profiles import CurvatureProfile, require_frenet
 
 # rows per batched operation of the stepper and the scan: bounds their
 # temporaries, which would otherwise add several (N, 3, 3) arrays to the
@@ -44,8 +43,7 @@ from .profiles import CurvatureProfile, FrenetViolation
 _BLOCK = 2048
 
 
-@dataclass
-class FrameTrajectory:
+class FrameTrajectory(NamedTuple):
     """Frames (and optionally positions) sampled on a uniform s-grid."""
 
     s: np.ndarray
@@ -64,8 +62,7 @@ class FrameTrajectory:
         return float(self.s[1] - self.s[0])
 
 
-@dataclass
-class PositionCurve:
+class PositionCurve(NamedTuple):
     """A position curve without frame data (direction curves, mates)."""
 
     s: np.ndarray
@@ -169,11 +166,8 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
     tau = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float))
     kappa_mid = np.atleast_1d(np.asarray(p.kappa_at(mid), dtype=float))
     tau_mid = np.atleast_1d(np.asarray(p.tau_at(mid), dtype=float))
-    for arr, where in ((kappa, s), (kappa_mid, mid)):
-        bad = arr <= 0
-        if np.any(bad):
-            raise FrenetViolation("Frenet condition violated: kappa <= 0",
-                                  float(np.asarray(where)[bad][0]))
+    require_frenet(kappa, s)
+    require_frenet(kappa_mid, mid)
 
     def algebra(kap, tor):
         return np.column_stack([spec.tau_g - tor, np.zeros_like(kap), -kap])
@@ -225,7 +219,7 @@ def reconstruct_position(traj: FrameTrajectory, spec: GroupSpec,
     t_prime = traj.kappa[:, None] * traj.n
     t_mid = _hermite_midpoints(traj.t, t_prime, h)
     positions, drift = _integrate_group_positions(traj.s, traj.t, t_mid, spec, g0)
-    return replace(traj, positions=positions, max_element_defect=drift)
+    return traj._replace(positions=positions, max_element_defect=drift)
 
 
 def integrate_direction_curve(source: FrameTrajectory, which: str, spec: GroupSpec,

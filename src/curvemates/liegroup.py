@@ -12,29 +12,48 @@ quaternions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 _FAMILIES = {"r3": 0.0, "so3": 1.0, "s3": 2.0}
 
 
-@dataclass(frozen=True)
 class GroupSpec:
-    """Group family plus the structure scalar of its bracket."""
+    """Group family plus the structure scalar of its bracket.  Immutable;
+    equal, and hashed, by its two fields."""
 
-    family: str
-    lam: float
+    __slots__ = ("family", "lam")
+
+    def __init__(self, family: str, lam: float):
+        if family not in _FAMILIES:
+            raise ValueError(f"unknown group family {family!r}")
+        if _FAMILIES[family] != lam:
+            raise ValueError(f"family {family!r} requires lam={_FAMILIES[family]}")
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "lam", lam)
 
     @property
     def tau_g(self) -> float:
         return self.lam / 2.0
 
-    def __post_init__(self):
-        if self.family not in _FAMILIES:
-            raise ValueError(f"unknown group family {self.family!r}")
-        if _FAMILIES[self.family] != self.lam:
-            raise ValueError(f"family {self.family!r} requires lam={_FAMILIES[self.family]}")
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: GroupSpec is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: GroupSpec is immutable")
+
+    def __reduce__(self):
+        return GroupSpec, (self.family, self.lam)
+
+    def __eq__(self, other):
+        if type(other) is not GroupSpec:
+            return NotImplemented
+        return (self.family, self.lam) == (other.family, other.lam)
+
+    def __hash__(self):
+        return hash((self.family, self.lam))
+
+    def __repr__(self):
+        return f"GroupSpec(family={self.family!r}, lam={self.lam!r})"
 
 
 def group_spec(name: str) -> GroupSpec:

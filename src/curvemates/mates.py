@@ -20,8 +20,7 @@ caller after the first gets the same object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -39,15 +38,13 @@ class NotAFrenetMate(ValueError):
     """tau - tau_G vanishes identically: the conjugate mate degenerates."""
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     s_min: float
     s_max: float
     sign: int
 
 
-@dataclass(frozen=True)
-class MateApparatus:
+class MateApparatus(NamedTuple):
     """Curvature, torsion and validity segments of a natural or conjugate mate."""
 
     kind: str                     # "natural" | "conjugate"

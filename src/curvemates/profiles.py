@@ -10,7 +10,6 @@ A profile derives its symbolic derivatives, and keeps its mates, once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
@@ -30,6 +29,15 @@ class FrenetViolation(ValueError):
     def __init__(self, message: str, s=None):
         super().__init__(message)
         self.s = s
+
+
+def require_frenet(kappa, s) -> None:
+    """Raise FrenetViolation, at the first s where it fails, unless kappa > 0
+    at every s."""
+    bad = np.asarray(kappa) <= 0
+    if np.any(bad):
+        raise FrenetViolation("Frenet condition violated: kappa <= 0",
+                              float(np.asarray(s)[bad][0]))
 
 
 class SingularSigma(ArithmeticError):
@@ -76,17 +84,42 @@ def _cubic_interp(s_grid: np.ndarray, values: np.ndarray, s) -> np.ndarray:
     return out[0] if scalar else out
 
 
-@dataclass(frozen=True)
 class CurvatureProfile:
-    """(kappa, tau) over a domain, in expression or sampled form."""
+    """(kappa, tau) over a domain, in expression or sampled form.
 
-    s_min: float
-    s_max: float
-    kappa_expr: Optional[ex.Expr] = None
-    tau_expr: Optional[ex.Expr] = None
-    s_grid: Optional[np.ndarray] = field(default=None, repr=False)
-    kappa_samples: Optional[np.ndarray] = field(default=None, repr=False)
-    tau_samples: Optional[np.ndarray] = field(default=None, repr=False)
+    Immutable; equal, and hashed, by its fields."""
+
+    def __init__(self, s_min: float, s_max: float,
+                 kappa_expr: Optional[ex.Expr] = None,
+                 tau_expr: Optional[ex.Expr] = None,
+                 s_grid: Optional[np.ndarray] = None,
+                 kappa_samples: Optional[np.ndarray] = None,
+                 tau_samples: Optional[np.ndarray] = None):
+        vars(self).update(s_min=s_min, s_max=s_max, kappa_expr=kappa_expr,
+                          tau_expr=tau_expr, s_grid=s_grid,
+                          kappa_samples=kappa_samples, tau_samples=tau_samples)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {name!r}: CurvatureProfile is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: CurvatureProfile is immutable")
+
+    def _key(self) -> tuple:
+        return (self.s_min, self.s_max, self.kappa_expr, self.tau_expr,
+                self.s_grid, self.kappa_samples, self.tau_samples)
+
+    def __eq__(self, other):
+        if type(other) is not CurvatureProfile:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return (f"CurvatureProfile(s_min={self.s_min!r}, s_max={self.s_max!r}, "
+                f"kappa_expr={self.kappa_expr!r}, tau_expr={self.tau_expr!r})")
 
     @classmethod
     def from_expressions(cls, kappa, tau, domain) -> "CurvatureProfile":

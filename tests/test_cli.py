@@ -381,6 +381,39 @@ def test_grid_too_short_for_the_estimator_exits_2(command, tmp_path, capsys):
         assert json.loads(stdout)["samples_compared"] == 1
 
 
+@pytest.mark.parametrize("group", ["r3", "so3", "s3"])
+@pytest.mark.parametrize("kind", ["natural", "conjugate"])
+def test_mate_analytic_checks_the_parent_frenet_condition(group, kind, capsys):
+    # kappa = s is no Frenet curve at s <= 0: every mode says so alike
+    tau = f"{group_spec(group).tau_g!r}+1"
+    for mode in ("analytic", "both"):
+        code, out, err = run_cli(["mate", "--group", group, "--kappa", "s", "--tau", tau,
+                                  "--domain=-1:1", "--step", "1e-2", "--kind", kind,
+                                  "--mode", mode], capsys)
+        assert (code, out) == (2, "")
+        assert err == "error: Frenet condition violated: kappa <= 0\n"
+
+
+@pytest.mark.parametrize("group", ["r3", "so3", "s3"])
+def test_mate_analytic_conjugate_is_empty_where_no_frenet_curve(group, capsys):
+    # tau - tau_G = max(s, 0): the conjugate mate has one segment, on s > 0
+    tau_g = group_spec(group).tau_g
+    code, out, _ = run_cli(["mate", "--group", group, "--kappa", "1",
+                            "--tau", f"{tau_g!r}+0.5*(s+abs(s))", "--domain=-2:2",
+                            "--step", "1e-2", "--kind", "conjugate",
+                            "--mode", "analytic"], capsys)
+    assert code == 0
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 401
+    for row in rows:
+        s = float(row[0])
+        if s <= 0:
+            assert row[1:] == ["", ""], row
+        else:
+            assert float(row[1]) == pytest.approx(s, abs=1e-12)
+            assert float(row[2]) == pytest.approx(1 + tau_g, abs=1e-12)
+
+
 def test_conjugate_of_flat_torsion_exits_4(capsys):
     code, _, err = run_cli(["mate", "--group", "r3", "--kappa", "2", "--tau", "0",
                             "--domain", "0:1", "--step", "1e-2",

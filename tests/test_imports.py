@@ -5,6 +5,7 @@ import ast
 import importlib
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,7 @@ print(repr({
     "code": code,
     "modules": sorted(m for m in sys.modules if m.split(".")[0] == "curvemates"),
     "json": "json" in sys.modules,
+    "dataclasses": "dataclasses" in sys.modules,
     "bound": [n for n in ("classify", "verify_cor_3_1")
               if n in vars(sys.modules["curvemates.analysis"])],
 }))
@@ -55,8 +57,23 @@ def test_each_command_loads_only_what_it_runs(argv, extra, bound, reads_json):
     assert set(result["modules"]) == BASE | extra
     # json serves the config file and the JSON reports only
     assert result["json"] == reads_json
+    # the result records generate no code at import
+    assert not result["dataclasses"]
     # a name of checks is bound in analysis only once it is looked up there
     assert result["bound"] == bound
+
+
+def test_no_module_imports_dataclasses():
+    src = Path(curvemates.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
 def test_dunder_lookups_leave_checks_unloaded():
