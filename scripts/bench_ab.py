@@ -1,0 +1,147 @@
+"""A/B benchmark runs: a revision against the working tree, in alternating pairs.
+
+    python3 scripts/bench_ab.py REV --workload W --pairs N [--seed S] [--seconds T]
+
+Run it from the root of the repository.  It exports REV with ``git archive``
+into one temporary directory and copies the working tree (tracked and
+untracked files that git does not ignore) into another, then runs
+``perfbench/run.py --workload W --seed S --seconds T --trace 0`` in each,
+N times, alternating which side runs first.  ``--seconds`` defaults to the
+``run_seconds`` of BENCHMARK.json, ``--seed`` to 7.
+
+For every end-to-end metric of BENCHMARK.json it prints each side's median
+and quartiles, the pairs the change wins (ties count for neither side), and
+whether a gain may be claimed: the change wins at least nine tenths of the
+pairs and its median is better than the parent's by more than the distance
+between the parent's quartiles.  It also prints, per metric, whether the
+change's median is worse than the parent's by more than the benchmark's
+bound, a share of the parent's median.  Nothing under perfbench/ is
+changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+WIN_SHARE = 0.9
+
+
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """(first quartile, median, third quartile) of xs, by linear
+    interpolation between the order statistics."""
+    if len(xs) == 1:
+        return xs[0], xs[0], xs[0]
+    q1, q2, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return q1, q2, q3
+
+
+def summarize(parent: list[float], change: list[float], better: str,
+              bound: float) -> dict:
+    """The comparison of one metric over pairs of runs: parent[i] and
+    change[i] ran as pair i; ``better`` is "lower" or "higher", and
+    ``bound`` the worsening of the median, as a share of the parent's,
+    beyond which the change regressed."""
+    sign = 1.0 if better == "lower" else -1.0
+    wins = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    losses = sum(sign * (p - c) < 0 for p, c in zip(parent, change))
+    pq, cq = quartiles(parent), quartiles(change)
+    gain = sign * (pq[1] - cq[1])           # > 0 when the change's median is better
+    return {
+        "parent": pq, "change": cq, "pairs": len(parent), "wins": wins,
+        "losses": losses,
+        "gain_holds": wins >= WIN_SHARE * len(parent) and gain > pq[2] - pq[0],
+        "regressed": -gain > bound * abs(pq[1]),
+    }
+
+
+def export(rev: str, dest: Path) -> None:
+    """Extract a ``git archive`` of rev into the directory dest."""
+    tar = subprocess.run(["git", "archive", "--format=tar", rev], check=True,
+                         capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def _copy_tree(dest: Path) -> None:
+    listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"], check=True,
+                            capture_output=True).stdout
+    for name in listed.decode().split("\0"):
+        if name and Path(name).is_file():   # a deleted, uncommitted file is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(name, dest / name)
+
+
+def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    """The end-to-end metrics of one untraced benchmark run in root."""
+    proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
+                           "--seed", str(seed), "--seconds", str(seconds),
+                           "--trace", "0"], cwd=root, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise RuntimeError(f"perfbench/run.py failed in {root}:\n{proc.stderr}")
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    values = {k: v["value"] for k, v in result["metrics"].items()}
+    values["correct"] = result["correct"]
+    return values
+
+
+def main(argv=None) -> int:
+    bench = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("rev", help="the parent revision, e.g. HEAD")
+    parser.add_argument("--workload", required=True,
+                        choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--pairs", type=int, required=True)
+    parser.add_argument("--seed", type=int, default=7)
+    parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory() as tmp:
+        roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
+        for root in roots.values():
+            root.mkdir()
+        export(args.rev, roots["parent"])
+        _copy_tree(roots["change"])
+        for i in range(args.pairs):
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            for side in order:
+                runs[side].append(_run(roots[side], args.workload, args.seed,
+                                       args.seconds))
+            print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
+                f"{side} wall_s {runs[side][-1].get('wall_s')}" for side in order),
+                file=sys.stderr, flush=True)
+
+    print(f"workload {args.workload}, seed {args.seed}, {args.pairs} pairs of "
+          f"{args.seconds:g} s runs, parent {args.rev}")
+    for side in ("parent", "change"):
+        print(f"  {side} correct in every run: "
+              f"{all(r['correct'] for r in runs[side])}")
+    for metric in bench["end_to_end"]:
+        name = metric["name"]
+        row = summarize([r[name] for r in runs["parent"]],
+                        [r[name] for r in runs["change"]],
+                        metric["better"], metric["bound"])
+        p, c = row["parent"], row["change"]
+        print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
+              f"parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}], "
+              f"change {c[1]:.6g} [{c[0]:.6g}, {c[2]:.6g}]; "
+              f"change wins {row['wins']}/{row['pairs']}, loses {row['losses']}; "
+              f"gain holds: {row['gain_holds']}; "
+              f"worse than the bound {metric['bound']:g}: {row['regressed']}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

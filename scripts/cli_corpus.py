@@ -20,7 +20,10 @@ Each command with an empty --out "" follows, once per command on the slant
 helix in r3.  Last come ``mate --mode both`` and ``mate --mode geometric``
 of each kind and ``verify`` of cor6_3 and cor6_4 on a helix in every group,
 with --out, on grids around the estimator's shortest: 30 samples (one
-short), 31, and 11 (--step 0.1).  Then come the commands of ``CONFIGS``,
+short), 31, and 11 (--step 0.1).  Then ``synthesize``, ``mate --mode
+analytic``, ``mate --mode both``, ``verify`` of cor6_3 and ``classify`` run
+on grids far too large for memory: 1e15 + 1 and 1e20 samples, and past the
+float range (--step 5e-324).  Then come the commands of ``CONFIGS``,
 each reading its settings from a config file written next to the --out
 path: a start position in each group, a numeric kappa, ``verify`` without
 theorems, an unknown tolerance name, a missing setting, numbers that must
@@ -139,6 +142,13 @@ def commands(out):
                 for mode in ("both", "geometric"):
                     yield ["mate", "--kind", kind, "--mode", mode] + profile + ["--out", out]
             yield ["verify", "--theorems", "cor6_3,cor6_4"] + profile + ["--out", out]
+    for step in ("1e-15", "1e-20", "5e-324"):
+        profile = ["--group", "r3", "--kappa", "1", "--tau", "1", "--domain=0:1",
+                   "--step", step]
+        for command in (["synthesize"], ["mate", "--mode", "analytic"],
+                        ["mate", "--mode", "both"], ["verify", "--theorems", "cor6_3"],
+                        ["classify"]):
+            yield command + profile + ["--out", out]
     config = os.path.join(os.path.dirname(out), "config.json")
     for command, data in CONFIGS:
         with open(config, "w", encoding="utf-8") as fh:

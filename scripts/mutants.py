@@ -1,0 +1,233 @@
+"""Mutation corpus: single edits to the program that its tests should catch.
+
+    python3 scripts/mutants.py [--rev REV] [--list] [NAME ...]
+
+Run it from the root of the repository.  Each entry of MUTANTS is one edit:
+a file, an exact text that occurs once in it, the text that replaces it,
+and the tests expected to fail after it.  The script exports REV (default
+HEAD) with ``git archive`` into a temporary directory and first runs every
+named test there unedited; they must pass.  Then, for each entry (all of
+them, or those named), it applies the edit to a fresh copy of the export,
+runs the entry's tests with pytest, and reports the mutant as killed (a
+test failed), survived (every test passed) or error (pytest could not run
+the tests).  The exit status is 0 when every mutant run was killed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+from bench_ab import export
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str           # relative to the repository root
+    old: str            # occurs exactly once in path
+    new: str
+    tests: tuple[str, ...]
+
+
+MUTANTS = (
+    # the paper's formulas
+    Mutant("natural_kappa_drops_m", "src/curvemates/mates.py",
+           'ex.Binary("+", ex.Binary("^", m, ex.Num(2.0)),',
+           'ex.Binary("+", ex.Num(0.0),',
+           ("tests/test_mates.py",)),
+    Mutant("natural_tau_drops_one", "src/curvemates/mates.py",
+           'one_h2 = ex.Binary("+", ex.Num(1.0),',
+           'one_h2 = ex.Binary("+", ex.Num(0.0),',
+           ("tests/test_mates.py",)),
+    Mutant("natural_tau_drops_tau_g", "src/curvemates/mates.py",
+           'tb = ex.simplify(ex.Binary("+", ex.Num(tg),',
+           'tb = ex.simplify(ex.Binary("+", ex.Num(0.0),',
+           ("tests/test_mates.py", "tests/test_analysis.py")),
+    Mutant("conjugate_kappa_drops_tau_g", "src/curvemates/mates.py",
+           'kstar = ex.Unary("abs", m)',
+           'kstar = ex.Unary("abs", p.tau_expr)',
+           ("tests/test_mates.py",)),
+    Mutant("conjugate_tau_drops_tau_g", "src/curvemates/mates.py",
+           'tstar = ex.simplify(ex.Binary("+", p.kappa_expr, ex.Num(tg)))',
+           'tstar = ex.simplify(ex.Binary("+", p.kappa_expr, ex.Num(0.0)))',
+           ("tests/test_mates.py", "tests/test_cli.py")),
+    Mutant("group_torsion_is_lam", "src/curvemates/liegroup.py",
+           "return self.lam / 2.0",
+           "return self.lam",
+           ("tests/test_liegroup.py", "tests/test_integrate.py")),
+    Mutant("harmonic_curvature_prime_sign", "src/curvemates/profiles.py",
+           "num = self.tau_prime * self.kappa - self.m * self.kappa_prime",
+           "num = self.tau_prime * self.kappa + self.m * self.kappa_prime",
+           ("tests/test_profiles.py",)),
+    Mutant("sigma_mask_at_zero", "src/curvemates/profiles.py",
+           "defined = np.abs(hp) > SINGULAR_SIGMA_TOL",
+           "defined = np.abs(hp) > 0.0",
+           ("tests/test_profiles.py", "tests/test_cli.py")),
+    Mutant("spherical_radius_squared", "src/curvemates/checks.py",
+           "ok, math.sqrt(r_mean) if ok else None,",
+           "ok, r_mean if ok else None,",
+           ("tests/test_analysis.py",)),
+    Mutant("frame_commutator_sign", "src/curvemates/integrate.py",
+           "algebra(kappa_mid, tau_mid), hh, -1.0,",
+           "algebra(kappa_mid, tau_mid), hh, 1.0,",
+           ("tests/test_integrate.py", "tests/test_acceptance.py")),
+    Mutant("position_commutator_sign", "src/curvemates/integrate.py",
+           "_magnus_steps(field, field_mid, h, spec.lam, exp, out[1:])",
+           "_magnus_steps(field, field_mid, h, -spec.lam, exp, out[1:])",
+           ("tests/test_integrate.py", "tests/test_acceptance.py")),
+    Mutant("frame_product_order", "src/curvemates/integrate.py",
+           "_scan(frames, lambda earlier, later: later @ earlier)",
+           "_scan(frames, lambda earlier, later: earlier @ later)",
+           ("tests/test_integrate.py",)),
+    Mutant("hermite_midpoint_sign", "src/curvemates/integrate.py",
+           "(h / 8.0) * (deriv[:-1] - deriv[1:])",
+           "(h / 8.0) * (deriv[1:] - deriv[:-1])",
+           ("tests/test_integrate.py", "tests/test_acceptance.py")),
+    Mutant("binormal_derivative_sign", "src/curvemates/integrate.py",
+           "deriv = -m[:, None] * source.n",
+           "deriv = m[:, None] * source.n",
+           ("tests/test_integrate.py", "tests/test_acceptance.py")),
+    Mutant("grid_count_floors", "src/curvemates/integrate.py",
+           "max(1.0, float(np.rint((s1 - s0) / h)))",
+           "max(1.0, float(np.floor((s1 - s0) / h)))",
+           ("tests/test_integrate.py", "tests/test_cli.py")),
+    Mutant("quat_product_cross_sign", "src/curvemates/liegroup.py",
+           "out[..., 1] = pw * qx + qw * px + (py * qz - pz * qy)",
+           "out[..., 1] = pw * qx + qw * px + (pz * qy - py * qz)",
+           ("tests/test_liegroup.py",)),
+    Mutant("rodrigues_skew_sign", "src/curvemates/integrate.py",
+           "r[:, 0, 1] = bx * y - az",
+           "r[:, 0, 1] = bx * y + az",
+           ("tests/test_integrate.py",)),
+    Mutant("simpson_middle_weight", "src/curvemates/liegroup.py",
+           "(f[0:-2:2] + 4.0 * f[1:-1:2] + f[2::2])",
+           "(f[0:-2:2] + 2.0 * f[1:-1:2] + f[2::2])",
+           ("tests/test_liegroup.py",)),
+    Mutant("sigma_power", "src/curvemates/profiles.py",
+           "self.kappa * (h * h + 1.0) ** 1.5",
+           "self.kappa * (h * h + 1.0) ** 0.5",
+           ("tests/test_profiles.py", "tests/test_analysis.py")),
+    Mutant("estimated_torsion_drops_bracket", "src/curvemates/analysis.py",
+           "tau = np.sum((nprime + 0.5 * tn_bracket) * bhat, axis=1)",
+           "tau = np.sum(nprime * bhat, axis=1)",
+           ("tests/test_analysis.py", "tests/test_integrate.py")),
+    Mutant("sqrt_derivative_factor", "src/curvemates/expressions.py",
+           'return Binary("/", du, Binary("*", Num(2.0), Unary("sqrt", u)))',
+           'return Binary("/", du, Binary("*", Num(1.0), Unary("sqrt", u)))',
+           ("tests/test_expressions.py", "tests/test_analysis.py")),
+    # from earlier hand-made mutants
+    Mutant("tan_derivative_drops_one", "src/curvemates/expressions.py",
+           'return Binary("*", Binary("+", Num(1.0), sq), du)',
+           'return Binary("*", sq, du)',
+           ("tests/test_expressions.py",)),
+    Mutant("so3_pull_back_right", "src/curvemates/liegroup.py",
+           'a = np.einsum("...ja,...jb->...ab", g, dg)',
+           'a = np.einsum("...aj,...bj->...ab", dg, g)',
+           ("tests/test_liegroup.py", "tests/test_analysis.py")),
+    Mutant("s3_pull_back_right", "src/curvemates/liegroup.py",
+           "return quat_mul_rows(g * np.array([1.0, -1.0, -1.0, -1.0]), dg)[..., 1:]",
+           "return quat_mul_rows(dg, g * np.array([1.0, -1.0, -1.0, -1.0]))[..., 1:]",
+           ("tests/test_liegroup.py", "tests/test_analysis.py")),
+    Mutant("csv_tie_fallback_dropped", "src/curvemates/csvfmt.py",
+           "alone = ~bulk | (np.abs(frac - 0.5) < _TIE)",
+           "alone = ~bulk",
+           ("tests/test_csvfmt.py",)),
+    # the mate's direction, the CSV chunks and the grid too large for memory
+    Mutant("mate_direction_swapped", "src/curvemates/cli.py",
+           'which = "principal_normal" if kind == "natural" else "binormal"',
+           'which = "binormal" if kind == "natural" else "principal_normal"',
+           ("tests/test_cli.py",)),
+    Mutant("csv_chunk_slice_overlaps", "src/curvemates/cli.py",
+           "cells = np.column_stack([c[i:i + rows] for c in columns])",
+           "cells = np.column_stack([c[i:i + rows + 1] for c in columns])",
+           ("tests/test_cli.py::test_csv_chunks_join_to_one_formatting_of_the_table",)),
+    Mutant("csv_blank_bounds_shifted", "src/curvemates/cli.py",
+           "empty.T[blank[0]] = blank[1][i:i + rows]",
+           "empty.T[blank[0]] = blank[1][i + 1:i + rows + 1]",
+           ("tests/test_cli.py::test_csv_chunks_join_to_one_formatting_of_the_table",)),
+    Mutant("estimator_grid_check_off_by_one", "src/curvemates/cli.py",
+           "if n <= 2 * analysis.MARGIN:",
+           "if n < 2 * analysis.MARGIN:",
+           ("tests/test_cli.py::test_grid_too_short_for_the_estimator_exits_2",)),
+    Mutant("grid_size_check_dropped", "src/curvemates/integrate.py",
+           "if not n <= _MAX_SAMPLES:",
+           "if False:",
+           ("tests/test_cli.py::test_grid_too_large_for_memory_exits_2",)),
+    Mutant("memory_error_not_converted", "src/curvemates/cli.py",
+           "except MemoryError as e:",
+           "except ArithmeticError as e:",
+           ("tests/test_cli.py::test_grid_too_large_for_memory_exits_2",)),
+)
+
+
+def _pytest(root: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH="src", PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "pytest", "-q", "-x",
+                           "-p", "no:cacheprovider", *tests],
+                          cwd=root, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def apply(root: Path, mutant: Mutant) -> None:
+    """Replace mutant.old by mutant.new in its file under root; the old text
+    must occur exactly once."""
+    path = root / mutant.path
+    text = path.read_text(encoding="utf-8")
+    if text.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the old text occurs "
+                         f"{text.count(mutant.old)} times in {mutant.path}")
+    path.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--rev", default="HEAD", help="the revision to mutate")
+    parser.add_argument("--list", action="store_true", help="list the mutants and exit")
+    args = parser.parse_args(argv)
+    known = {m.name: m for m in MUTANTS}
+    if args.list:
+        for m in MUTANTS:
+            print(f"{m.name}  {m.path}  {' '.join(m.tests)}")
+        return 0
+    unknown = [n for n in args.names if n not in known]
+    if unknown:
+        parser.error(f"unknown mutants: {unknown}")
+    chosen = [known[n] for n in args.names] or list(MUTANTS)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        clean = Path(tmp, "clean")
+        clean.mkdir()
+        export(args.rev, clean)
+        tests = sorted({t for m in chosen for t in m.tests})
+        if _pytest(clean, tests) != 0:
+            print(f"error: the named tests fail on the unedited {args.rev}", file=sys.stderr)
+            return 2
+        outcomes = {}
+        for m in chosen:
+            work = Path(tmp, "work")
+            shutil.copytree(clean, work)
+            start = time.perf_counter()
+            try:
+                apply(work, m)
+                code = _pytest(work, m.tests)
+            finally:
+                shutil.rmtree(work)
+            # pytest exits 1 when a test failed; other codes mean it did not run them
+            outcome = {0: "survived", 1: "killed"}.get(code, f"error (pytest exit {code})")
+            outcomes[m.name] = outcome
+            print(f"{outcome:9s} {m.name}  ({time.perf_counter() - start:.1f} s)", flush=True)
+    killed = sum(o == "killed" for o in outcomes.values())
+    print(f"{killed}/{len(outcomes)} killed")
+    return 0 if killed == len(outcomes) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

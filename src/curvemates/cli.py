@@ -3,8 +3,8 @@ and verify, emitting plot-ready CSV and machine-readable JSON.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/config error (also a
 config key the command does not read, a derivative outside the grammar, a
-grid too short for the estimator, or an output, stdout included, that
-cannot be written), 3 domain error during
+grid too short for the estimator or too large for memory, or an output,
+stdout included, that cannot be written), 3 domain error during
 evaluation, 4 degenerate conjugate mate (tau identically equal to the group
 torsion).
 """
@@ -21,8 +21,8 @@ import numpy as np
 from . import analysis
 from .analysis import ToleranceSet
 from .expressions import DifferentiationError, DomainError, ExpressionSyntaxError
-from .integrate import (_grid, integrate_direction_curve, integrate_frame,
-                        reconstruct_position)
+from .integrate import (_grid, _samples, integrate_direction_curve,
+                        integrate_frame, reconstruct_position)
 from .liegroup import GroupSpec, group_spec, identity_element
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
                     natural_mate_apparatus)
@@ -221,10 +221,11 @@ _POSITION_COLUMNS = {
 }
 
 
-# rows formatted at a time: bounds the arrays of one chunk, about 48 bytes
-# a cell each (83 KB for 27-cell so3 trajectory rows); 128 rows formatted
-# 17 % faster but raised the peak RSS of a synthesize by another 0.07 MB
-_CHUNK_ROWS = 64
+# cells formatted at a time: bounds the arrays of one chunk, about 48 bytes
+# a cell each (74 KB), and gives narrow tables as many rows per chunk as the
+# widest gets.  That is 64 rows of the 24-cell so3 trajectory; 128 formatted
+# it 17 % faster but raised the peak RSS of a synthesize by another 0.07 MB
+_CHUNK_CELLS = 1536
 
 
 def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
@@ -237,12 +238,14 @@ def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
     value (never NaN).
     """
     from . import csvfmt    # here: only the commands that write CSV need it
-    for i in range(0, len(columns[0]), _CHUNK_ROWS):
-        cells = np.column_stack([c[i:i + _CHUNK_ROWS] for c in columns])
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    rows = max(1, _CHUNK_CELLS // width)
+    for i in range(0, len(columns[0]), rows):
+        cells = np.column_stack([c[i:i + rows] for c in columns])
         empty = None
         if blank is not None:
             empty = np.zeros(cells.shape, bool)
-            empty.T[blank[0]] = blank[1][i:i + _CHUNK_ROWS]
+            empty.T[blank[0]] = blank[1][i:i + rows]
         yield csvfmt.format_rows(cells, empty, prefix)
 
 
@@ -307,9 +310,9 @@ def _write(path: Optional[str], chunks) -> None:
 
 def _check_estimator_grid(config: RunConfig) -> None:
     """Reject a grid on which the estimator leaves no sample to compare."""
-    n = len(_grid(*config.domain, config.step))
+    n = _samples(*config.domain, config.step)
     if n <= 2 * analysis.MARGIN:
-        raise ConfigError(f"the grid has {n} samples; comparing estimated values "
+        raise ConfigError(f"the grid has {n:.17g} samples; comparing estimated values "
                           f"needs at least {2 * analysis.MARGIN + 1}")
 
 
@@ -377,8 +380,9 @@ def cmd_mate(config: RunConfig) -> tuple[int, list]:
         return 0, [(config.out, _csv(["s", "kappa", "tau"], _csv_rows(
             [s, analytic.kappa, analytic.tau], blank=([1, 2], outside))))]
     _check_estimator_grid(config)
+    # the mate's tangent is the parent's N or B: the parent's positions are
+    # never needed
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
-    traj = reconstruct_position(traj, spec)
     which = "principal_normal" if kind == "natural" else "binormal"
     curve = integrate_direction_curve(traj, which, spec)
     est = analysis.estimate_apparatus(curve, spec)
@@ -578,7 +582,12 @@ def main(argv=None) -> int:
         config = build_config(args)
         handler = {"synthesize": cmd_synthesize, "mate": cmd_mate,
                    "classify": cmd_classify, "verify": cmd_verify}[args.command]
-        code, outputs = handler(config)
+        try:
+            code, outputs = handler(config)
+        except MemoryError as e:
+            # every array a command builds scales with its grid
+            n = _samples(*config.domain, config.step)
+            raise ConfigError(f"a grid of {n:.17g} samples does not fit in memory") from e
         for path, chunks in outputs:
             _write(path, chunks)
         return code

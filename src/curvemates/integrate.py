@@ -70,13 +70,26 @@ class PositionCurve(NamedTuple):
     spec: GroupSpec
 
 
+# the most float64 samples numpy can size an array for: it reports a larger
+# request as a ValueError, not as the MemoryError of a failed allocation
+_MAX_SAMPLES = np.iinfo(np.intp).max // 8
+
+
+def _samples(s0: float, s1: float, h: float) -> float:
+    """The sample count of the grid over [s0, s1] with step ~h (inf past the
+    float range): the span rounds to a whole number of steps, at least one."""
+    return max(1.0, float(np.rint((s1 - s0) / h))) + 1.0
+
+
 def _grid(s0: float, s1: float, h: float) -> np.ndarray:
     if h <= 0:
         raise ValueError("step must be positive")
     if not s0 < s1:
         raise ValueError("empty integration range")
-    steps = max(1, int(round((s1 - s0) / h)))
-    return np.linspace(s0, s1, steps + 1)
+    n = _samples(s0, s1, h)
+    if not n <= _MAX_SAMPLES:
+        raise MemoryError(f"no array holds {n:.17g} samples")
+    return np.linspace(s0, s1, int(n))
 
 
 def _magnus_exponents(w: np.ndarray, w_mid: np.ndarray, h: float,

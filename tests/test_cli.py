@@ -15,7 +15,8 @@ import pytest
 from scipy.linalg import expm
 
 from curvemates.catalog import PROFILES
-from curvemates.cli import THEOREMS, _csv_rows, main
+from curvemates import csvfmt
+from curvemates.cli import _CHUNK_CELLS, THEOREMS, _csv_rows, main
 from curvemates.liegroup import group_spec, identity_element
 
 from oracles import hat, left_translate
@@ -136,6 +137,27 @@ def test_csv_templates_match_per_cell_formatting():
     body = "".join(_csv_rows([a, resid], blank=(1, ~np.isfinite(resid)),
                              prefix="cor6_1,"))
     assert body == per_cell_csv(traced)
+
+
+@pytest.mark.parametrize("width", [2, 8, 9, 14, 24])
+def test_csv_chunks_join_to_one_formatting_of_the_table(width):
+    # chunks of _CHUNK_CELLS // width rows: around each chunk boundary the
+    # body equals one formatting of the whole table, byte for byte
+    rows = _CHUNK_CELLS // width
+    rng = np.random.default_rng(width)
+    for n in (1, rows - 1, rows, rows + 1, 2 * rows + 1):
+        first = rng.normal(size=n) * 1e3
+        rest = rng.normal(size=(n, width - 1))
+        mask = np.zeros(n, bool)
+        mask[max(0, rows - 2):rows + 2] = True      # straddles the first boundary
+        mask[-1] = True
+        cells = np.column_stack([first, rest])
+        blanked = [0, width - 1]
+        empty = np.zeros(cells.shape, bool)
+        empty[:, blanked] = mask[:, None]
+        body = "".join(_csv_rows([first, rest], blank=(blanked, mask), prefix="p,"))
+        assert body == csvfmt.format_rows(cells, empty, "p,"), (width, n)
+        assert "".join(_csv_rows([first, rest])) == csvfmt.format_rows(cells), (width, n)
 
 
 def test_frenet_violation_exits_2(tmp_path, capsys):
@@ -585,6 +607,63 @@ def test_verify_integrates_mate_curves_once(capsys, tmp_path, monkeypatch):
     # a command without cor6_3/cor6_4 integrates nothing
     run_cli(base + ["--theorems", "thm6_2"], capsys)
     assert len(calls) == 3
+
+
+def count_calls(monkeypatch, module, name, calls):
+    """Wrap module.name so that each call appends name to calls."""
+    fn = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+@pytest.mark.parametrize("group", ["so3", "s3"])
+@pytest.mark.parametrize("kind", ["natural", "conjugate"])
+@pytest.mark.parametrize("mode", ["both", "geometric"])
+def test_mate_integrates_only_the_curves_it_writes(group, kind, mode, capsys,
+                                                   monkeypatch):
+    # a mate's tangent is its parent's N or B: the parent's frame and the
+    # direction curve are integrated once each, the parent's positions never
+    from curvemates import analysis, cli
+    calls = []
+    for name in ("integrate_frame", "reconstruct_position",
+                 "integrate_direction_curve"):
+        count_calls(monkeypatch, cli, name, calls)
+    count_calls(monkeypatch, analysis, "estimate_apparatus", calls)
+    code, _, _ = run_cli(["mate", "--group", group, "--kappa", "3*cos(s)",
+                          "--tau", "3*sin(s)", "--domain=-1.5:1.5", "--step", "1e-2",
+                          "--kind", kind, "--mode", mode], capsys)
+    assert code == 0
+    assert sorted(calls) == ["estimate_apparatus", "integrate_direction_curve",
+                             "integrate_frame"]
+
+    calls.clear()
+    code, _, _ = run_cli(["synthesize", "--group", group, "--kappa", "3*cos(s)",
+                          "--tau", "3*sin(s)", "--domain=-1.5:1.5", "--step", "1e-2"],
+                         capsys)
+    assert code == 0
+    assert sorted(calls) == ["integrate_frame", "reconstruct_position"]
+
+
+@pytest.mark.parametrize("command", [["synthesize"], ["mate", "--mode", "analytic"],
+                                     ["mate", "--mode", "both"],
+                                     ["verify", "--theorems", "cor6_3"]])
+@pytest.mark.parametrize("step,samples", [("1e-15", "1000000000000001"),
+                                          ("1e-20", "1e+20"), ("5e-324", "inf")])
+def test_grid_too_large_for_memory_exits_2(command, step, samples, tmp_path, capsys):
+    # 1e15 samples and more fail at the first allocation, or cannot even be
+    # sized; an --out file written earlier stays as it was
+    out = tmp_path / "keep.csv"
+    out.write_bytes(b"written earlier\r\n")
+    code, stdout, err = run_cli(command + ["--group", "r3", "--kappa", "1", "--tau", "1",
+                                           "--domain=0:1", "--step", step,
+                                           "--out", str(out)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: a grid of {samples} samples does not fit in memory\n"
+    assert out.read_bytes() == b"written earlier\r\n"
 
 
 def test_synthesize_with_init_frame_config(tmp_path, capsys):
