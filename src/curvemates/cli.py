@@ -171,8 +171,10 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         raise ConfigError(f"domain must be finite, got {domain!r}")
     if not domain[0] < domain[1]:
         raise ConfigError("domain must satisfy s_min < s_max")
-    if not step > 0:
-        raise ConfigError("step must be positive")
+    if not np.isfinite(domain[1] - domain[0]):
+        raise ConfigError(f"domain span s_max - s_min must be finite, got {domain!r}")
+    if not 0 < step < np.inf:
+        raise ConfigError(f"step must be positive and finite, got {step!r}")
     if step > (domain[1] - domain[0]) / 8.0:
         raise ConfigError("step too large: need h <= (s_max - s_min)/8")
 

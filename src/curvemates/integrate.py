@@ -5,41 +5,43 @@ The left-invariant frame components obey
     t' = kappa n,   n' = -kappa t + (tau - tau_G) b,   b' = -(tau - tau_G) n
 
 that is F' = hat(w) F for the frame F with rows (T, N, B) and
-w = -(tau - tau_G, 0, kappa).  Positions obey gamma' = gamma v, v being the
-algebra components of the tangent, in the concrete group model.  Both are
-solved by one fourth-order Magnus step (Iserles, Munthe-Kaas, Norsett &
-Zanna, Acta Numerica 2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 2009).
-From the algebra values w0, w_half, w1 at the two ends and the midpoint of
-a step,
+w = -(tau - tau_G, 0, kappa).  The transpose G = F^T, whose columns are
+T, N and B, then obeys G' = G hat(-w): it is a curve in SO(3) with algebra
+components -w, and so solves the same equation as a position, gamma' =
+gamma v with v the algebra components of the tangent in the concrete group
+model.  Frames, positions and direction curves are all solved by one
+fourth-order Magnus step (Iserles, Munthe-Kaas, Norsett & Zanna, Acta
+Numerica 2000; Blanes, Casas, Oteo & Ros, Phys. Rep. 2009).  From the
+algebra values v0, v_half, v1 at the two ends and the midpoint of a step,
 
-    Omega = (h/6)(w0 + 4 w_half + w1) + c (h^2/12) w0 x w1
+    Omega = (h/6)(v0 + 4 v_half + v1) + lam (h^2/12) v0 x v1
 
-and the step multiplies by exp(Omega).  The commutator coefficient is
-c = -1 for frames (left multiplication) and c = +lam for positions (right
-multiplication; the bracket is lam * cross).  Omega, then its exponential
-(Rodrigues for rotations, the quaternion exponential for S^3), is computed
-for a block of steps at a time in batched numpy passes, and the steps are
-multiplied together by a log-depth prefix scan.  An exponential is
-orthonormal (unit) to round-off, so no step is projected back onto the
-group: only the initial frame and element are, and the defects are checked
-once over the finished arrays.  For R^3 (lam = 0) the step is a translation
-and the positions are a cumulative Simpson sum.  Tangents at half-steps
-come from cubic Hermite interpolation.
+(the bracket is lam * cross), and the step multiplies on the right by
+exp(Omega): Rodrigues for rotations, the quaternion exponential for S^3.
+The steps are computed and multiplied together a block of rows at a time:
+the first row of a block is multiplied by the previous block's last
+product, projected back onto the group (polar factor or unit norm), and a
+log-depth (Hillis-Steele) prefix scan forms the products within the block
+(Blelloch, CMU-CS-90-190, 1990).  So the start and one product per block
+are projected, and the defects are checked over the steps and the finished
+products.  For R^3 (lam = 0) the step is a translation and the positions
+are a cumulative Simpson sum.  Tangents at half-steps come from cubic
+Hermite interpolation.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .liegroup import (SO3, GroupSpec, element_defect, gram_defect,
-                       identity_element, quat_mul_rows, renormalize_element)
+from .liegroup import (SO3, GroupSpec, element_defect, identity_element,
+                       quat_mul_rows, renormalize_element)
 from .profiles import CurvatureProfile, require_frenet
 
-# rows per batched operation of the stepper and the scan: bounds their
-# temporaries, which would otherwise add several (N, 3, 3) arrays to the
-# peak memory of a run
+# rows per block of the stepper and the scan: bounds their temporaries,
+# which would otherwise add several (N, 3, 3) arrays to the peak memory of
+# a run, and the products formed between two projections
 _BLOCK = 2048
 
 
@@ -47,13 +49,13 @@ class FrameTrajectory(NamedTuple):
     """Frames (and optionally positions) sampled on a uniform s-grid."""
 
     s: np.ndarray
-    t: np.ndarray        # (N, 3)
+    t: np.ndarray        # (N, 3); integrated frames give views of one (N, 3, 3)
     n: np.ndarray
     b: np.ndarray
     kappa: np.ndarray    # (N,)
     tau: np.ndarray
     positions: Optional[np.ndarray] = None
-    max_step_defect: float = 0.0    # orthonormality defect of the one-step exponentials
+    max_step_defect: float = 0.0    # of the one-step exponentials of frames and positions
     max_frame_defect: float = 0.0   # orthonormality defect of the frames
     max_element_defect: float = 0.0
 
@@ -68,6 +70,8 @@ class PositionCurve(NamedTuple):
     s: np.ndarray
     positions: np.ndarray
     spec: GroupSpec
+    max_step_defect: float = 0.0     # of the one-step exponentials
+    max_element_defect: float = 0.0
 
 
 # the most float64 samples numpy can size an array for: it reports a larger
@@ -93,14 +97,14 @@ def _grid(s0: float, s1: float, h: float) -> np.ndarray:
 
 
 def _magnus_exponents(w: np.ndarray, w_mid: np.ndarray, h: float,
-                      c: float) -> np.ndarray:
+                      lam: float) -> np.ndarray:
     """Fourth-order Magnus exponent of every step, from algebra values at
-    the nodes (N+1, 3) and the midpoints (N, 3); c is the commutator
-    coefficient."""
+    the nodes (N+1, 3) and the midpoints (N, 3); lam is the structure
+    scalar of the bracket."""
     w0, w1 = w[:-1], w[1:]
     omega = (h / 6.0) * (w0 + 4.0 * w_mid + w1)
-    if c:
-        omega += (c * h * h / 12.0) * np.cross(w0, w1)
+    if lam:
+        omega += (lam * h * h / 12.0) * np.cross(w0, w1)
     return omega
 
 
@@ -136,30 +140,39 @@ def _exp_quaternions(omega: np.ndarray, q: np.ndarray) -> None:
     q[:, 1:] = np.sinc(theta / np.pi)[:, None] * omega
 
 
-def _magnus_steps(w: np.ndarray, w_mid: np.ndarray, h: float, c: float,
-                  exp: Callable[[np.ndarray, np.ndarray], None],
-                  out: np.ndarray) -> None:
-    """Write exp(Omega) of every step into out, a block of steps at a time."""
-    for lo in range(0, w_mid.shape[0], _BLOCK):
+def _integrate_group_positions(s: np.ndarray, field: np.ndarray,
+                               field_mid: np.ndarray, spec: GroupSpec,
+                               g0: Optional[np.ndarray]):
+    """Magnus steps for gamma' = gamma v(s) given v at nodes and midpoints.
+
+    Returns the positions and their defects: the largest distance from the
+    group of a one-step exponential and of a position."""
+    h = float(s[1] - s[0])
+    g = renormalize_element(
+        spec, identity_element(spec) if g0 is None else np.array(g0, dtype=float))
+    out = np.empty((s.shape[0],) + g.shape)
+    out[0] = g
+    if spec.family == "r3":
+        out[1:] = g + np.cumsum(_magnus_exponents(field, field_mid, h, spec.lam), axis=0)
+        return out, (0.0, 0.0)
+    exp, mul = ((_exp_quaternions, quat_mul_rows) if spec.family == "s3"
+                else (_exp_rotations, np.matmul))
+    step_defect = 0.0
+    for lo in range(0, out.shape[0], _BLOCK):
         hi = lo + _BLOCK
-        exp(_magnus_exponents(w[lo:hi + 1], w_mid[lo:hi], h, c), out[lo:hi])
-
-
-def _scan(out: np.ndarray,
-          mul: Callable[[np.ndarray, np.ndarray], np.ndarray]) -> None:
-    """In place, out[k] <- out[0] . out[1] . ... . out[k] for an associative
-    product mul(earlier, later) applied row-wise.
-
-    A log-depth (Hillis-Steele) scan; each pass runs over blocks from the
-    top down, so that reads below a block still see the previous pass and
-    one block's product is the only temporary."""
-    n = out.shape[0]
-    d = 1
-    while d < n:
-        for hi in range(n, d, -_BLOCK):
-            lo = max(d, hi - _BLOCK)
-            out[lo:hi] = mul(out[lo - d:hi - d], out[lo:hi])
-        d *= 2
+        first = max(lo, 1)      # row k >= 1 holds the step from s[k - 1] to s[k]
+        steps = out[first:hi]
+        exp(_magnus_exponents(field[first - 1:hi], field_mid[first - 1:hi - 1],
+                              h, spec.lam), steps)
+        step_defect = max(step_defect, element_defect(spec, steps))
+        block = out[lo:hi]
+        if lo:
+            block[0] = mul(renormalize_element(spec, out[lo - 1]), block[0])
+        d = 1
+        while d < block.shape[0]:
+            block[d:] = mul(block[:-d], block[d:])
+            d *= 2
+    return out, (step_defect, element_defect(spec, out))
 
 
 def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
@@ -167,13 +180,12 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
     """Solve the frame ODE over [s0, s1] with step ~h.
 
     ``init`` is the initial frame as a 3x3 matrix with rows T, N, B (the
-    identity when None); it is projected onto the rotations once.  Spans
-    that are not integer multiples of h round to the nearest step count.
-    Profile values at half-steps come from direct expression evaluation, or
-    cubic interpolation for sampled profiles.
+    identity when None); its transpose is projected onto the rotations once.
+    Spans that are not integer multiples of h round to the nearest step
+    count.  Profile values at half-steps come from direct expression
+    evaluation, or cubic interpolation for sampled profiles.
     """
     s = _grid(s0, s1, h)
-    hh = float(s[1] - s[0])
     mid = 0.5 * (s[:-1] + s[1:])
     kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
     tau = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float))
@@ -183,19 +195,14 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
     require_frenet(kappa_mid, mid)
 
     def algebra(kap, tor):
-        return np.column_stack([spec.tau_g - tor, np.zeros_like(kap), -kap])
+        return np.column_stack([tor - spec.tau_g, np.zeros_like(kap), kap])
 
-    frames = np.empty((s.shape[0], 3, 3))
-    frames[0] = renormalize_element(
-        SO3, np.eye(3) if init is None else np.asarray(init, dtype=float))
-    _magnus_steps(algebra(kappa, tau), algebra(kappa_mid, tau_mid), hh, -1.0,
-                  _exp_rotations, frames[1:])
-    max_step_defect = gram_defect(frames[1:])
-    _scan(frames, lambda earlier, later: later @ earlier)
+    g, (step_defect, frame_defect) = _integrate_group_positions(
+        s, algebra(kappa, tau), algebra(kappa_mid, tau_mid), SO3,
+        None if init is None else np.asarray(init, dtype=float).T)
     return FrameTrajectory(
-        s=s, t=frames[:, 0], n=frames[:, 1], b=frames[:, 2],
-        kappa=kappa, tau=tau,
-        max_step_defect=max_step_defect, max_frame_defect=gram_defect(frames))
+        s=s, t=g[:, :, 0], n=g[:, :, 1], b=g[:, :, 2], kappa=kappa, tau=tau,
+        max_step_defect=step_defect, max_frame_defect=frame_defect)
 
 
 def _hermite_midpoints(field: np.ndarray, deriv: np.ndarray, h: float) -> np.ndarray:
@@ -204,35 +211,16 @@ def _hermite_midpoints(field: np.ndarray, deriv: np.ndarray, h: float) -> np.nda
     return 0.5 * (field[:-1] + field[1:]) + (h / 8.0) * (deriv[:-1] - deriv[1:])
 
 
-def _integrate_group_positions(s: np.ndarray, field: np.ndarray,
-                               field_mid: np.ndarray, spec: GroupSpec,
-                               g0: Optional[np.ndarray]):
-    """Magnus steps for gamma' = gamma v(s) given v at nodes and midpoints.
-
-    Returns the positions and their largest distance from the group."""
-    h = float(s[1] - s[0])
-    g = renormalize_element(
-        spec, identity_element(spec) if g0 is None else np.array(g0, dtype=float))
-    out = np.empty((s.shape[0],) + g.shape)
-    out[0] = g
-    if spec.family == "r3":
-        out[1:] = g + np.cumsum(_magnus_exponents(field, field_mid, h, spec.lam), axis=0)
-        return out, 0.0
-    exp, mul = ((_exp_quaternions, quat_mul_rows) if spec.family == "s3"
-                else (_exp_rotations, np.matmul))
-    _magnus_steps(field, field_mid, h, spec.lam, exp, out[1:])
-    _scan(out, mul)
-    return out, element_defect(spec, out)
-
-
 def reconstruct_position(traj: FrameTrajectory, spec: GroupSpec,
                          g0: Optional[np.ndarray] = None) -> FrameTrajectory:
     """Integrate gamma' = dL_gamma(t(s)) along the trajectory's own tangent."""
     h = traj.h
     t_prime = traj.kappa[:, None] * traj.n
     t_mid = _hermite_midpoints(traj.t, t_prime, h)
-    positions, drift = _integrate_group_positions(traj.s, traj.t, t_mid, spec, g0)
-    return traj._replace(positions=positions, max_element_defect=drift)
+    positions, (step_defect, drift) = _integrate_group_positions(
+        traj.s, traj.t, t_mid, spec, g0)
+    return traj._replace(positions=positions, max_element_defect=drift,
+                         max_step_defect=max(traj.max_step_defect, step_defect))
 
 
 def integrate_direction_curve(source: FrameTrajectory, which: str, spec: GroupSpec,
@@ -249,5 +237,7 @@ def integrate_direction_curve(source: FrameTrajectory, which: str, spec: GroupSp
     else:
         raise ValueError("which must be 'principal_normal' or 'binormal'")
     field_mid = _hermite_midpoints(field, deriv, source.h)
-    positions, _ = _integrate_group_positions(source.s, field, field_mid, spec, g0)
-    return PositionCurve(s=source.s, positions=positions, spec=spec)
+    positions, (step_defect, drift) = _integrate_group_positions(
+        source.s, field, field_mid, spec, g0)
+    return PositionCurve(s=source.s, positions=positions, spec=spec,
+                         max_step_defect=step_defect, max_element_defect=drift)

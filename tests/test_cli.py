@@ -779,6 +779,23 @@ def test_step_too_large_rejected(capsys):
     assert "step too large" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["synthesize"], ["classify"], ["verify", "--theorems", "thm4_1"],
+    ["mate", "--kind", "natural", "--mode", "both"]])
+@pytest.mark.parametrize("domain,step", [
+    ("-1e308:1e308", "inf"),     # the span overflows and inf <= inf
+    ("-1e308:1e308", "1e300"),   # the span overflows, the step is finite
+    ("0:1", "inf"),
+    ("0:1", "nan")])
+def test_non_finite_span_or_step_exits_2(command, domain, step, tmp_path, capsys):
+    code, out, err = run_cli([*command, "--group", "r3", "--kappa", "1", "--tau", "1",
+                              f"--domain={domain}", "--step", step,
+                              "--out", str(tmp_path / "o")], capsys)
+    assert code == 2, err
+    assert err.startswith("error: ") and "finite" in err
+    assert out == "" and not (tmp_path / "o").exists()
+
+
 CLASSIFY_FLAT = ["classify", "--group", "r3", "--kappa", "2", "--tau", "0",
                  "--domain", "0:1", "--step", "0.01"]
 

@@ -87,8 +87,9 @@ def test_magnus_order_4_on_variable_coefficients():
 
 
 def test_frames_orthonormal_without_projection():
-    # no step is projected back: over 30000 steps every frame, and every
-    # one-step exponential, is orthonormal and right-handed to round-off
+    # no step is projected back, only the start and one product per
+    # 2048-row block: over 30000 steps every frame, and every one-step
+    # exponential, is orthonormal and right-handed to round-off
     p = CurvatureProfile.from_expressions("3*cos(s)", "3*sin(s)", (-1.5, 1.5))
     traj = integrate_frame(p, R3, -1.5, 1.5, 1e-4)
     frames = np.stack([traj.t, traj.n, traj.b], axis=1)
@@ -102,14 +103,33 @@ def test_frames_orthonormal_without_projection():
 
 @pytest.mark.parametrize("spec", [SO3, S3], ids=["so3", "s3"])
 def test_defects_of_long_grids_stay_bounded(spec):
-    # no step is projected, so frame and element defects grow with the step
-    # count; over 60000 steps they stay within 1e-11 (about 2.4e-12 today)
+    # the product carried into each 2048-row block is projected back onto
+    # the group, so frame and element defects do not grow with the step
+    # count: over 60000 steps they stay within 1e-12 (at most 1.9e-13 here)
     p = CurvatureProfile.from_expressions("3", "2*s", (-3, 3))
     traj = reconstruct_position(integrate_frame(p, spec, -3, 3, 1e-4), spec)
     assert len(traj.s) == 60001
-    assert traj.max_frame_defect <= 1e-11
-    assert traj.max_element_defect <= 1e-11
+    assert traj.max_frame_defect <= 1e-12
+    assert traj.max_element_defect <= 1e-12
     assert traj.max_step_defect <= 1e-15
+
+
+@pytest.mark.parametrize("spec", [SO3, S3], ids=["so3", "s3"])
+def test_defects_of_demo_profiles_stay_below_1e_12(spec, profiles):
+    # criterion 7's bound at every step down to h = 5e-5 (up to 120001
+    # rows): frames, positions and both direction curves of each demo
+    # profile stay within 1e-12 of the group (at most 3.0e-13 here)
+    for h in (1e-3, 1e-4, 5e-5):
+        for name, p in profiles.items():
+            traj = reconstruct_position(
+                integrate_frame(p, spec, p.s_min, p.s_max, h), spec)
+            defects = [traj.max_frame_defect, traj.max_element_defect]
+            for which in ("principal_normal", "binormal"):
+                curve = integrate_direction_curve(traj, which, spec)
+                assert curve.max_element_defect == element_defect(spec, curve.positions)
+                defects += [curve.max_element_defect, curve.max_step_defect]
+            assert max(defects) <= 1e-12, (name, h, defects)
+            assert traj.max_step_defect <= 1e-15, (name, h)
 
 
 def test_frenet_violation_detected():
@@ -269,11 +289,13 @@ def _quat_exp(v):
 def test_helix_matches_closed_form(spec):
     # constant kappa and tau: the Darboux vector D = (tau - tau_G) T0 + kappa B0
     # is fixed in the algebra and gamma(s) = gamma0 exp(s (T0 + D/lam))
-    # exp(-s D/lam), with no integrator involved
+    # exp(-s D/lam), and the frame is F(s) = expm(s hat(w)) F0 with
+    # w = -(tau - tau_G, 0, kappa), with no integrator involved
     kappa, tau = 2.0, 1.5
     rot = expm(hat(np.array([0.3, -0.7, 0.4])))
     t0, b0 = rot[0], rot[2]
     d = (tau - spec.tau_g) * t0 + kappa * b0
+    w = -np.array([tau - spec.tau_g, 0.0, kappa])
     if spec is SO3:
         g0 = expm(hat(np.array([-0.2, 0.5, 0.1])))
 
@@ -287,12 +309,23 @@ def test_helix_matches_closed_form(spec):
                                  _quat_exp(-s * d / spec.lam))
 
     p = CurvatureProfile.from_expressions(str(kappa), str(tau), (0, 4))
-    errors = []
-    for h in (1e-2, 1e-3):
+    errors, frame_errors = [], []
+    for h in (1e-2, 1e-3, 1e-4):
         traj = reconstruct_position(integrate_frame(p, spec, 0, 4, h, rot), spec, g0)
-        ref = np.array([exact(s) for s in traj.s])
-        errors.append(float(np.max(np.abs(traj.positions - ref))))
-    # measured: 2.5e-9, 2.6e-13 (so3); 2.9e-9, 1.6e-13 (s3); order 4
+        # h = 1e-4 gives 40001 rows, 19 blocks joined by projected carries;
+        # every 97th row, counted from the end, keeps the references cheap
+        rows = np.arange(len(traj.s) - 1, -1, -97 if h < 1e-3 else -1)
+        ref = np.array([exact(s) for s in traj.s[rows]])
+        errors.append(float(np.max(np.abs(traj.positions[rows] - ref))))
+        frames = np.stack([traj.t[rows], traj.n[rows], traj.b[rows]], axis=1)
+        frame_ref = np.array([expm(s * hat(w)) @ rot for s in traj.s[rows]])
+        frame_errors.append(float(np.max(np.abs(frames - frame_ref))))
+    # measured positions: 2.5e-9, 2.7e-13, 1.8e-13 (so3); 2.9e-9, 2.0e-13,
+    # 2.1e-13 (s3); order 4 until round-off.  Every Magnus step of a
+    # constant-coefficient frame is exact, so the frames carry round-off
+    # only: at most 1.5e-13 (so3) and 1.7e-13 (s3) at every h
     assert errors[0] <= 1e-8
     assert errors[1] <= 1e-11
+    assert errors[2] <= 5e-13
     assert errors[0] / errors[1] >= 5e3
+    assert max(frame_errors) <= 5e-13

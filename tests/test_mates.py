@@ -23,15 +23,27 @@ from conftest import MATE_REFERENCE
 from oracles import mate_frames
 
 
+def shifted_expressions(name, p):
+    """The demo profile in R^3, then in SO(3) and S^3 with its tau written
+    as tau_G + (tau): tau - tau_G, and so the reference forms, are kept,
+    and a mate torsion that drops tau_G is off by tau_G."""
+    entry = PROFILES[name]
+    return [(p, R3)] + [
+        (CurvatureProfile.from_expressions(entry.kappa, f"{spec.tau_g!r}+({entry.tau})",
+                                           entry.domain), spec)
+        for spec in (SO3, S3)]
+
+
 def test_natural_mate_matches_reference_forms(profiles):
     for name, p in profiles.items():
         ref = MATE_REFERENCE[name]
-        mate = natural_mate_apparatus(p, R3)
         s = np.linspace(p.s_min, p.s_max, 2001)
-        np.testing.assert_allclose(mate.kappa_at(s), ref["kappa_bar"](s),
-                                   rtol=0, atol=1e-12)
-        np.testing.assert_allclose(mate.tau_at(s), ref["tau_bar"](s),
-                                   rtol=0, atol=1e-12)
+        for parent, spec in shifted_expressions(name, p):
+            mate = natural_mate_apparatus(parent, spec)
+            np.testing.assert_allclose(mate.kappa_at(s), ref["kappa_bar"](s),
+                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(mate.tau_at(s), ref["tau_bar"](s) + spec.tau_g,
+                                       rtol=0, atol=1e-12)
 
 
 def test_conjugate_mate_matches_reference_forms(profiles):
@@ -40,7 +52,7 @@ def test_conjugate_mate_matches_reference_forms(profiles):
         s = np.linspace(p.s_min, p.s_max, 2001)
         # sampled copies too, tau shifted by tau_G and read at their nodes,
         # where tau* = kappa + tau_G differs from kappa
-        copies = [(p, R3)] + [
+        copies = shifted_expressions(name, p) + [
             (CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s) + spec.tau_g), spec)
             for spec in (R3, SO3, S3)]
         for parent, spec in copies:
