@@ -126,11 +126,11 @@ MUTANTS = (
     Mutant("estimated_torsion_drops_bracket", "src/curvemates/analysis.py",
            "tau = np.sum((nprime + 0.5 * tn_bracket) * bhat, axis=1)",
            "tau = np.sum(nprime * bhat, axis=1)",
-           ("tests/test_analysis.py", "tests/test_integrate.py")),
+           ("tests/test_analysis.py",)),
     Mutant("sqrt_derivative_factor", "src/curvemates/expressions.py",
            'return Binary("/", du, Binary("*", Num(2.0), Unary("sqrt", u)))',
            'return Binary("/", du, Binary("*", Num(1.0), Unary("sqrt", u)))',
-           ("tests/test_expressions.py", "tests/test_analysis.py")),
+           ("tests/test_expressions.py",)),
     # from earlier hand-made mutants
     Mutant("tan_derivative_drops_one", "src/curvemates/expressions.py",
            'return Binary("*", Binary("+", Num(1.0), sq), du)',
@@ -145,8 +145,20 @@ MUTANTS = (
            "return quat_mul_rows(dg, g * np.array([1.0, -1.0, -1.0, -1.0]))[..., 1:]",
            ("tests/test_liegroup.py", "tests/test_analysis.py")),
     Mutant("csv_tie_fallback_dropped", "src/curvemates/csvfmt.py",
-           "alone = ~bulk | (np.abs(frac - 0.5) < _TIE)",
-           "alone = ~bulk",
+           "alone = np.abs(small - rounded) > 0.5 - _TIE",
+           "alone = np.abs(small - rounded) > 0.5",
+           ("tests/test_csvfmt.py",)),
+    Mutant("csv_point_one_digit_off", "src/curvemates/csvfmt.py",
+           "point, stop = 6 + x, 23",
+           "point, stop = 7 + x, 23",
+           ("tests/test_csvfmt.py",)),
+    Mutant("csv_sign_byte_dropped", "src/curvemates/csvfmt.py",
+           'sign = (r + 32) % 64 - 32, b"-" if 32 <= r < 96',
+           'sign = (r + 32) % 64 - 32, b"\\0" if 32 <= r < 96',
+           ("tests/test_csvfmt.py",)),
+    Mutant("csv_trailing_zeros_off_by_one", "src/curvemates/csvfmt.py",
+           "bytes([23 - i]) * 10 ** (3 - i)",
+           "bytes([22 - i]) * 10 ** (3 - i)",
            ("tests/test_csvfmt.py",)),
     # the mate's direction, the CSV chunks and the grid too large for memory
     Mutant("mate_direction_swapped", "src/curvemates/cli.py",
@@ -154,12 +166,12 @@ MUTANTS = (
            'which = "binormal" if kind == "natural" else "principal_normal"',
            ("tests/test_cli.py",)),
     Mutant("csv_chunk_slice_overlaps", "src/curvemates/cli.py",
-           "cells = np.column_stack([c[i:i + rows] for c in columns])",
-           "cells = np.column_stack([c[i:i + rows + 1] for c in columns])",
+           "for i in range(0, total, rows):",
+           "for i in range(0, total, rows - 1):",
            ("tests/test_cli.py::test_csv_chunks_join_to_one_formatting_of_the_table",)),
     Mutant("csv_blank_bounds_shifted", "src/curvemates/cli.py",
-           "empty.T[blank[0]] = blank[1][i:i + rows]",
-           "empty.T[blank[0]] = blank[1][i + 1:i + rows + 1]",
+           "empty.T[blank[0], :n] = blank[1][i:i + n]",
+           "empty.T[blank[0], :n] = blank[1][i + 1:i + n + 1]",
            ("tests/test_cli.py::test_csv_chunks_join_to_one_formatting_of_the_table",)),
     Mutant("estimator_grid_check_off_by_one", "src/curvemates/cli.py",
            "if n <= 2 * analysis.MARGIN:",

@@ -223,11 +223,12 @@ _POSITION_COLUMNS = {
 }
 
 
-# cells formatted at a time: bounds the arrays of one chunk, about 48 bytes
-# a cell each (74 KB), and gives narrow tables as many rows per chunk as the
-# widest gets.  That is 64 rows of the 24-cell so3 trajectory; 128 formatted
-# it 17 % faster but raised the peak RSS of a synthesize by another 0.07 MB
-_CHUNK_CELLS = 1536
+# cells formatted at a time: bounds the arrays of one chunk, at most 48 bytes
+# a cell each (96 KB; about 155 bytes a cell live at once, 310 KB, below the
+# 343 KB that 1536 cells of 48-byte layout took), and gives narrow tables as
+# many rows per chunk as the widest gets: 85 rows of the 24-cell so3
+# trajectory, formatted about 12 % faster per cell than 64
+_CHUNK_CELLS = 2048
 
 
 def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
@@ -240,15 +241,17 @@ def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
     value (never NaN).
     """
     from . import csvfmt    # here: only the commands that write CSV need it
-    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    columns = [c.reshape(len(c), -1) for c in columns]
+    width, total = sum(c.shape[1] for c in columns), len(columns[0])
     rows = max(1, _CHUNK_CELLS // width)
-    for i in range(0, len(columns[0]), rows):
-        cells = np.column_stack([c[i:i + rows] for c in columns])
-        empty = None
+    cells = np.empty((rows, width))             # one chunk, filled in place
+    empty = None if blank is None else np.zeros(cells.shape, bool)
+    for i in range(0, total, rows):
+        n = min(rows, total - i)
+        np.concatenate([c[i:i + n] for c in columns], axis=1, out=cells[:n])
         if blank is not None:
-            empty = np.zeros(cells.shape, bool)
-            empty.T[blank[0]] = blank[1][i:i + rows]
-        yield csvfmt.format_rows(cells, empty, prefix)
+            empty.T[blank[0], :n] = blank[1][i:i + n]
+        yield csvfmt.format_rows(cells[:n], None if empty is None else empty[:n], prefix)
 
 
 def _csv(header: list[str], body):

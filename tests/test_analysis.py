@@ -64,6 +64,15 @@ def test_estimated_group_torsion_all_groups():
 
 
 @pytest.mark.parametrize("spec", [SO3, S3], ids=["so3", "s3"])
+def test_estimated_torsion_includes_the_bracket_term(spec):
+    # tau = <N' + (1/2)[T, N], B>: without the bracket the estimate reads
+    # tau - tau_G, off by 1/2 in SO(3) and by 1 in S^3
+    p = prof("2", "1.5", (0.0, 2.0))
+    _, est = estimated_profile(p, spec, 1e-3)
+    assert np.max(np.abs(est.tau[est.valid] - 1.5)) <= 1e-6
+
+
+@pytest.mark.parametrize("spec", [SO3, S3], ids=["so3", "s3"])
 def test_estimator_is_left_invariant(spec, profiles):
     # the tangent is pulled back by left translation, so a fixed left factor
     # g cancels: g.gamma and gamma have the same apparatus and the same

@@ -1,5 +1,7 @@
 """The bulk CSV formatter writes every cell byte for byte as "%.17g" % does."""
 
+import random
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -103,3 +105,38 @@ def test_empty_cells_and_prefix(data, prefix):
     empty = np.array(marks).reshape(-1, 3)
     cells[empty] = np.nan
     assert format_rows(cells, empty, prefix) == reference(cells, empty, prefix)
+
+
+def shaped(x, nd, sign):
+    """A double that "%.17g" prints with decimal exponent x and nd
+    significant digits once its trailing zeros go, or None where none does."""
+    rng = random.Random(1000 * x + nd)
+    mantissas = range(10 ** (nd - 1), 10 ** nd) if nd < 3 else (
+        rng.randrange(10 ** (nd - 1), 10 ** nd) for _ in range(5000))
+    for m in map(str, mantissas):
+        v = sign * float(f"{m[0]}.{m[1:]}e{x}")
+        mantissa, exponent = ("%.16e" % abs(v)).split("e")
+        if int(exponent) == x and len(mantissa.replace(".", "").rstrip("0")) == nd:
+            return v
+    return None
+
+
+def test_every_exponent_and_digit_count():
+    # each layout of a cell formatted in bulk: fixed notation with and
+    # without a point, "0.000" below 1, scientific with and without one
+    shapes = [(x, nd) for x in range(-30, 31) for nd in range(1, 18)]
+    values = [shaped(x, nd, sign) for x, nd in shapes for sign in (1, -1)]
+    # a few shapes of one or two digits are no double's: 1e-30 prints as
+    # 1.0000000000000001e-30
+    missing = {shape for shape, v in zip(shapes, values[::2]) if v is None}
+    assert len(missing) == 13 and all(nd < 3 for _, nd in missing)
+    assert_formats([v for v in values if v is not None])
+
+
+def test_bulk_and_one_by_one_cells_in_one_chunk():
+    rng = np.random.default_rng(11)
+    cells = rng.normal(size=(64, 24)) * 10.0 ** rng.integers(-6, 20, size=(64, 24))
+    alone = [0.0, -0.0, 1e-31, -1e-31, 2.0 ** -25, -(2.0 ** -25), 1e30, np.nan, -np.inf,
+             -2.2250738585072014e-308]
+    cells.flat[rng.choice(cells.size, 200, replace=False)] = np.resize(alone, 200)
+    assert format_rows(cells) == reference(cells)

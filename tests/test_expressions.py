@@ -165,6 +165,18 @@ def test_differentiate_matches_central_difference_on_demo_formulas():
                 assert abs(sym - fd) <= 1e-6 * (1 + abs(sym))
 
 
+def test_sqrt_derivative_matches_central_difference():
+    # the demo formulas take sqrt of constants only, where the chain rule's
+    # factor 1/2 multiplies a zero derivative
+    e = parse("sqrt(1+s^2)")
+    de = differentiate(e)
+    h = 1e-5
+    for s in np.linspace(-2.0, 2.0, 9):
+        fd = (evaluate(e, s + h) - evaluate(e, s - h)) / (2 * h)
+        assert evaluate(de, float(s)) == pytest.approx(fd, abs=1e-8)
+        assert evaluate(de, float(s)) == pytest.approx(s / math.sqrt(1 + s * s), abs=1e-14)
+
+
 def test_abs_derivative_piecewise():
     d = differentiate(parse("abs(s)"))
     assert evaluate(d, 0.5) == pytest.approx(1.0)
