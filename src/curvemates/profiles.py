@@ -11,7 +11,7 @@ A profile derives its symbolic derivatives, and keeps its mates, once.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -84,42 +84,20 @@ def _cubic_interp(s_grid: np.ndarray, values: np.ndarray, s) -> np.ndarray:
     return out[0] if scalar else out
 
 
-class CurvatureProfile:
+class _ProfileFields(NamedTuple):
+    s_min: float
+    s_max: float
+    kappa_expr: Optional[ex.Expr] = None
+    tau_expr: Optional[ex.Expr] = None
+    s_grid: Optional[np.ndarray] = None
+    kappa_samples: Optional[np.ndarray] = None
+    tau_samples: Optional[np.ndarray] = None
+
+
+class CurvatureProfile(_ProfileFields):
     """(kappa, tau) over a domain, in expression or sampled form.
 
-    Immutable; equal, and hashed, by its fields."""
-
-    def __init__(self, s_min: float, s_max: float,
-                 kappa_expr: Optional[ex.Expr] = None,
-                 tau_expr: Optional[ex.Expr] = None,
-                 s_grid: Optional[np.ndarray] = None,
-                 kappa_samples: Optional[np.ndarray] = None,
-                 tau_samples: Optional[np.ndarray] = None):
-        vars(self).update(s_min=s_min, s_max=s_max, kappa_expr=kappa_expr,
-                          tau_expr=tau_expr, s_grid=s_grid,
-                          kappa_samples=kappa_samples, tau_samples=tau_samples)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to {name!r}: CurvatureProfile is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete {name!r}: CurvatureProfile is immutable")
-
-    def _key(self) -> tuple:
-        return (self.s_min, self.s_max, self.kappa_expr, self.tau_expr,
-                self.s_grid, self.kappa_samples, self.tau_samples)
-
-    def __eq__(self, other):
-        if type(other) is not CurvatureProfile:
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self):
-        return hash(self._key())
-
-    def __repr__(self):
-        return (f"CurvatureProfile(s_min={self.s_min!r}, s_max={self.s_max!r}, "
-                f"kappa_expr={self.kappa_expr!r}, tau_expr={self.tau_expr!r})")
+    No __slots__: the values derived below are kept in the instance dict."""
 
     @classmethod
     def from_expressions(cls, kappa, tau, domain) -> "CurvatureProfile":
@@ -165,9 +143,9 @@ class CurvatureProfile:
         return _cubic_interp(self.s_grid, self.tau_samples, s)
 
     # Values derived from the fields are computed when first read and kept
-    # on the instance, which is immutable, so they live and die with it.  A
-    # failed derivation (DifferentiationError) is not kept: it raises again
-    # on every read.
+    # on the instance, whose fields are read-only, so they live and die with
+    # it.  A failed derivation (DifferentiationError) is not kept: it raises
+    # again on every read.
 
     @cached_property
     def kappa_prime_expr(self) -> ex.Expr:
