@@ -185,6 +185,28 @@ MUTANTS = (
            "except MemoryError as e:",
            "except ArithmeticError as e:",
            ("tests/test_cli.py::test_grid_too_large_for_memory_exits_2",)),
+    # the derivative filter, the estimator's margin, the spherical
+    # segmentation and the sampled-profile checks
+    Mutant("sg_end_window_one_off", "src/curvemates/liegroup.py",
+           "_sg_coeffs(window, window - 1 - p)",
+           "_sg_coeffs(window, window - 2 - p)",
+           ("tests/test_liegroup.py",)),
+    Mutant("estimator_margin_shrunk", "src/curvemates/analysis.py",
+           "MARGIN = 3 * (DEFAULT_WINDOW // 2)",
+           "MARGIN = 2 * (DEFAULT_WINDOW // 2)",
+           ("tests/test_analysis.py",)),
+    Mutant("spherical_zero_runs_never_merged", "src/curvemates/checks.py",
+           "if flag and (i1 - i0 + 1) < 3:",
+           "if flag and (i1 - i0 + 1) < 1:",
+           ("tests/test_analysis.py",)),
+    Mutant("sample_shape_check_dropped", "src/curvemates/profiles.py",
+           "if not s_grid.shape == kappa_samples.shape == tau_samples.shape:",
+           "if False:",
+           ("tests/test_profiles.py",)),
+    Mutant("sample_finite_check_dropped", "src/curvemates/profiles.py",
+           "if not all(np.all(np.isfinite(a)) for a in (s_grid, kappa_samples, tau_samples)):",
+           "if False:",
+           ("tests/test_profiles.py",)),
 )
 
 

@@ -2,11 +2,11 @@
 
 The estimator reconstructs (kappa, tau, tau_G) from sampled group-valued
 positions alone, so it can cross-check everything the synthesis pipeline
-produces.  Differentiation uses least-squares quartic filters on a sliding
-window (window 5 is the classical 5-point stencil); wider windows keep the
-O(h^4) truncation order while cutting the float64 round-off amplification
-of the nested third-derivative pipeline roughly 30x, which the refinement
-tolerances require.
+produces.  Differentiation is ``liegroup.sg_derivative``, the least-squares
+quartic filter, over DEFAULT_WINDOW samples: the 11-point window keeps the
+O(h^4) truncation order of the 5-point stencil while cutting the float64
+round-off amplification of the nested third-derivative pipeline roughly
+30x, which the refinement tolerances require.
 
 Classification and verification live in ``checks``, which is imported on
 the first lookup of one of its names here (``analysis.classify``,
@@ -16,12 +16,12 @@ estimates never loads them.
 
 from __future__ import annotations
 
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .liegroup import GroupSpec, bracket, is_uniform_grid, pull_back_tangent
+from .liegroup import (GroupSpec, bracket, is_uniform_grid, pull_back_tangent,
+                       sg_derivative)
 from .mates import ZERO_TOL
 
 DEFAULT_WINDOW = 11
@@ -72,39 +72,6 @@ def rel_spread(x) -> float:
 
 
 # ---------------------------------------------------------------------------
-# sliding-window differentiation
-
-@lru_cache(maxsize=None)
-def _sg_coeffs(window: int, offset: int) -> tuple:
-    """First-derivative weights of the quartic fit at ``offset``."""
-    x = np.arange(window, dtype=float) - float(offset)
-    return tuple(np.linalg.pinv(np.vander(x, 5, increasing=True))[1].tolist())
-
-
-def sg_derivative(values: np.ndarray, h: float, window: int = DEFAULT_WINDOW) -> np.ndarray:
-    """Derivative along axis 0 by least-squares quartic fit over ``window``
-    points (odd, >= 5); exact for quartics, one-sided windows at the ends."""
-    f = np.asarray(values, dtype=float)
-    n = f.shape[0]
-    if window % 2 == 0:
-        raise ValueError("window must be odd")
-    if n < window:
-        raise ValueError(f"need at least {window} samples")
-    half = window // 2
-    flat = f.reshape(n, -1)
-    out = np.empty_like(flat)
-    w = np.asarray(_sg_coeffs(window, half))
-    sw = np.lib.stride_tricks.sliding_window_view(flat, window, axis=0)
-    out[half:n - half] = np.einsum("ncw,w->nc", sw, w)
-    for p in range(half):
-        wp = np.asarray(_sg_coeffs(window, p))
-        out[p] = flat[:window].T @ wp
-        wq = np.asarray(_sg_coeffs(window, window - 1 - p))
-        out[n - 1 - p] = flat[n - window:].T @ wq
-    return (out / h).reshape(f.shape)
-
-
-# ---------------------------------------------------------------------------
 # apparatus estimation
 
 class EstimatedApparatus(NamedTuple):
@@ -136,9 +103,9 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
         raise EstimationError("estimation requires a uniform s-grid")
     h = float(s[1] - s[0])
 
-    dpos = sg_derivative(positions, h)
+    dpos = sg_derivative(positions, h, DEFAULT_WINDOW)
     t = pull_back_tangent(positions, dpos, spec)
-    tp = sg_derivative(t, h)
+    tp = sg_derivative(t, h, DEFAULT_WINDOW)
     kappa = np.linalg.norm(tp, axis=1)
 
     valid = np.zeros(n, dtype=bool)
@@ -151,7 +118,7 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     nhat = tp / kappa_safe[:, None]
     bhat = np.cross(that, nhat)
     bhat = bhat / np.linalg.norm(bhat, axis=1, keepdims=True)
-    nprime = sg_derivative(nhat, h)
+    nprime = sg_derivative(nhat, h, DEFAULT_WINDOW)
     tn_bracket = bracket(that, nhat, spec)
     tau_g = 0.5 * np.sum(tn_bracket * bhat, axis=1)
     tau = np.sum((nprime + 0.5 * tn_bracket) * bhat, axis=1)

@@ -16,11 +16,10 @@ from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 import numpy as np
 
 from .analysis import ToleranceSet, estimate_apparatus, rel_spread
-from .liegroup import GroupSpec, cumulative_quadrature, runs
+from .liegroup import GroupSpec, cumulative_quadrature, runs, sg_derivative
 from .mates import (Segment, conjugate_mate_apparatus, constant_curvature_inverse,
                     natural_mate_apparatus, sign_segments)
-from .profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile, ProfileSamples,
-                       _derivative_samples)
+from .profiles import CurvatureProfile, ProfileSamples
 
 if TYPE_CHECKING:
     from .integrate import FrameTrajectory, PositionCurve
@@ -158,7 +157,7 @@ def _masked_derivative(u: np.ndarray, h: float) -> np.ndarray:
     and at the two samples at each end."""
     out = np.full(len(u), np.nan)
     if len(u) >= 5:
-        out[2:-2] = _derivative_samples(u, h)[2:-2]
+        out[2:-2] = sg_derivative(u, h, 5)[2:-2]
     return out
 
 
@@ -236,7 +235,7 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
 def _slant_verdict(ps: ProfileSamples, tol: ToleranceSet) -> tuple[bool, Optional[float]]:
     """Whether sigma is constant, with its relative spread; (False, None)
     where H' vanishes somewhere and sigma is undefined."""
-    if np.min(np.abs(ps.H_prime)) <= SINGULAR_SIGMA_TOL:
+    if np.any(np.isnan(ps.sigma)):
         return False, None
     spread = rel_spread(ps.sigma)
     return spread <= tol.constancy, spread

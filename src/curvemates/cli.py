@@ -234,8 +234,9 @@ _CHUNK_CELLS = 2048
 def _csv_rows(columns: list[np.ndarray], blank=None, prefix: str = ""):
     """CSV body text, in chunks, with 17-significant-digit numerics.
 
-    ``columns`` hold one row per CSV row (1-D, or 2-D for several cells);
-    their cells fill each row left to right after ``prefix``, literal text.
+    ``columns`` hold one row per CSV row (1-D, or more for several cells,
+    row-major); their cells fill each row left to right after ``prefix``,
+    literal text.
     ``blank = (j, mask)`` leaves cell j (an index, or a list of them) empty
     in the rows where mask is set: an empty cell stands for an undefined
     value (never NaN).
@@ -321,11 +322,6 @@ def _check_estimator_grid(config: RunConfig) -> None:
                           f"needs at least {2 * analysis.MARGIN + 1}")
 
 
-def _flat(positions: np.ndarray) -> np.ndarray:
-    """Group elements as CSV cells, one row each (matrices row-major)."""
-    return positions.reshape(positions.shape[0], -1)
-
-
 # ---------------------------------------------------------------------------
 # commands: each returns its exit code and its outputs, in the order main
 # writes them, as (file path, or None for stdout, text chunks)
@@ -354,7 +350,7 @@ def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
     header = (["s"] + _POSITION_COLUMNS[spec.family]
               + ["t1", "t2", "t3", "n1", "n2", "n3", "b1", "b2", "b3",
                  "kappa", "tau", "H", "sigma", "omega"])
-    columns = [traj.s, _flat(traj.positions), traj.t, traj.n, traj.b,
+    columns = [traj.s, traj.positions, traj.t, traj.n, traj.b,
                traj.kappa, traj.tau, ps.H, ps.sigma, ps.omega]
     blank = (header.index("sigma"), np.isnan(ps.sigma))
     return 0, [(config.out, _csv(header, _csv_rows(columns, blank=blank)))]
@@ -397,7 +393,7 @@ def cmd_mate(config: RunConfig) -> tuple[int, list]:
     if mode == "geometric":
         header = ["s"] + pos_cols + ["kappa_est", "tau_est"]
         return 0, [(config.out, _csv(header, _csv_rows(
-            [s, _flat(curve.positions), est.kappa, est.tau])))]
+            [s, curve.positions, est.kappa, est.tau])))]
 
     analytic = ProfileSamples(mate.profile, spec, s)
     header = ["s", "kappa_analytic", "tau_analytic"] + pos_cols + ["kappa_est", "tau_est"]
@@ -411,7 +407,7 @@ def cmd_mate(config: RunConfig) -> tuple[int, list]:
         "max_abs_tau_diff": float(np.max(np.abs(est.tau[v] - analytic.tau[v]))),
     }
     return 0, [(config.out, _csv(header, _csv_rows(
-        [s, analytic.kappa, analytic.tau, _flat(curve.positions), est.kappa, est.tau]))),
+        [s, analytic.kappa, analytic.tau, curve.positions, est.kappa, est.tau]))),
                (None, [_json(summary)])]
 
 

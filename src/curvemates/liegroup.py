@@ -7,11 +7,13 @@ group torsion is lam/2: 0 for R^3, 1/2 for SO(3), 1 for S^3.
 
 Group elements are plain numpy arrays whose shape depends on the family:
 (3,) translation vectors, (3,3) rotation matrices, (4,) scalar-first unit
-quaternions.
+quaternions; a group is a ``GroupSpec`` record.  The uniform-grid rules,
+cumulative quadrature and the least-squares derivative filter, live here.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -193,6 +195,40 @@ def is_uniform_grid(s: np.ndarray) -> bool:
     steps = np.diff(s)
     h = float(steps[0])
     return bool(np.allclose(steps, h, rtol=0, atol=1e-12 * max(1.0, abs(h))))
+
+
+@lru_cache(maxsize=None)
+def _sg_coeffs(window: int, offset: int) -> np.ndarray:
+    """First-derivative weights of the quartic fit at ``offset``, read-only."""
+    x = np.arange(window, dtype=float) - float(offset)
+    w = np.linalg.pinv(np.vander(x, 5, increasing=True))[1]
+    w.flags.writeable = False
+    return w
+
+
+def sg_derivative(values: np.ndarray, h: float, window: int) -> np.ndarray:
+    """Derivative along axis 0 by least-squares quartic fit over ``window``
+    points (odd, >= 5), the filter of Savitzky and Golay (1964); exact for
+    quartics, one-sided windows at the ends.  Window 5 is the classical
+    5-point stencil, O(h^4) throughout."""
+    f = np.asarray(values, dtype=float)
+    n = f.shape[0]
+    if window % 2 == 0 or window < 5:
+        raise ValueError("window must be odd and at least 5")
+    if n < window:
+        raise ValueError(f"need at least {window} samples")
+    half = window // 2
+    flat = f.reshape(n, -1)
+    out = np.empty_like(flat)
+    # the centred window, one weighted shifted copy at a time
+    w, m = _sg_coeffs(window, half), n - 2 * half
+    inner = np.multiply(flat[:m], w[0], out=out[half:n - half])
+    for k in range(1, window):
+        inner += w[k] * flat[k:k + m]
+    for p in range(half):
+        out[p] = flat[:window].T @ _sg_coeffs(window, p)
+        out[n - 1 - p] = flat[n - window:].T @ _sg_coeffs(window, window - 1 - p)
+    return (out / h).reshape(f.shape)
 
 
 # ---------------------------------------------------------------------------

@@ -26,8 +26,7 @@ import numpy as np
 
 from . import expressions as ex
 from .liegroup import GroupSpec, cumulative_quadrature, runs
-from .profiles import (GRID_POINTS, CurvatureProfile, FrenetViolation,
-                       ProfileSamples)
+from .profiles import CurvatureProfile, FrenetViolation, ProfileSamples
 
 # |tau - tau_G| below this counts as a zero when splitting conjugate segments:
 # below finite-difference noise, above accumulated integration error.
@@ -112,7 +111,7 @@ def _natural_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
 
 def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     tg = spec.tau_g
-    s = p.grid(GRID_POINTS)
+    s = p.grid()
     segments = sign_segments(s, p.tau_at(s) - tg, ZERO_TOL)
     if not segments:
         raise NotAFrenetMate(

@@ -1,8 +1,9 @@
 """Curvature/torsion profiles and the derived scalar/vector apparatus.
 
-A profile carries kappa(s) and tau(s) either as expression trees (exact,
-with symbolic derivatives) or as uniform samples (derivatives from 5-point
-finite-difference stencils, off-grid values from cubic interpolation).
+A profile, a NamedTuple record, carries kappa(s) and tau(s) either as
+expression trees (exact, with symbolic derivatives) or as uniform samples
+(derivatives from ``liegroup.sg_derivative`` with window 5, the classical
+5-point stencil; off-grid values from cubic interpolation).
 Everything downstream (harmonic curvature H, sigma, the Darboux vectors)
 is read from one ``ProfileSamples`` of the profile on the points asked for.
 A profile derives its symbolic derivatives, and keeps its mates, once.
@@ -16,7 +17,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import expressions as ex
-from .liegroup import GroupSpec, is_uniform_grid
+from .liegroup import GroupSpec, is_uniform_grid, sg_derivative
 
 SINGULAR_SIGMA_TOL = 1e-12
 # points of the check grid that classification and verification sample
@@ -42,22 +43,6 @@ def require_frenet(kappa, s) -> None:
 
 class SingularSigma(ArithmeticError):
     """H' vanishes: sigma is undefined, the curve is locally a general helix."""
-
-
-def _derivative_samples(values: np.ndarray, h: float) -> np.ndarray:
-    """5-point stencils: central in the interior, one-sided at the two
-    boundary pairs.  O(h^4) throughout."""
-    f = np.asarray(values, dtype=float)
-    n = f.shape[0]
-    if n < 5:
-        raise ValueError("5-point stencils need at least 5 samples")
-    d = np.empty_like(f)
-    d[2:-2] = (f[:-4] - 8.0 * f[1:-3] + 8.0 * f[3:-1] - f[4:]) / (12.0 * h)
-    d[0] = (-25.0 * f[0] + 48.0 * f[1] - 36.0 * f[2] + 16.0 * f[3] - 3.0 * f[4]) / (12.0 * h)
-    d[1] = (-3.0 * f[0] - 10.0 * f[1] + 18.0 * f[2] - 6.0 * f[3] + f[4]) / (12.0 * h)
-    d[-2] = (3.0 * f[-1] + 10.0 * f[-2] - 18.0 * f[-3] + 6.0 * f[-4] - f[-5]) / (12.0 * h)
-    d[-1] = (25.0 * f[-1] - 48.0 * f[-2] + 36.0 * f[-3] - 16.0 * f[-4] + 3.0 * f[-5]) / (12.0 * h)
-    return d
 
 
 def _cubic_interp(s_grid: np.ndarray, values: np.ndarray, s) -> np.ndarray:
@@ -95,9 +80,8 @@ class _ProfileFields(NamedTuple):
 
 
 class CurvatureProfile(_ProfileFields):
-    """(kappa, tau) over a domain, in expression or sampled form.
-
-    No __slots__: the values derived below are kept in the instance dict."""
+    """(kappa, tau) over a domain, in expression or sampled form; no
+    __slots__, so the values derived below are kept in the instance dict."""
 
     @classmethod
     def from_expressions(cls, kappa, tau, domain) -> "CurvatureProfile":
@@ -110,13 +94,19 @@ class CurvatureProfile(_ProfileFields):
     @classmethod
     def from_samples(cls, s_grid, kappa_samples, tau_samples) -> "CurvatureProfile":
         s_grid = np.asarray(s_grid, dtype=float)
+        kappa_samples = np.asarray(kappa_samples, dtype=float)
+        tau_samples = np.asarray(tau_samples, dtype=float)
         if s_grid.shape[0] < 5:
             raise ValueError("sampled profiles need at least 5 points")
+        if not s_grid.shape == kappa_samples.shape == tau_samples.shape:
+            raise ValueError("sampled profiles need one kappa and one tau "
+                             "sample per grid point")
+        if not all(np.all(np.isfinite(a)) for a in (s_grid, kappa_samples, tau_samples)):
+            raise ValueError("sampled profiles need finite grid points and samples")
         if not is_uniform_grid(s_grid):
             raise ValueError("sampled profiles require a uniform grid")
         return cls(float(s_grid[0]), float(s_grid[-1]), s_grid=s_grid,
-                   kappa_samples=np.asarray(kappa_samples, dtype=float),
-                   tau_samples=np.asarray(tau_samples, dtype=float))
+                   kappa_samples=kappa_samples, tau_samples=tau_samples)
 
     @property
     def is_symbolic(self) -> bool:
@@ -164,13 +154,13 @@ class CurvatureProfile(_ProfileFields):
     def kappa_prime_at(self, s):
         if self.is_symbolic:
             return ex.evaluate(self.kappa_prime_expr, s)
-        d = _derivative_samples(self.kappa_samples, self.h)
+        d = sg_derivative(self.kappa_samples, self.h, 5)
         return _cubic_interp(self.s_grid, d, s)
 
     def tau_prime_at(self, s):
         if self.is_symbolic:
             return ex.evaluate(self.tau_prime_expr, s)
-        d = _derivative_samples(self.tau_samples, self.h)
+        d = sg_derivative(self.tau_samples, self.h, 5)
         return _cubic_interp(self.s_grid, d, s)
 
     def grid(self, n: int = GRID_POINTS) -> np.ndarray:
@@ -219,8 +209,7 @@ class ProfileSamples:
 
     @cached_property
     def _positive_kappa(self):
-        if np.any(self.kappa <= 0):
-            raise FrenetViolation("kappa <= 0 inside the domain", self.s)
+        require_frenet(self.kappa, self.s)
         return self.kappa
 
     @cached_property
@@ -262,7 +251,7 @@ def harmonic_curvature_prime(p: CurvatureProfile, spec: GroupSpec, s):
 def sigma(p: CurvatureProfile, spec: GroupSpec, s):
     """kappa (H^2+1)^(3/2) / H'; raises SingularSigma where H' vanishes."""
     ps = ProfileSamples(p, spec, s)
-    if np.any(np.abs(ps.H_prime) <= SINGULAR_SIGMA_TOL):
+    if np.any(np.isnan(ps.sigma)):
         raise SingularSigma("H' vanishes; curve is locally a general helix")
     return ps.sigma
 

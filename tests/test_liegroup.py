@@ -7,7 +7,7 @@ from curvemates.liegroup import (R3, S3, SO3, GroupSpec, bracket,
                                  cumulative_quadrature, element_defect,
                                  group_spec, identity_element,
                                  pull_back_tangent, quat_mul, quat_mul_rows,
-                                 renormalize_element, vee)
+                                 renormalize_element, sg_derivative, vee)
 
 from oracles import (covariant_derivative, hat, left_shift,
                      left_translate_tangent, lie_group_torsion)
@@ -219,6 +219,25 @@ def test_cumulative_quadrature_fourth_order():
         errs.append(np.max(np.abs(cumulative_quadrature(f, s[1] - s[0]) - exact)))
     assert errs[0] / errs[1] > 12  # fourth order: ~16x per halving
 
+
+
+@pytest.mark.parametrize("window", [5, 11])
+def test_sg_derivative_is_exact_for_quartics_at_every_sample(window):
+    # the one-sided windows at both ends too, column by column
+    P = np.polynomial.polynomial
+    s = np.linspace(-1.0, 2.0, 31)
+    c = np.array([0.3, -1.2, 0.7, 2.0, -0.5])
+    f = np.stack([P.polyval(s, c), P.polyval(s, -2.0 * c)], axis=1)
+    df = np.stack([P.polyval(s, P.polyder(c)), P.polyval(s, P.polyder(-2.0 * c))], axis=1)
+    np.testing.assert_allclose(sg_derivative(f, s[1] - s[0], window), df, atol=1e-9)
+
+
+@pytest.mark.parametrize("window", [1, 3, 6])
+def test_sg_derivative_rejects_a_window_that_fits_no_quartic(window):
+    # below 5 points the quartic fit is underdetermined: window 3 gave half
+    # the derivative of s^2, window 1 zero
+    with pytest.raises(ValueError, match="odd and at least 5"):
+        sg_derivative(np.linspace(0.0, 1.0, 11) ** 2, 0.1, window)
 
 def test_quat_mul_matches_matrix_representation():
     # sanity for the Hamilton product helper used by S3 translation

@@ -6,10 +6,10 @@ import pytest
 from curvemates.analysis import verify_cor_3_2, verify_cor_6_2
 from curvemates.expressions import DomainError
 from curvemates.integrate import integrate_frame
-from curvemates.liegroup import R3, S3, SO3, bracket
+from curvemates.liegroup import R3, S3, SO3, bracket, sg_derivative
 from curvemates.profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile,
                                  FrenetViolation, ProfileSamples, SingularSigma,
-                                 _derivative_samples, darboux_vectors,
+                                 darboux_vectors,
                                  harmonic_curvature, harmonic_curvature_prime,
                                  omega, sigma)
 
@@ -207,7 +207,7 @@ def test_sampled_profile_reads_its_samples_at_its_nodes(profiles, name):
     np.testing.assert_array_equal(q.kappa_at(q.s_grid), q.kappa_samples)
     np.testing.assert_array_equal(q.tau_at(q.s_grid), q.tau_samples)
     np.testing.assert_array_equal(q.kappa_prime_at(q.s_grid),
-                                  _derivative_samples(q.kappa_samples, q.h))
+                                  sg_derivative(q.kappa_samples, q.h, 5))
     for i in (0, 1, 200, 399, 400):
         assert q.kappa_at(q.s_grid[i]) == q.kappa_samples[i]
 
@@ -246,3 +246,25 @@ def test_sampled_profile_needs_uniform_grid():
         CurvatureProfile.from_samples(s, np.ones(5), np.ones(5))
     with pytest.raises(ValueError):
         CurvatureProfile.from_samples(np.linspace(0, 1, 4), np.ones(4), np.ones(4))
+
+
+@pytest.mark.parametrize("s,kappa,tau", [
+    (np.linspace(0, 1, 11), 2 * np.ones(7), np.ones(11)),
+    (np.linspace(0, 1, 11), 2 * np.ones(11), np.ones((11, 1))),
+    (np.linspace(0, 1, 11), np.r_[2.0, np.nan, 2 * np.ones(9)], np.ones(11)),
+    (np.linspace(0, 1, 11), 2 * np.ones(11), np.r_[np.ones(10), np.inf]),
+    (np.r_[np.linspace(0, 0.9, 10), np.nan], 2 * np.ones(11), np.ones(11)),
+], ids=["short_kappa", "tau_column", "nan_kappa", "inf_tau", "nan_grid"])
+def test_sampled_profile_rejects_malformed_samples(s, kappa, tau):
+    # accepted, these failed later: an IndexError at the first read between
+    # nodes, or seven False verdicts from classify without a word
+    with pytest.raises(ValueError, match="per grid point|finite"):
+        CurvatureProfile.from_samples(s, kappa, tau)
+
+
+def test_frenet_violation_names_the_first_failing_point():
+    p = CurvatureProfile.from_expressions("s", "1", (-1.0, 1.0))
+    with pytest.raises(FrenetViolation,
+                       match=r"^Frenet condition violated: kappa <= 0$") as info:
+        ProfileSamples(p, R3, p.grid()).H
+    assert info.value.s == -1.0
