@@ -76,7 +76,6 @@ def test_no_module_imports_dataclasses():
             assert not any(n.split(".")[0] == "dataclasses" for n in names), path.name
 
 
-
 def test_records_write_no_value_methods():
     # records are NamedTuples, whose tuple gives equality, hash, repr,
     # read-only fields and pickling; only the expression constants, which
@@ -93,6 +92,7 @@ def test_records_write_no_value_methods():
             names |= {t.id for a in node.body if isinstance(a, ast.Assign)
                       for t in a.targets if isinstance(t, ast.Name)}
             assert not names & value_methods, (path.name, node.name)
+
 
 def test_dunder_lookups_leave_checks_unloaded():
     code = ("import sys, curvemates.analysis as a; "

@@ -220,7 +220,6 @@ def test_cumulative_quadrature_fourth_order():
     assert errs[0] / errs[1] > 12  # fourth order: ~16x per halving
 
 
-
 @pytest.mark.parametrize("window", [5, 11])
 def test_sg_derivative_is_exact_for_quartics_at_every_sample(window):
     # the one-sided windows at both ends too, column by column
@@ -238,6 +237,7 @@ def test_sg_derivative_rejects_a_window_that_fits_no_quartic(window):
     # the derivative of s^2, window 1 zero
     with pytest.raises(ValueError, match="odd and at least 5"):
         sg_derivative(np.linspace(0.0, 1.0, 11) ** 2, 0.1, window)
+
 
 def test_quat_mul_matches_matrix_representation():
     # sanity for the Hamilton product helper used by S3 translation
