@@ -1,6 +1,7 @@
 """A/B benchmark runs: a revision against the working tree, in alternating pairs.
 
     python3 scripts/bench_ab.py REV --workload W --pairs N [--seed S] [--seconds T]
+                                [--record FILE]
 
 Run it from the root of the repository.  It exports REV with ``git archive``
 into one temporary directory and copies the working tree (tracked and
@@ -17,6 +18,18 @@ between the parent's quartiles.  It also prints, per metric, whether the
 change's median is worse than the parent's by more than the benchmark's
 bound, a share of the parent's median.  Nothing under perfbench/ is
 changed.
+
+With ``--record FILE`` it also appends the comparison as one row to the
+trajectory FILE (BENCH_trajectory.json), a JSON object
+``{"schema": 1, "rows": [...]}`` that holds one row per line.  A row holds
+the change (``commit``: the short hash of HEAD, with ``+`` when the working
+tree differs from it), the ``parent`` revision, the workload, seed, pairs
+and run seconds, and for every end-to-end metric each side's
+``[first quartile, median, third quartile]`` with the pairs the change won
+and lost.  ``host`` holds the ``nproc`` and each run's ``loadavg`` that
+perfbench reports, in run order.  ``source`` is ``"bench_ab"``; rows copied
+from older records say where they come from and leave null what was not
+recorded.
 """
 
 from __future__ import annotations
@@ -33,6 +46,7 @@ import tempfile
 from pathlib import Path
 
 WIN_SHARE = 0.9
+TRAJECTORY_SCHEMA = 1
 
 
 def quartiles(xs: list[float]) -> tuple[float, float, float]:
@@ -82,16 +96,53 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The end-to-end metrics of one untraced benchmark run in root."""
+    """The end-to-end metrics of one untraced benchmark run in root, with
+    its correctness and the host's nproc and load average."""
     proc = subprocess.run([sys.executable, "perfbench/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds),
                            "--trace", "0"], cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise RuntimeError(f"perfbench/run.py failed in {root}:\n{proc.stderr}")
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    *_, meta_line, result_line = proc.stdout.strip().splitlines()
+    meta, result = json.loads(meta_line)["meta"], json.loads(result_line)
     values = {k: v["value"] for k, v in result["metrics"].items()}
-    values["correct"] = result["correct"]
+    values.update(correct=result["correct"], nproc=meta["nproc"], loadavg=meta["loadavg"])
     return values
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(["git", *args], check=True, capture_output=True,
+                          text=True).stdout.strip()
+
+
+def _sig(x: float) -> float:
+    return float(f"{x:.6g}")
+
+
+def trajectory_row(commit: str, parent: str, workload: str, seed: int,
+                   seconds: float, summaries: dict, runs: list[dict]) -> dict:
+    """One trajectory row: summaries maps each end-to-end metric to its
+    ``summarize`` result, runs lists every run of both sides in run order."""
+    return {
+        "commit": commit, "parent": parent, "workload": workload, "seed": seed,
+        "pairs": len(runs) // 2, "seconds": seconds, "source": "bench_ab",
+        "metrics": {name: {"parent": [_sig(x) for x in row["parent"]],
+                           "change": [_sig(x) for x in row["change"]],
+                           "wins": row["wins"], "losses": row["losses"]}
+                    for name, row in summaries.items()},
+        "host": {"nproc": runs[0]["nproc"],
+                 "loadavg": [[round(x, 2) for x in r["loadavg"]] for r in runs]},
+    }
+
+
+def record(path: Path, row: dict) -> None:
+    """Append row to the trajectory file at path, which is created if it
+    does not exist."""
+    rows = json.loads(path.read_text(encoding="utf-8"))["rows"] if path.exists() else []
+    rows.append(row)
+    body = ",\n".join(json.dumps(r) for r in rows)
+    path.write_text(f'{{"schema": {TRAJECTORY_SCHEMA}, "rows": [\n{body}\n]}}\n',
+                    encoding="utf-8")
 
 
 def main(argv=None) -> int:
@@ -103,11 +154,19 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, default=7)
     parser.add_argument("--seconds", type=float, default=bench["run_seconds"])
+    parser.add_argument("--record", metavar="FILE", type=Path,
+                        help="append the comparison as a row to this trajectory file")
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
 
+    # the change is the working tree as it is copied
+    commit = _git("rev-parse", "--short", "HEAD")
+    if _git("status", "--porcelain"):
+        commit += "+"
+    parent = _git("rev-parse", "--short", args.rev)
     runs: dict[str, list[dict]] = {"parent": [], "change": []}
+    in_order: list[dict] = []
     with tempfile.TemporaryDirectory() as tmp:
         roots = {"parent": Path(tmp, "parent"), "change": Path(tmp, "change")}
         for root in roots.values():
@@ -119,6 +178,7 @@ def main(argv=None) -> int:
             for side in order:
                 runs[side].append(_run(roots[side], args.workload, args.seed,
                                        args.seconds))
+                in_order.append(runs[side][-1])
             print(f"pair {i + 1}/{args.pairs}: " + ", ".join(
                 f"{side} wall_s {runs[side][-1].get('wall_s')}" for side in order),
                 file=sys.stderr, flush=True)
@@ -128,11 +188,12 @@ def main(argv=None) -> int:
     for side in ("parent", "change"):
         print(f"  {side} correct in every run: "
               f"{all(r['correct'] for r in runs[side])}")
+    summaries = {}
     for metric in bench["end_to_end"]:
         name = metric["name"]
-        row = summarize([r[name] for r in runs["parent"]],
-                        [r[name] for r in runs["change"]],
-                        metric["better"], metric["bound"])
+        row = summaries[name] = summarize([r[name] for r in runs["parent"]],
+                                          [r[name] for r in runs["change"]],
+                                          metric["better"], metric["bound"])
         p, c = row["parent"], row["change"]
         print(f"  {name} ({metric['unit']}, {metric['better']} is better): "
               f"parent {p[1]:.6g} [{p[0]:.6g}, {p[2]:.6g}], "
@@ -140,6 +201,10 @@ def main(argv=None) -> int:
               f"change wins {row['wins']}/{row['pairs']}, loses {row['losses']}; "
               f"gain holds: {row['gain_holds']}; "
               f"worse than the bound {metric['bound']:g}: {row['regressed']}")
+    if args.record is not None:
+        record(args.record, trajectory_row(commit, parent, args.workload, args.seed,
+                                           args.seconds, summaries, in_order))
+        print(f"  recorded in {args.record}")
     return 0
 
 

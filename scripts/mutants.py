@@ -207,6 +207,32 @@ MUTANTS = (
            "if not all(np.all(np.isfinite(a)) for a in (s_grid, kappa_samples, tau_samples)):",
            "if False:",
            ("tests/test_profiles.py",)),
+    # the checks' residuals
+    Mutant("spherical_closure_sign", "src/curvemates/checks.py",
+           "resid = resid + hvals[sl]",
+           "resid = resid - hvals[sl]",
+           ("tests/test_analysis.py::test_both_closure_forms_vanish_on_a_spherical_profile",)),
+    Mutant("spherical_integrated_closure_sign", "src/curvemates/checks.py",
+           "drift = seg_u - seg_u[0] + seg_h",
+           "drift = seg_u - seg_u[0] - seg_h",
+           ("tests/test_analysis.py::test_estimated_paths_for_spherical_theorems",)),
+    Mutant("signed_sqrt_one_branch", "src/curvemates/checks.py",
+           "worst = max(worst, min(plus, minus))",
+           "worst = max(worst, plus)",
+           ("tests/test_analysis.py::test_cor_3_4",)),
+    Mutant("bertrand_sign_dropped", "src/curvemates/checks.py",
+           "np.max(np.minimum(diff_minus, diff_plus))",
+           "np.max(diff_minus)",
+           ("tests/test_analysis.py::test_mate_geometry_r3",)),
+    Mutant("bertrand_best_sample", "src/curvemates/checks.py",
+           "np.max(np.minimum(diff_minus, diff_plus))",
+           "np.min(np.minimum(diff_minus, diff_plus))",
+           ("tests/test_analysis.py::test_bertrand_residual_is_the_worst_sample",)),
+    # the entry rule: main() owns the process and freezes its start-up heap
+    Mutant("entry_point_skips_freeze", "src/curvemates/cli.py",
+           "        gc.freeze()",
+           "        pass",
+           ("tests/test_cli.py::test_main_without_argv_freezes_the_start_up_heap",)),
 )
 
 

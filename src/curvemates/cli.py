@@ -12,6 +12,7 @@ torsion).
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from typing import NamedTuple, Optional
@@ -571,6 +572,13 @@ def _show_tolerances() -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command; argv defaults to sys.argv[1:].  Called without argv,
+    main owns the process: the objects alive at entry (numpy and the
+    imported modules) move to the collector's permanent generation, so no
+    collection during the command and none at interpreter exit walks them.
+    A caller that passes argv keeps its heap as it was."""
+    if argv is None:
+        gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.show_tolerances:

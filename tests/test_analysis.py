@@ -179,6 +179,18 @@ def test_spherical_check_examples(profiles):
     assert not rep.is_spherical
 
 
+@pytest.mark.parametrize("spec", [R3, SO3, S3], ids=lambda g: g.family)
+def test_both_closure_forms_vanish_on_a_spherical_profile(spec):
+    # max_eq_residual keeps the smaller form, so each is pinned on its own
+    entry = PROFILES["spherical"]
+    rep = spherical_check(prof(entry.kappa, f"{spec.tau_g!r}+({entry.tau})",
+                               entry.domain), spec)
+    assert rep.is_spherical
+    for seg in rep.segments:
+        assert seg.eq_residual <= 1e-9
+        assert seg.eq_residual_integrated <= 1e-9
+
+
 def test_spherical_check_rejects_constant_curvature_nonspherical(profiles):
     # R is constant whenever kappa is, but the closure residual bites:
     # the mate of the spherical demo profile is such a curve
@@ -514,6 +526,19 @@ def test_mate_geometry_s3():
     assert rep.passed
     est = estimate_apparatus(traj, S3)
     assert np.max(np.abs(est.tau_g[est.valid] - 1.0)) <= 1e-6
+
+
+def test_bertrand_residual_is_the_worst_sample(profiles):
+    # the binormal curve of another helix from the same start frame: N* and
+    # N agree near the start only, so the residual must reach sqrt(2)
+    p = profiles["slant_helix"]
+    traj = reconstruct_position(integrate_frame(p, R3, -1.5, 1.5, 1e-3), R3)
+    nat = integrate_direction_curve(traj, "principal_normal", R3)
+    other = integrate_frame(prof("2", "1", (-1.5, 1.5)), R3, -1.5, 1.5, 1e-3)
+    conj = integrate_direction_curve(other, "binormal", R3)
+    rep = verify_mate_geometry(traj, nat, conj, R3)["cor6_4"]
+    assert not rep.passed
+    assert rep.details["bertrand_residual"] == pytest.approx(np.sqrt(2.0), abs=1e-3)
 
 
 def test_mate_geometry_planar_natural_only():

@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import json
 import os
@@ -984,3 +985,27 @@ def test_module_entry_point(tmp_path):
     cp = subprocess.run(cmd, capture_output=True, text=True)
     assert cp.returncode == 0
     assert out.exists()
+
+
+# the console script and ``python -m curvemates.cli`` call main() without argv
+ENTRY = ("import gc; from curvemates.cli import main; code = main(); "
+         "print(code, gc.get_freeze_count())")
+ENTRY_ARGS = ["synthesize", "--group", "so3", "--kappa", "3*cos(s)", "--tau",
+              "3*sin(s)", "--domain=-1.5:1.5", "--step", "1e-2"]
+
+
+def test_main_without_argv_freezes_the_start_up_heap(tmp_path, capsys):
+    child, here = tmp_path / "child.csv", tmp_path / "here.csv"
+    cp = subprocess.run([sys.executable, "-c", ENTRY, *ENTRY_ARGS, "--out", str(child)],
+                        capture_output=True, text=True, check=True)
+    code, frozen = map(int, cp.stdout.split())
+    assert code == 0 and frozen > 0
+    # freezing changes no output
+    assert run_cli(ENTRY_ARGS + ["--out", str(here)], capsys)[0] == 0
+    assert child.read_bytes() == here.read_bytes()
+
+
+def test_main_with_argv_leaves_the_heap_unfrozen(tmp_path, capsys):
+    before = gc.get_freeze_count()
+    assert run_cli(ENTRY_ARGS + ["--out", str(tmp_path / "a.csv")], capsys)[0] == 0
+    assert gc.get_freeze_count() == before

@@ -1,6 +1,8 @@
-"""The scripts' own logic: the mutation corpus's table and the A/B
-benchmark's summary."""
+"""The scripts' own logic: the mutation corpus's table, the A/B
+benchmark's summary and the speed trajectory it records."""
 
+import json
+import re
 import sys
 from pathlib import Path
 
@@ -8,7 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench_ab import summarize  # noqa: E402
+from bench_ab import record, summarize, trajectory_row  # noqa: E402
 from mutants import MUTANTS  # noqa: E402
 
 
@@ -52,3 +54,73 @@ def test_summary_reads_higher_is_better_and_the_relative_bound():
     assert row["regressed"]
     row = summarize([30.0] * 3, [32.5] * 3, "lower", 0.1)
     assert not row["regressed"]
+
+
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+ROW_KEYS = {"commit", "parent", "workload", "seed", "pairs", "seconds", "source",
+            "metrics", "host"}
+
+
+def check_row(row):
+    """A trajectory row as scripts/bench_ab.py documents it; rows copied from
+    older records may leave null what those records did not give."""
+    assert set(row) == ROW_KEYS
+    assert re.fullmatch(r"[0-9a-f]{7,40}\+?", row["commit"])
+    assert re.fullmatch(r"[0-9a-f]{7,40}", row["parent"])
+    assert row["workload"] in {w["name"] for w in BENCH["workloads"]}
+    assert row["source"] in {"bench_ab", "CHANGES.md", "driver"}
+    pairs, seed = row["pairs"], row["seed"]
+    assert pairs is None or (isinstance(pairs, int) and pairs >= 1)
+    assert (seed is None or isinstance(seed, int)
+            or (all(isinstance(s, int) for s in seed) and len(seed) == pairs))
+    assert row["seconds"] is None or row["seconds"] > 0
+    names = [m["name"] for m in BENCH["end_to_end"]]
+    assert "wall_s" in row["metrics"] and set(row["metrics"]) <= set(names)
+    for metric in row["metrics"].values():
+        assert set(metric) == {"parent", "change", "wins", "losses"}
+        for side in (metric["parent"], metric["change"]):
+            q1, median, q3 = side
+            assert isinstance(median, (int, float))
+            assert q1 is None or q1 <= median
+            assert q3 is None or median <= q3
+        counts = [c for c in (metric["wins"], metric["losses"]) if c is not None]
+        assert all(isinstance(c, int) and c >= 0 for c in counts)
+        assert pairs is None or sum(counts) <= pairs
+    host = row["host"]
+    if host is not None:
+        assert isinstance(host["nproc"], int) and host["nproc"] >= 1
+        assert len(host["loadavg"]) == 2 * pairs
+        assert all(len(load) == 3 for load in host["loadavg"])
+    if row["source"] == "bench_ab":
+        # a recorded row leaves nothing out
+        assert list(row["metrics"]) == names
+        assert isinstance(seed, int) and pairs is not None and row["seconds"]
+        assert host is not None
+        assert all(None not in m["parent"] + m["change"] + [m["wins"], m["losses"]]
+                   for m in row["metrics"].values())
+
+
+def test_trajectory_rows_follow_the_schema():
+    data = json.loads((ROOT / "BENCH_trajectory.json").read_text(encoding="utf-8"))
+    assert set(data) == {"schema", "rows"} and data["schema"] == 1
+    for row in data["rows"]:
+        check_row(row)
+    assert any(row["source"] == "bench_ab" for row in data["rows"])
+
+
+def test_record_appends_one_row_per_line(tmp_path):
+    runs = [{"nproc": 2, "loadavg": (0.5, 0.4, 0.3)} for _ in range(6)]
+    summaries = {m["name"]: summarize([1.0, 1.1, 1.2], [0.9, 1.0, 1.3], m["better"],
+                                      m["bound"]) for m in BENCH["end_to_end"]}
+    row = trajectory_row("0123abc+", "0123abc", "synth", 7, 25.0, summaries, runs)
+    check_row(row)
+    assert row["pairs"] == 3
+    assert row["metrics"]["wall_s"] == {"parent": [1.05, 1.1, 1.15],
+                                        "change": [0.95, 1.0, 1.15],
+                                        "wins": 2, "losses": 1}
+    path = tmp_path / "trajectory.json"
+    record(path, row)
+    record(path, row)
+    text = path.read_text(encoding="utf-8")
+    assert json.loads(text) == {"schema": 1, "rows": [row, row]}
+    assert len(text.splitlines()) == 4
