@@ -62,6 +62,10 @@ MUTANTS = (
            "return self.lam / 2.0",
            "return self.lam",
            ("tests/test_liegroup.py", "tests/test_integrate.py")),
+    Mutant("group_lam_ignores_family", "src/curvemates/liegroup.py",
+           "return _FAMILIES[self.family]",
+           'return _FAMILIES["so3"]',
+           ("tests/test_liegroup.py::test_group_spec_torsions",)),
     Mutant("harmonic_curvature_prime_sign", "src/curvemates/profiles.py",
            "num = self.tau_prime * self.kappa - self.m * self.kappa_prime",
            "num = self.tau_prime * self.kappa + self.m * self.kappa_prime",
@@ -127,6 +131,10 @@ MUTANTS = (
            "tau = np.sum((nprime + 0.5 * tn_bracket) * bhat, axis=1)",
            "tau = np.sum(nprime * bhat, axis=1)",
            ("tests/test_analysis.py",)),
+    Mutant("pi_parses_to_another_constant", "src/curvemates/expressions.py",
+           "return Num(math.pi)",
+           "return Num(math.e)",
+           ("tests/test_expressions.py::test_pi_parses_to_the_number_pi",)),
     Mutant("sqrt_derivative_factor", "src/curvemates/expressions.py",
            'return Binary("/", du, Binary("*", Num(2.0), Unary("sqrt", u)))',
            'return Binary("/", du, Binary("*", Num(1.0), Unary("sqrt", u)))',
@@ -196,8 +204,8 @@ MUTANTS = (
            "MARGIN = 2 * (DEFAULT_WINDOW // 2)",
            ("tests/test_analysis.py",)),
     Mutant("spherical_zero_runs_never_merged", "src/curvemates/checks.py",
-           "if flag and (i1 - i0 + 1) < 3:",
-           "if flag and (i1 - i0 + 1) < 1:",
+           "zero = np.convolve(triple, np.ones(3)) > 0",
+           "zero = np.abs(m) <= tol.zero",
            ("tests/test_analysis.py",)),
     Mutant("sample_shape_check_dropped", "src/curvemates/profiles.py",
            "if not s_grid.shape == kappa_samples.shape == tau_samples.shape:",

@@ -88,28 +88,18 @@ def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
     s = ps.s
     h = float(s[1] - s[0])
     kappa, m, kp = ps.kappa, ps.m, ps.kappa_prime
-    zero = np.abs(m) <= tol.zero
     stat_floor = max(tol.zero, tol.spherical_zero_rel * float(np.max(np.abs(m))))
+    # a zero run is three or more samples with |m| <= tol.zero; shorter
+    # ones are masked points inside the general run around them
+    triple = np.convolve(np.abs(m) <= tol.zero, np.ones(3), "valid") == 3
+    zero = np.convolve(triple, np.ones(3)) > 0
 
     segments: list[SphericalSegment] = []
     trace = np.full(len(s), np.nan)
-
-    # split into maximal runs; zero-runs shorter than 3 samples are treated
-    # as masked points inside a surrounding general run
-    merged: list[tuple[int, int, str]] = []
-    for i0, i1, flag in runs(zero):
-        kind = "zero" if flag else "general"
-        if flag and (i1 - i0 + 1) < 3:
-            kind = "general"
-        if merged and kind == "general" and merged[-1][2] == "general":
-            merged[-1] = (merged[-1][0], i1, "general")
-        else:
-            merged.append((i0, i1, kind))
-
     hvals = ps.H
-    for i0, i1, kind in merged:
+    for i0, i1, flag in runs(zero):
         sl = slice(i0, i1 + 1)
-        if kind == "zero":
+        if flag:
             spread = rel_spread(kappa[sl])
             ok = spread <= tol.constancy
             radius = 1.0 / float(np.mean(kappa[sl])) if ok else None
@@ -142,12 +132,10 @@ def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
                                          ok, math.sqrt(r_mean) if ok else None,
                                          spread, eq_res, eq_int))
 
+    # a spherical segment has a radius, and every segment must agree on it
     radii = [seg.radius for seg in segments if seg.radius is not None]
-    all_ok = all(seg.is_spherical for seg in segments) and bool(segments)
-    consistent = True
-    if len(radii) > 1:
-        consistent = (max(radii) - min(radii)) <= tol.spherical_spread * max(radii)
-    is_spherical = all_ok and consistent and bool(radii)
+    is_spherical = (all(seg.is_spherical for seg in segments)
+                    and max(radii) - min(radii) <= tol.spherical_spread * max(radii))
     radius = float(np.mean(radii)) if is_spherical else (radii[0] if radii else None)
     return SphericalReport(is_spherical, radius, segments, trace=(s, trace))
 
@@ -312,7 +300,7 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
     # spherical criterion and the converse
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
     sph = _spherical(mps, tol)
-    if not sph.is_spherical or sph.radius is None:
+    if not sph.is_spherical:
         return VerificationReport("thm4_1", True, False, None, tol.residual,
                                   {"c": c, "spherical": False},
                                   hypothesis_note="mate not spherical")
@@ -385,7 +373,7 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
     matches the closed trigonometric law with a = c^2 r, up to one fitted
     s-translation."""
     sph = spherical_check(p, spec, tol)
-    if not sph.is_spherical or sph.radius is None:
+    if not sph.is_spherical:
         return _not_applicable("thm5_2", tol.residual, "parent not spherical")
     s = p.grid()
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
@@ -435,7 +423,7 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
         return _not_applicable("thm6_2", tol.residual, "tau - tau_G vanishes")
     mate = natural_mate_apparatus(p, spec)
     sph = spherical_check(mate.profile, spec, tol)
-    if not sph.is_spherical or sph.radius is None:
+    if not sph.is_spherical:
         return VerificationReport("thm6_2", True, False, None, tol.residual,
                                   {"c": c}, hypothesis_note="mate not spherical")
     details = {"c": c, "radius": sph.radius, "expected_radius": 1.0 / abs(c)}
@@ -539,7 +527,7 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
     s = p.grid()
     ps = ProfileSamples(p, spec, s)
     sph = _spherical(ps, tol)
-    if not sph.is_spherical or sph.radius is None:
+    if not sph.is_spherical:
         return _not_applicable("cor3_4", tol.residual, "parent not spherical")
     r = float(sph.radius)
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
@@ -563,7 +551,7 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
     s = p.grid()
     ps = ProfileSamples(p, spec, s)
     sph = _spherical(ps, tol)
-    if not sph.is_spherical or sph.radius is None:
+    if not sph.is_spherical:
         return _not_applicable("cor5_2", tol.residual, "parent not spherical")
     mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
     spread = rel_spread(mps.kappa)

@@ -224,11 +224,9 @@ _POSITION_COLUMNS = {
 }
 
 
-# cells formatted at a time: bounds the arrays of one chunk, at most 48 bytes
-# a cell each (96 KB; about 155 bytes a cell live at once, 310 KB, below the
-# 343 KB that 1536 cells of 48-byte layout took), and gives narrow tables as
-# many rows per chunk as the widest gets: 85 rows of the 24-cell so3
-# trajectory, formatted about 12 % faster per cell than 64
+# cells formatted at a time: bounds the temporaries of one chunk (a cell is
+# 24 bytes in the formatter's layout, about 150 bytes live at once: some
+# 310 KB), and gives narrow tables as many cells per chunk as the widest
 _CHUNK_CELLS = 2048
 
 

@@ -11,7 +11,8 @@ command line or in config files:
     FUNC   := sin | cos | tan | sqrt | abs | exp
 
 '^' binds tighter than unary minus, so "-s^2" is -(s^2).  Function
-application requires parentheses.  Whitespace is insignificant.
+application requires parentheses.  Whitespace is insignificant.  'pi' is
+the number Num(math.pi), and prints as 3.141592653589793.
 """
 
 from __future__ import annotations
@@ -50,28 +51,8 @@ class Num(NamedTuple):
     value: float
 
 
-class _Constant:
-    """A node without fields: equal to the other nodes of its own class
-    only, so that Pi() != Var()."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return type(other) is type(self)
-
-    def __hash__(self):
-        return hash(type(self).__name__)
-
-    def __repr__(self):
-        return f"{type(self).__name__}()"
-
-
-class Pi(_Constant):
-    __slots__ = ()
-
-
-class Var(_Constant):
-    __slots__ = ()
+class Var(NamedTuple):
+    """The variable s."""
 
 
 class Unary(NamedTuple):
@@ -85,7 +66,7 @@ class Binary(NamedTuple):
     right: "Expr"
 
 
-Expr = Union[Num, Pi, Var, Unary, Binary]
+Expr = Union[Num, Var, Unary, Binary]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +187,7 @@ class _Parser:
             return e
         if kind == "name":
             if text == "pi":
-                return Pi()
+                return Num(math.pi)
             if text == "s":
                 return Var()
             if text in _FUNCTIONS:
@@ -230,8 +211,8 @@ def parse(text: str) -> Expr:
 # evaluation
 
 # Inside evaluate, overflow, invalid operations and division by zero raise
-# FloatingPointError.  Every leaf is finite (literals and pi, and s, which
-# is checked once per call), and from finite operands a value leaves the
+# FloatingPointError.  Every leaf is finite (numbers, and s, which is
+# checked once per call), and from finite operands a value leaves the
 # reals only through one of those faults, so no node scans its result; a
 # fault is traced back to its first s by _apply.  Underflow yields a finite
 # value and is ignored.  _eval still checks sqrt of a negative, x/0 and a
@@ -265,8 +246,6 @@ def _eval(e: Expr, s):
         if not math.isfinite(e.value):
             raise DomainError(e, s)
         return e.value
-    if isinstance(e, Pi):
-        return np.pi
     if isinstance(e, Var):
         return s
     if isinstance(e, Unary):
@@ -327,7 +306,7 @@ def _where(v, pred, s):
 # symbolic derivative
 
 def is_constant(e: Expr) -> bool:
-    if isinstance(e, (Num, Pi)):
+    if isinstance(e, Num):
         return True
     if isinstance(e, Var):
         return False
@@ -348,7 +327,7 @@ def differentiate(e: Expr) -> Expr:
 
 
 def _diff(e: Expr) -> Expr:
-    if isinstance(e, (Num, Pi)):
+    if isinstance(e, Num):
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0)
@@ -373,7 +352,6 @@ def _diff(e: Expr) -> Expr:
             return Binary("*", sign, du)
     if isinstance(e, Binary):
         u, v = e.left, e.right
-        du, dv = None, None
         if e.op in ("+", "-"):
             return Binary(e.op, _diff(u), _diff(v))
         if e.op == "*":
@@ -394,7 +372,7 @@ def _diff(e: Expr) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Constant folding and zero/one elimination only."""
-    if isinstance(e, (Num, Pi, Var)):
+    if isinstance(e, (Num, Var)):
         return e
     if isinstance(e, Unary):
         arg = simplify(e.arg)
@@ -471,8 +449,6 @@ def _fmt(e: Expr, parent_prec: int) -> str:
             text = repr(e.value)
             return text
         return _wrap(repr(e.value), 3, parent_prec)
-    if isinstance(e, Pi):
-        return "pi"
     if isinstance(e, Var):
         return "s"
     if isinstance(e, Unary):
@@ -498,7 +474,7 @@ def ensure_expr(e) -> Expr:
     """Accept an Expr or expression text."""
     if isinstance(e, str):
         return parse(e)
-    if isinstance(e, (Num, Pi, Var, Unary, Binary)):
+    if isinstance(e, (Num, Var, Unary, Binary)):
         return e
     if isinstance(e, (int, float)):
         if not math.isfinite(e):

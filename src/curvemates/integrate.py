@@ -187,10 +187,8 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
     """
     s = _grid(s0, s1, h)
     mid = 0.5 * (s[:-1] + s[1:])
-    kappa = np.atleast_1d(np.asarray(p.kappa_at(s), dtype=float))
-    tau = np.atleast_1d(np.asarray(p.tau_at(s), dtype=float))
-    kappa_mid = np.atleast_1d(np.asarray(p.kappa_at(mid), dtype=float))
-    tau_mid = np.atleast_1d(np.asarray(p.tau_at(mid), dtype=float))
+    kappa, tau = p.kappa_at(s), p.tau_at(s)
+    kappa_mid, tau_mid = p.kappa_at(mid), p.tau_at(mid)
     require_frenet(kappa, s)
     require_frenet(kappa_mid, mid)
 

@@ -23,21 +23,22 @@ _FAMILIES = {"r3": 0.0, "so3": 1.0, "s3": 2.0}
 
 class _GroupFields(NamedTuple):
     family: str
-    lam: float
 
 
 class GroupSpec(_GroupFields):
-    """Group family plus the structure scalar of its bracket, checked
-    against each other when built."""
+    """A group family, checked when built; the structure scalar of its
+    bracket and its torsion follow from it."""
 
     __slots__ = ()
 
-    def __new__(cls, family: str, lam: float):
+    def __new__(cls, family: str):
         if family not in _FAMILIES:
-            raise ValueError(f"unknown group family {family!r}")
-        if _FAMILIES[family] != lam:
-            raise ValueError(f"family {family!r} requires lam={_FAMILIES[family]}")
-        return super().__new__(cls, family, lam)
+            raise ValueError(f"unknown group family {family!r} (expected r3, so3 or s3)")
+        return super().__new__(cls, family)
+
+    @property
+    def lam(self) -> float:
+        return _FAMILIES[self.family]
 
     @property
     def tau_g(self) -> float:
@@ -45,10 +46,7 @@ class GroupSpec(_GroupFields):
 
 
 def group_spec(name: str) -> GroupSpec:
-    name = name.lower()
-    if name not in _FAMILIES:
-        raise ValueError(f"unknown group family {name!r} (expected r3, so3 or s3)")
-    return GroupSpec(name, _FAMILIES[name])
+    return GroupSpec(name.lower())
 
 
 R3 = group_spec("r3")

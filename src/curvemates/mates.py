@@ -44,12 +44,10 @@ class Segment(NamedTuple):
 
 
 class MateApparatus(NamedTuple):
-    """Curvature, torsion and validity segments of a natural or conjugate mate."""
+    """Curvature, torsion and validity segments of a natural or conjugate
+    mate; its parent keeps it under its kind and group."""
 
-    kind: str                     # "natural" | "conjugate"
     profile: CurvatureProfile     # the mate's own (kappa, tau)
-    tau_g: float                  # inherited from the parent group
-    parent: CurvatureProfile
     segments: tuple[Segment, ...]
 
     def kappa_at(self, s):
@@ -105,8 +103,7 @@ def _natural_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
         h = ps.H
         mate_profile = CurvatureProfile.from_samples(
             p.s_grid, ps.omega, tg + ps.H_prime / (1.0 + h * h))
-    seg = Segment(p.s_min, p.s_max, 1)
-    return MateApparatus("natural", mate_profile, tg, p, (seg,))
+    return MateApparatus(mate_profile, (Segment(p.s_min, p.s_max, 1),))
 
 
 def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
@@ -124,7 +121,7 @@ def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     else:
         mate_profile = CurvatureProfile.from_samples(
             p.s_grid, np.abs(p.tau_samples - tg), p.kappa_samples + tg)
-    return MateApparatus("conjugate", mate_profile, tg, p, segments)
+    return MateApparatus(mate_profile, segments)
 
 
 def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain, n: int,

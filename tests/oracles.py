@@ -70,23 +70,21 @@ def sphere_fit(points):
     return center, radius, rms
 
 
-def mate_frames(mate, s):
-    """Mate frame rows (T, N, B) in parent-frame coordinates at s: the natural
-    mate's (N, Omega*/omega, Omega/omega) and the conjugate mate's
-    (B, -sign N, sign T), with the sign of the mate's segment holding s (NaN
-    outside every segment)."""
+def mate_frames(parent, spec, kind, s):
+    """Frame rows (T, N, B) at s of the natural or conjugate mate of parent
+    in the group spec, in parent-frame coordinates: the natural mate's
+    (N, Omega*/omega, Omega/omega) and the conjugate mate's (B, -sign N,
+    sign T), with the sign of tau - tau_G at s (NaN where it vanishes)."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
     zero, one = np.zeros_like(s), np.ones_like(s)
-    if mate.kind == "natural":
-        kappa = np.broadcast_to(mate.parent.kappa_at(s), s.shape)
-        m = np.broadcast_to(mate.parent.tau_at(s), s.shape) - mate.tau_g
+    kappa = np.broadcast_to(parent.kappa_at(s), s.shape)
+    m = np.broadcast_to(parent.tau_at(s), s.shape) - spec.tau_g
+    if kind == "natural":
         w = np.hypot(m, kappa)
         return (np.stack([zero, one, zero], axis=1),
                 np.stack([-kappa / w, zero, m / w], axis=1),
                 np.stack([m / w, zero, kappa / w], axis=1))
-    sign = np.full(s.shape, np.nan)
-    for seg in mate.segments:
-        sign[(s >= seg.s_min) & (s <= seg.s_max)] = seg.sign
+    sign = np.where(m == 0.0, np.nan, np.sign(m))
     return (np.stack([zero, zero, one], axis=1),
             np.stack([zero, -sign, zero], axis=1),
             np.stack([sign, zero, zero], axis=1))

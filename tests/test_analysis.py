@@ -210,6 +210,32 @@ def test_spherical_check_mixed_segments():
     assert "constant_kappa" in cases and "general" in cases
 
 
+def test_spherical_segments_must_agree_on_the_radius():
+    # kappa = 2 - s on the zero run s <= a (mean kappa about 3) and 2 on the
+    # general run beyond, where R = 1/kappa^2 = 1/4; the tolerances let both
+    # segments pass on their own, so only the radii decide
+    a = 0.0123                      # off the grid: kappa' is defined everywhere
+    p = prof(f"2-0.5*((s-{a})-abs(s-{a}))", f"0.5*((s-{a})+abs(s-{a}))", (-2.0, 2.0))
+    loose = ToleranceSet(constancy=1.0, spherical_residual=1e9)
+    rep = spherical_check(p, R3, loose)
+    assert [(seg.case, seg.is_spherical) for seg in rep.segments] == [
+        ("constant_kappa", True), ("general", True)]
+    circle, sphere = (seg.radius for seg in rep.segments)
+    assert circle == pytest.approx(1.0 / 3.0, abs=1e-3) and sphere == pytest.approx(0.5)
+    assert not rep.is_spherical and rep.radius == circle
+    rep = spherical_check(p, R3, loose._replace(spherical_spread=0.5))
+    assert rep.is_spherical and rep.radius == pytest.approx(0.5 * (circle + sphere))
+
+
+def test_spherical_general_segment_below_the_floor(profiles):
+    # a floor above every |tau - tau_G| leaves no sample to test
+    rep = spherical_check(profiles["spherical"], R3, ToleranceSet(spherical_zero_rel=1.5))
+    assert not rep.is_spherical and rep.radius is None
+    (seg,) = rep.segments
+    assert (seg.case, seg.is_spherical, seg.radius, seg.spread) == (
+        "general", False, None, float("inf"))
+
+
 # ---------------------------------------------------------------------------
 # sphere fit
 
@@ -324,6 +350,11 @@ def test_thm_4_1(profiles):
     rep = verify_thm_4_1(profiles["spherical"], R3)   # kappa not constant
     assert not rep.applicable and rep.ok
 
+    # no spread of R is allowed: the mate fails the spherical criterion
+    rep = verify_thm_4_1(profiles["salkowski"], R3, ToleranceSet(spherical_spread=0.0))
+    assert rep.applicable and not rep.passed
+    assert rep.hypothesis_note == "mate not spherical"
+
 
 def test_thm_4_1_evaluates_the_mate_torsion_once(monkeypatch):
     # the spherical criterion and its converse read the same samples of the
@@ -383,6 +414,10 @@ def test_thm_6_2(profiles):
 
     rep = verify_thm_6_2(prof("2", "0", (0, 1)), R3)  # tau = tau_G
     assert not rep.applicable and rep.ok
+
+    rep = verify_thm_6_2(profiles["anti_salkowski"], R3, ToleranceSet(spherical_spread=0.0))
+    assert rep.applicable and not rep.passed
+    assert rep.hypothesis_note == "mate not spherical"
 
 
 @pytest.mark.parametrize("spec", [R3, SO3, S3], ids=["r3", "so3", "s3"])
@@ -497,6 +532,14 @@ def test_cor_5_2(profiles):
     assert rep.passed and rep.max_residual <= 1e-8
     rep = verify_cor_5_2(prof("2", "0", (0, 2)), R3)  # tau == tau_G branch
     assert rep.passed
+    # the perturbed profile of test_thm_5_2: spherical, but its mate's
+    # curvature varies
+    pp = prof("1.01*2*(1+7*sin(2*s)^2)^(-1/2)",
+              "2*sqrt(7)*sin(2*s)*(1+7*sin(2*s)^2)^(-1/2)", (0, np.pi))
+    assert spherical_check(pp, R3).is_spherical
+    rep = verify_cor_5_2(pp, R3)
+    assert not rep.applicable and rep.ok
+    assert rep.hypothesis_note == "mate curvature not constant"
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvemates.expressions import (Binary, DifferentiationError, DomainError,
-                                    ExpressionSyntaxError, Num, Pi, Unary, Var,
+                                    ExpressionSyntaxError, Num, Unary, Var,
                                     differentiate, ensure_expr, evaluate, parse,
-                                    to_text)
+                                    simplify, to_text)
 from curvemates.catalog import PROFILES
 
 
@@ -66,6 +66,14 @@ def test_precedence():
     assert ev("12/4/3", 0.0) == pytest.approx(1.0)
     assert ev("2*s^2", 3.0) == pytest.approx(18.0)
     assert ev("pi", 0.0) == pytest.approx(math.pi)
+
+
+def test_pi_parses_to_the_number_pi():
+    assert parse("pi") == Num(math.pi)
+    assert to_text(parse("2*pi")) == "2.0*3.141592653589793"
+    assert parse(to_text(parse("pi"))) == parse("pi")
+    with pytest.raises(DomainError, match=r"'sqrt\(3\.141592653589793-4\.0\)'"):
+        ev("sqrt(pi-4)", 0.0)
 
 
 def test_eval_sqrt2():
@@ -190,6 +198,22 @@ def test_variable_exponent_rejected():
         differentiate(parse("2^s"))
 
 
+def test_simplify_cancels_double_negation():
+    assert simplify(parse("--s")) == Var()
+    assert simplify(parse("-(-(s+1))")) == parse("s+1")
+
+
+def test_simplify_leaves_a_fold_outside_the_reals_unfolded():
+    # folding would raise DomainError; the subtree stays, and raises when
+    # evaluated
+    assert simplify(parse("sqrt(0-1)")) == Unary("sqrt", Num(-1.0))
+    assert simplify(parse("1/0")) == Binary("/", Num(1.0), Num(0.0))
+    assert simplify(parse("s+1/0")) == parse("s+1/0")
+    for text in ("sqrt(0-1)", "1/0"):
+        with pytest.raises(DomainError):
+            evaluate(simplify(parse(text)), 0.0)
+
+
 def test_print_examples_roundtrip():
     for text in ["3*cos(s)", "s^2+s-2", "2*sqrt(7)*sin(2*s)*(1+7*sin(2*s)^2)^(-1/2)",
                  "-s^2", "1-(2-3)", "(1+s)*(1-s)", "2^3^2", "s/(1+s^2)"]:
@@ -277,8 +301,6 @@ def _ref_check_finite(value, node, s):
 def _ref_eval(e, s):
     if isinstance(e, Num):
         return e.value
-    if isinstance(e, Pi):
-        return np.pi
     if isinstance(e, Var):
         return s
     if isinstance(e, Unary):
@@ -330,7 +352,7 @@ _exponents = st.sampled_from([-3.0, -2.0, -1.0, -0.5, 1.0 / 3.0, 0.5, 1.5, 2.0, 
 
 
 def _trees(depth):
-    leaf = st.one_of(st.builds(Num, _constants), st.just(Pi()), st.just(Var()))
+    leaf = st.one_of(st.builds(Num, _constants), st.just(Num(math.pi)), st.just(Var()))
     if depth == 0:
         return leaf
     sub = _trees(depth - 1)

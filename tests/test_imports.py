@@ -78,15 +78,13 @@ def test_no_module_imports_dataclasses():
 
 def test_records_write_no_value_methods():
     # records are NamedTuples, whose tuple gives equality, hash, repr,
-    # read-only fields and pickling; only the expression constants, which
-    # have no fields, compare by class
+    # read-only fields and pickling
     value_methods = {"__eq__", "__hash__", "__repr__", "__setattr__",
                      "__delattr__", "__reduce__"}
     src = Path(curvemates.__file__).parent
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (not isinstance(node, ast.ClassDef)
-                    or (path.stem, node.name) == ("expressions", "_Constant")):
+            if not isinstance(node, ast.ClassDef):
                 continue
             names = {f.name for f in node.body if isinstance(f, ast.FunctionDef)}
             names |= {t.id for a in node.body if isinstance(a, ast.Assign)

@@ -45,11 +45,11 @@ def test_group_spec_torsions():
     assert R3.tau_g == 0.0
     assert SO3.tau_g == 0.5
     assert S3.tau_g == 1.0
-    assert group_spec("s3").lam == 2.0
+    assert (R3.lam, SO3.lam, group_spec("s3").lam) == (0.0, 1.0, 2.0)
     with pytest.raises(ValueError):
         group_spec("su2")
     with pytest.raises(ValueError):
-        GroupSpec("s3", 1.0)
+        GroupSpec("su2")
 
 
 def test_bracket_examples():
@@ -218,6 +218,14 @@ def test_cumulative_quadrature_fourth_order():
         exact = np.sin(3 * s) / 3 + s ** 3 / 3
         errs.append(np.max(np.abs(cumulative_quadrature(f, s[1] - s[0]) - exact)))
     assert errs[0] / errs[1] > 12  # fourth order: ~16x per halving
+
+
+def test_cumulative_quadrature_on_three_samples_is_exact_for_s_squared():
+    # the shortest grid: Simpson's rule at the end, the quadratic through
+    # the three samples on the first interval
+    s = np.array([0.5, 0.75, 1.0])
+    np.testing.assert_allclose(cumulative_quadrature(s ** 2, 0.25),
+                               (s ** 3 - 0.125) / 3.0, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("window", [5, 11])

@@ -22,6 +22,9 @@ from curvemates.profiles import (CurvatureProfile, FrenetViolation,
 from conftest import MATE_REFERENCE
 from oracles import mate_frames
 
+MATE_BUILDERS = (("natural", natural_mate_apparatus),
+                 ("conjugate", conjugate_mate_apparatus))
+
 
 def shifted_expressions(name, p):
     """The demo profile in R^3, then in SO(3) and S^3 with its tau written
@@ -71,7 +74,8 @@ def test_conjugate_segments_split_at_torsion_zeros(profiles):
     assert abs(mate.segments[0].s_max) < 5e-3
     assert abs(mate.segments[1].s_min) < 5e-3
     # the conjugate binormal is sign T
-    np.testing.assert_array_equal(mate_frames(mate, [1.0, -1.0])[2][:, 0], [1.0, -1.0])
+    binormal = mate_frames(profiles["slant_helix"], R3, "conjugate", [1.0, -1.0])[2]
+    np.testing.assert_array_equal(binormal[:, 0], [1.0, -1.0])
 
 
 def test_conjugate_requires_nonvanishing_torsion_gap():
@@ -85,12 +89,12 @@ def test_conjugate_requires_nonvanishing_torsion_gap():
 
 def test_mate_frames_orthonormal_and_right_handed(profiles):
     for p in profiles.values():
-        for builder in (natural_mate_apparatus, conjugate_mate_apparatus):
+        for kind, builder in MATE_BUILDERS:
             mate = builder(p, R3)
             for seg in mate.segments:
                 pad = 0.05 * (seg.s_max - seg.s_min)
                 s = np.linspace(seg.s_min + pad, seg.s_max - pad, 64)
-                t, n, b = mate_frames(mate, s)
+                t, n, b = mate_frames(p, R3, kind, s)
                 for arr in (t, n, b):
                     np.testing.assert_allclose(np.linalg.norm(arr, axis=1), 1.0,
                                                atol=1e-12)
@@ -102,10 +106,9 @@ def test_mate_lie_torsion_equals_parent(profiles):
     # (1/2)<[T,N],B> of the mate frame equals the parent group torsion
     p = profiles["rectifying"]
     for spec in (R3, S3):
-        for builder in (natural_mate_apparatus, conjugate_mate_apparatus):
-            mate = builder(p, spec)
+        for kind in ("natural", "conjugate"):
             s = np.linspace(1.1, 2.9, 17)
-            t, n, b = mate_frames(mate, s)
+            t, n, b = mate_frames(p, spec, kind, s)
             for i in range(len(s)):
                 val = 0.5 * np.dot(bracket(t[i], n[i], spec), b[i])
                 assert val == pytest.approx(spec.tau_g, abs=1e-12)
@@ -225,14 +228,15 @@ def test_linear_harmonic_identity():
 
 
 def test_mate_apparatus_kind_and_parent(profiles):
+    # a mate holds its profile and segments; its parent keeps it under its
+    # kind and group
+    assert MateApparatus._fields == ("profile", "segments")
     p = profiles["salkowski"]
     mate = natural_mate_apparatus(p, R3)
     assert isinstance(mate, MateApparatus)
-    assert mate.kind == "natural"
-    assert mate.tau_g == 0.0
-    assert mate.parent is p
+    assert p.mates[("natural", R3)] is mate
     conj = conjugate_mate_apparatus(p, R3)
-    assert conj.kind == "conjugate"
+    assert p.mates[("conjugate", R3)] is conj
     assert len(conj.segments) == 2  # split at s = 0
 
 
@@ -253,9 +257,9 @@ def _pickled_reports(p, spec, checks):
 def _mate_values(p, spec):
     s = np.linspace(p.s_min, p.s_max, 101)
     out = []
-    for build in (natural_mate_apparatus, conjugate_mate_apparatus):
+    for kind, build in MATE_BUILDERS:
         m = build(p, spec)
-        out.append((m.kind, m.segments, m.profile.kappa_expr, m.profile.tau_expr,
+        out.append((kind, m.segments, m.profile.kappa_expr, m.profile.tau_expr,
                     m.kappa_at(s).tobytes(), m.tau_at(s).tobytes()))
     return out
 

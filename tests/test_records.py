@@ -1,6 +1,7 @@
 """The result records: immutable, equal by value, and the plain classes
 keep the semantics of the records they stand beside."""
 
+import math
 import pickle
 
 import pytest
@@ -15,13 +16,15 @@ from curvemates.profiles import CurvatureProfile
 
 
 def test_constants_differ_by_class():
-    assert ex.Pi() != ex.Var()
-    assert ex.Pi() == ex.Pi() and ex.Var() == ex.Var()
-    assert len({ex.Pi(), ex.Var(), ex.Pi()}) == 2
-    assert repr(ex.Binary("*", ex.Pi(), ex.Var())) == (
-        "Binary(op='*', left=Pi(), right=Var())")
-    assert ex.parse("pi*s") == ex.Binary("*", ex.Pi(), ex.Var())
+    # pi is a number; s is the one node without fields
+    assert ex.Var() == ex.Var() and ex.Var()._fields == ()
+    assert ex.Num(math.pi) != ex.Var()
+    assert len({ex.Num(math.pi), ex.Var(), ex.Num(math.pi)}) == 2
+    assert repr(ex.parse("pi*s")) == (
+        "Binary(op='*', left=Num(value=3.141592653589793), right=Var())")
+    assert ex.parse("pi*s") == ex.Binary("*", ex.Num(math.pi), ex.Var())
     assert ex.parse("pi*s") != ex.parse("s*pi")
+    assert ex.to_text(ex.parse("pi")) == "3.141592653589793"
 
 
 @pytest.mark.parametrize("record,name", [
@@ -36,14 +39,18 @@ def test_fields_cannot_be_assigned(record, name):
 
 
 def test_group_spec_validates_and_compares_by_value():
-    with pytest.raises(ValueError, match="requires lam=2.0"):
+    # the family is the one field; lam follows from it
+    with pytest.raises(ValueError, match="unknown group family 'se3' "
+                                         r"\(expected r3, so3 or s3\)"):
+        GroupSpec("se3")
+    with pytest.raises(TypeError):
         GroupSpec("s3", 1.0)
-    with pytest.raises(ValueError, match="unknown group family"):
-        GroupSpec("se3", 0.0)
-    assert GroupSpec("so3", 1.0) == SO3 == group_spec("SO3")
-    assert GroupSpec("so3", 1.0) != group_spec("s3")
-    assert hash(GroupSpec(family="so3", lam=1.0)) == hash(SO3)
-    assert repr(SO3) == "GroupSpec(family='so3', lam=1.0)"
+    assert GroupSpec._fields == ("family",)
+    assert GroupSpec("so3") == SO3 == group_spec("SO3")
+    assert GroupSpec("so3") != group_spec("s3")
+    assert hash(GroupSpec(family="so3")) == hash(SO3)
+    assert repr(SO3) == "GroupSpec(family='so3')"
+    assert (SO3.lam, group_spec("s3").lam) == (1.0, 2.0)
     assert pickle.loads(pickle.dumps(SO3)) == SO3
 
 

@@ -1,6 +1,7 @@
 """The scripts' own logic: the mutation corpus's table, the A/B
 benchmark's summary and the speed trajectory it records."""
 
+import ast
 import json
 import re
 import sys
@@ -21,6 +22,11 @@ def test_every_mutant_edits_one_place_in_its_file():
         assert text.count(m.old) == 1, m.name
         assert m.new != m.old, m.name
         assert m.tests and all((ROOT / t.split("::")[0]).is_file() for t in m.tests), m.name
+        # a path::name entry names a test function of that file
+        for path, _, name in (t.partition("::") for t in m.tests if "::" in t):
+            tree = ast.parse((ROOT / path).read_text(encoding="utf-8"))
+            defined = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+            assert name.startswith("test_") and name in defined, (m.name, name)
 
 
 def test_summary_claims_a_gain_only_past_the_parents_spread():
