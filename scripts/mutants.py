@@ -236,6 +236,19 @@ MUTANTS = (
            "np.max(np.minimum(diff_minus, diff_plus))",
            "np.min(np.minimum(diff_minus, diff_plus))",
            ("tests/test_analysis.py::test_bertrand_residual_is_the_worst_sample",)),
+    # the check-grid samples and spherical reports kept between checks
+    Mutant("check_samples_ignores_group", "src/curvemates/checks.py",
+           "if e.profile is p and e.spec == spec), None)",
+           "if e.profile is p), None)",
+           ("tests/test_shared_samples.py",)),
+    Mutant("spherical_report_ignores_tol", "src/curvemates/checks.py",
+           "if tol not in entry.reports:\n"
+           "        entry.reports[tol] = _spherical(entry.samples, tol)\n"
+           "    return entry.reports[tol]",
+           "if not entry.reports:\n"
+           "        entry.reports[None] = _spherical(entry.samples, tol)\n"
+           "    return entry.reports[None]",
+           ("tests/test_shared_samples.py",)),
     # the entry rule: main() owns the process and freezes its start-up heap
     Mutant("entry_point_skips_freeze", "src/curvemates/cli.py",
            "        gc.freeze()",

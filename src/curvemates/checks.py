@@ -1,8 +1,8 @@
 """Classification and verification: the spherical criterion, ``classify``
 and the theorem verifiers.
 
-The profile checks read exactly evaluated curvature data
-(``ProfileSamples``); ``verify_mate_geometry`` reads the apparatus that
+The profile checks read exactly evaluated curvature data at the check
+grid (``check_samples``); ``verify_mate_geometry`` reads the apparatus that
 ``analysis.estimate_apparatus`` recovers from integrated positions.  The
 names here are also attributes of ``analysis``, which imports this module
 when one of them is first looked up there.
@@ -26,6 +26,49 @@ if TYPE_CHECKING:
 
 # grid of the quadrature round trip of thm5_1, finer than the check grid
 INVERSE_GRID_POINTS = 8001
+KEPT_PAIRS = 3    # (profile, group) pairs whose samples are kept: a parent, its mates
+
+
+# ---------------------------------------------------------------------------
+# check-grid samples shared by consecutive checks
+
+class _Kept(NamedTuple):
+    profile: CurvatureProfile     # held, so that its id is not reused while kept
+    spec: GroupSpec
+    samples: ProfileSamples
+    reports: dict                 # ToleranceSet -> SphericalReport
+
+
+_kept: tuple[_Kept, ...] = ()
+
+
+def _kept_entry(p: CurvatureProfile, spec: GroupSpec) -> _Kept:
+    """The kept entry of (p, spec), made if it is not among the last
+    KEPT_PAIRS asked for.  The kept set is replaced in one assignment, so a
+    concurrent caller can at worst make an entry again."""
+    global _kept
+    kept = _kept
+    entry = next((e for e in kept if e.profile is p and e.spec == spec), None)
+    if entry is None:
+        entry = _Kept(p, spec, ProfileSamples(p, spec, p.grid()), {})
+    _kept = (entry,) + tuple(e for e in kept if e is not entry)[:KEPT_PAIRS - 1]
+    return entry
+
+
+def check_samples(p: CurvatureProfile, spec: GroupSpec) -> ProfileSamples:
+    """The samples of p at its check grid ``p.grid()``: the same object for
+    the same profile object and group while that pair is among the last
+    KEPT_PAIRS asked for.  Callers only read it."""
+    return _kept_entry(p, spec).samples
+
+
+def _spherical_report(p: CurvatureProfile, spec: GroupSpec,
+                      tol: ToleranceSet) -> SphericalReport:
+    """``_spherical`` on ``check_samples(p, spec)``, kept with them by tol."""
+    entry = _kept_entry(p, spec)
+    if tol not in entry.reports:
+        entry.reports[tol] = _spherical(entry.samples, tol)
+    return entry.reports[tol]
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +122,7 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     latter tolerates the noise amplification that differentiating sampled
     estimates incurs.  Mixed domains are segmented and reported per segment.
     """
-    return _spherical(ProfileSamples(p, spec, p.grid()), tol)
+    return _spherical_report(p, spec, tol)
 
 
 def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
@@ -185,7 +228,7 @@ class ClassificationReport(NamedTuple):
 def classify(p: CurvatureProfile, spec: GroupSpec,
              tol: ToleranceSet = ToleranceSet()) -> ClassificationReport:
     """Verdicts with residuals for every special-curve class."""
-    ps = ProfileSamples(p, spec, p.grid())
+    ps = check_samples(p, spec)
 
     verdicts: dict[str, Verdict] = {}
 
@@ -201,7 +244,7 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
     verdicts["rectifying"] = Verdict(rectifying, fit_residual, tol.constancy,
                                      f"H fit slope {slope:.6g}")
 
-    sph = _spherical(ps, tol)
+    sph = _spherical_report(p, spec, tol)
     worst = max((seg.spread for seg in sph.segments), default=float("inf"))
     verdicts["spherical"] = Verdict(sph.is_spherical, worst, tol.spherical_spread,
                                     f"radius {sph.radius}" if sph.radius else "")
@@ -289,17 +332,14 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
     A mate that is a circle (the parent is a circular helix) passes when
     its radius is at most 1/c.  The converse is checked on the same data
     wherever the mate torsion differs from the group torsion."""
-    s = p.grid()
-    kappa = ProfileSamples(p, spec, s).kappa
+    kappa = check_samples(p, spec).kappa
     spread = rel_spread(kappa)
     if spread > tol.constancy:
         return _not_applicable("thm4_1", tol.residual,
                                f"kappa not constant (spread {spread:.3g})")
     c = float(np.mean(kappa))
-    # the mate's grid is the parent's: one set of samples serves the
-    # spherical criterion and the converse
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
-    sph = _spherical(mps, tol)
+    mate = natural_mate_apparatus(p, spec).profile
+    mps, sph = check_samples(mate, spec), _spherical_report(mate, spec, tol)
     if not sph.is_spherical:
         return VerificationReport("thm4_1", True, False, None, tol.residual,
                                   {"c": c, "spherical": False},
@@ -375,8 +415,7 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
     sph = spherical_check(p, spec, tol)
     if not sph.is_spherical:
         return _not_applicable("thm5_2", tol.residual, "parent not spherical")
-    s = p.grid()
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
     spread = rel_spread(mps.kappa)
     if spread > tol.constancy:
         return _not_applicable("thm5_2", tol.residual,
@@ -392,7 +431,7 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
     gap = a * a - c * c
 
     def sup_residual(delta: float) -> float:
-        arg = c * (s + delta)
+        arg = c * (mps.s + delta)
         target = np.abs(c * c * math.sqrt(max(gap, 0.0)) * np.cos(arg)
                         / (c * c + gap * np.sin(arg) ** 2))
         return float(np.max(np.abs(lhs - target)))
@@ -413,7 +452,7 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 
     A mate that is a circle (the parent is a circular helix) passes when
     its radius is at most 1/|c|."""
-    m = ProfileSamples(p, spec, p.grid()).m
+    m = check_samples(p, spec).m
     spread = rel_spread(m)
     if spread > tol.constancy:
         return _not_applicable("thm6_2", tol.residual,
@@ -440,11 +479,10 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> mate torsion equals the group torsion."""
-    s = p.grid()
-    h_spread = rel_spread(ProfileSamples(p, spec, s).H)
+    h_spread = rel_spread(check_samples(p, spec).H)
     is_gh = h_spread <= tol.constancy
     mate = natural_mate_apparatus(p, spec)
-    mate_dev = float(np.max(np.abs(ProfileSamples(mate.profile, spec, s).m)))
+    mate_dev = float(np.max(np.abs(check_samples(mate.profile, spec).m)))
     mate_flat = mate_dev <= tol.zero
     passed = is_gh == mate_flat
     return VerificationReport("cor3_1", True, passed,
@@ -462,8 +500,7 @@ def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
     applicable; Izumiya & Takeuchi (Turk. J. Math. 28, 2004) count a general
     helix as a slant helix with angle pi/2, and its natural mate is a
     general helix (cor3_1)."""
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
+    ps = check_samples(p, spec)
     h_spread = rel_spread(ps.H)
     if h_spread <= tol.constancy:
         return _not_applicable("cor3_2", tol.constancy,
@@ -471,7 +508,7 @@ def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
                                "H' vanishes identically; sigma undefined")
     slant, sig_spread = _slant_verdict(ps, tol)
     mate = natural_mate_apparatus(p, spec)
-    mate_h_spread = rel_spread(ProfileSamples(mate.profile, spec, s).H)
+    mate_h_spread = rel_spread(check_samples(mate.profile, spec).H)
     mate_gh = mate_h_spread <= tol.constancy
     return VerificationReport("cor3_2", True, slant == mate_gh,
                               mate_h_spread, tol.constancy,
@@ -484,10 +521,9 @@ def verify_cor_3_3(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Rectifying (H linear, slope a != 0) <=> a kappa^2 = (mate tau - tau_G)
     * mate kappa^2."""
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
+    ps = check_samples(p, spec)
     rectifying, a, _ = _rectifying_fit(ps, tol)
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
     residual = float(np.max(np.abs(a * ps.kappa ** 2 - mps.m * mps.kappa ** 2)))
     # the identity side carries the same nonzero-slope hypothesis: a = 0
     # satisfies it only trivially
@@ -524,13 +560,11 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
 
     Samples where the discriminant or tau - tau_G sits below the noise floor
     are excluded (the identity degenerates there)."""
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
-    sph = _spherical(ps, tol)
+    ps, sph = check_samples(p, spec), _spherical_report(p, spec, tol)
     if not sph.is_spherical:
         return _not_applicable("cor3_4", tol.residual, "parent not spherical")
     r = float(sph.radius)
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
     lhs = mps.kappa_prime / mps.kappa
     disc = r * r * ps.kappa * ps.kappa - 1.0
     mask = (np.abs(ps.m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
@@ -548,12 +582,10 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """For spherical parents with constant-curvature mates: pointwise either
     tau = tau_G or mate torsion - tau_G = -/+ kappa sqrt(r^2 kappa^2 - 1)."""
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
-    sph = _spherical(ps, tol)
+    ps, sph = check_samples(p, spec), _spherical_report(p, spec, tol)
     if not sph.is_spherical:
         return _not_applicable("cor5_2", tol.residual, "parent not spherical")
-    mps = ProfileSamples(natural_mate_apparatus(p, spec).profile, spec, s)
+    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
     spread = rel_spread(mps.kappa)
     if spread > tol.constancy:
         return _not_applicable("cor5_2", tol.residual, "mate curvature not constant")
@@ -574,13 +606,12 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
 def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> conjugate mate is a general helix (needs tau != tau_G)."""
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
+    ps = check_samples(p, spec)
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_1", tol.constancy,
                                "tau - tau_G vanishes somewhere")
     h_spread = rel_spread(ps.H)
-    cps = ProfileSamples(conjugate_mate_apparatus(p, spec).profile, spec, s)
+    cps = check_samples(conjugate_mate_apparatus(p, spec).profile, spec)
     conj_spread = rel_spread(cps.H)
     is_gh = h_spread <= tol.constancy
     conj_gh = conj_spread <= tol.constancy
@@ -596,8 +627,7 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Slant helix <=> conjugate mate is a slant helix; the sigma values are
     opposite up to the sign of tau - tau_G."""
-    s = p.grid()
-    ps = ProfileSamples(p, spec, s)
+    ps = check_samples(p, spec)
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_2", tol.constancy,
                                "tau - tau_G vanishes somewhere")
@@ -607,7 +637,7 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
                                f"general helix (H spread {h_spread:.3g}): "
                                "H' vanishes identically; sigma undefined")
     slant, sig_spread = _slant_verdict(ps, tol)
-    cps = ProfileSamples(conjugate_mate_apparatus(p, spec).profile, spec, s)
+    cps = check_samples(conjugate_mate_apparatus(p, spec).profile, spec)
     conj_slant, conj_spread = _slant_verdict(cps, tol)
     details: dict = {"slant": slant, "conjugate_slant": conj_slant,
                      "sigma_spread": sig_spread,

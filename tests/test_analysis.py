@@ -9,7 +9,7 @@ from curvemates.analysis import (EstimationError, ToleranceSet, classify,
                                  verify_cor_5_2, verify_cor_6_1, verify_cor_6_2,
                                  verify_mate_geometry, verify_thm_4_1,
                                  verify_thm_5_1, verify_thm_5_2, verify_thm_6_2)
-from curvemates import expressions
+from curvemates import checks, expressions
 from curvemates.catalog import PROFILES
 from curvemates.expressions import DomainError
 from curvemates.integrate import (PositionCurve, integrate_direction_curve,
@@ -383,6 +383,17 @@ def test_thm_5_1(profiles):
 
     rep = verify_thm_5_1(profiles["rectifying"], R3)  # mate curvature varies
     assert not rep.applicable
+
+
+def test_thm_5_2_rejects_a_radius_below_one_over_the_mate_curvature(profiles, monkeypatch):
+    # exact data cannot give a < c (c r >= 1 on a sphere); a report with a
+    # too small radius reaches the guard
+    fake = checks.SphericalReport(True, 0.1, [])
+    monkeypatch.setattr(checks, "spherical_check", lambda p, spec, tol: fake)
+    rep = verify_thm_5_2(profiles["spherical"], R3)
+    assert rep.applicable and not rep.passed
+    assert rep.hypothesis_note == "a < c is impossible"
+    assert rep.details["a"] == pytest.approx(0.4) and rep.details["c"] == pytest.approx(2.0)
 
 
 def test_thm_5_2(profiles):

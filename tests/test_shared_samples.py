@@ -1,0 +1,156 @@
+"""Consecutive checks of one profile share its check-grid samples and its
+spherical report.  Whatever a check finds kept, its report is the one a
+fresh run gives: in any order of checks, across groups and tolerance sets,
+and from several threads at once."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from curvemates.analysis import (ToleranceSet, classify, spherical_check,
+                                 verify_cor_3_1, verify_cor_3_2, verify_cor_3_3,
+                                 verify_cor_3_4, verify_cor_5_2, verify_cor_6_1,
+                                 verify_cor_6_2, verify_thm_4_1, verify_thm_5_1,
+                                 verify_thm_5_2, verify_thm_6_2)
+from curvemates.catalog import SPHERICAL
+from curvemates.checks import KEPT_PAIRS, check_samples
+from curvemates.liegroup import R3, S3, SO3
+from curvemates.profiles import CurvatureProfile
+
+from conftest import (GENERAL_HELIX_BATTERY, NON_GENERAL_HELIX_BATTERY,
+                      NON_SLANT_BATTERY, SLANT_BATTERY)
+
+CHECKS = (classify, spherical_check, verify_thm_4_1, verify_thm_5_1,
+          verify_thm_5_2, verify_thm_6_2, verify_cor_3_1, verify_cor_3_2,
+          verify_cor_3_3, verify_cor_3_4, verify_cor_5_2, verify_cor_6_1,
+          verify_cor_6_2)
+GROUPS = (R3, SO3, S3)
+BATTERY = (GENERAL_HELIX_BATTERY + NON_GENERAL_HELIX_BATTERY + SLANT_BATTERY
+           + NON_SLANT_BATTERY)
+
+
+def prof(kappa, tau, domain):
+    return CurvatureProfile.from_expressions(kappa, tau, domain)
+
+
+def outcome(check, p, spec, tol=ToleranceSet()):
+    """The check's report, or the type and message of what it raised."""
+    try:
+        return check(p, spec, tol)
+    except Exception as e:      # a check that raises must raise alike when shared
+        return (type(e).__name__, str(e))
+
+
+def fresh(check, entry, spec, tol=ToleranceSet()):
+    """The check on a new profile object, which no earlier check has kept."""
+    return outcome(check, prof(*entry), spec, tol)
+
+
+def assert_same(a, b, where):
+    """Equal reports: floats to the bit, arrays element by element."""
+    assert type(a) is type(b), where
+    if isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype, where
+        assert np.array_equal(a, b, equal_nan=a.dtype.kind in "fc"), where
+    elif isinstance(a, float):
+        assert float.hex(a) == float.hex(b), where
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            assert_same(a[k], b[k], f"{where}[{k!r}]")
+    elif isinstance(a, (tuple, list)):
+        assert len(a) == len(b), where
+        for name, x, y in zip(getattr(a, "_fields", range(len(a))), a, b):
+            assert_same(x, y, f"{where}.{name}")
+    else:
+        assert a == b, where
+
+
+def battery_calls():
+    """(battery index, group, check) for every check on every battery
+    profile in every group, profile by profile."""
+    return [(i, spec, check) for i in range(len(BATTERY))
+            for spec in GROUPS for check in CHECKS]
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return {(i, spec, check): fresh(check, BATTERY[i], spec)
+            for i, spec, check in battery_calls()}
+
+
+def test_battery_in_forward_and_reverse_order_matches_fresh_runs(reference):
+    # one profile object serves all three groups
+    profiles = [prof(*entry) for entry in BATTERY]
+    calls = battery_calls()
+    for order in (calls, calls[::-1]):
+        for i, spec, check in order:
+            assert_same(outcome(check, profiles[i], spec), reference[i, spec, check],
+                        f"{check.__name__}{BATTERY[i]} {spec.family}")
+
+
+def test_battery_from_four_threads_matches_serial_results(reference):
+    profiles = [prof(*entry) for entry in BATTERY]
+    calls = battery_calls()
+    results = [[] for _ in range(4)]
+
+    def run(k):
+        # each thread starts at its own quarter, so they meet on shared profiles
+        start = k * len(calls) // 4
+        for i, spec, check in calls[start:] + calls[:start]:
+            results[k].append(((i, spec, check), outcome(check, profiles[i], spec)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for rows in results:
+        assert len(rows) == len(calls)
+        for key, got in rows:
+            i, spec, check = key
+            assert_same(got, reference[key], f"{check.__name__}{BATTERY[i]} {spec.family}")
+
+
+def test_one_profile_object_in_two_groups():
+    entry = ("2+cos(s)", "1+0.5*s", (0.0, 1.0))
+    p = prof(*entry)
+    for spec in (R3, SO3):
+        for check in CHECKS:
+            assert_same(outcome(check, p, spec), fresh(check, entry, spec),
+                        f"{check.__name__} {spec.family}")
+    assert check_samples(p, R3) is not check_samples(p, SO3)
+
+
+def test_spherical_check_with_two_tolerance_sets_in_a_row():
+    entry = SPHERICAL[1:]
+    p = prof(*entry)
+    strict, floor = ToleranceSet(), ToleranceSet(spherical_zero_rel=1.5)
+    first = spherical_check(p, R3, strict)
+    second = spherical_check(p, R3, floor)
+    assert first.is_spherical and not second.is_spherical
+    for tol, rep in ((strict, first), (floor, second)):
+        assert_same(rep, fresh(spherical_check, entry, R3, tol), repr(tol))
+    assert spherical_check(p, R3, strict) is first
+
+
+def test_samples_are_shared_while_among_the_last_pairs_asked_for():
+    p = prof("2", "1+0.5*s", (0.0, 1.0))
+    ps = check_samples(p, R3)
+    assert ps is check_samples(p, R3)
+    assert classify(p, R3).spherical is spherical_check(p, R3)
+    others = [prof("2", f"{k}+s", (0.0, 1.0)) for k in range(KEPT_PAIRS - 1)]
+    for q in others:
+        check_samples(q, R3)
+    assert check_samples(p, R3) is ps
+    for q in others + [prof("3", "s", (0.0, 1.0))]:
+        check_samples(q, R3)
+    assert check_samples(p, R3) is not ps
