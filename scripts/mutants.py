@@ -249,6 +249,19 @@ MUTANTS = (
            "        entry.reports[None] = _spherical(entry.samples, tol)\n"
            "    return entry.reports[None]",
            ("tests/test_shared_samples.py",)),
+    Mutant("kept_spread_ignores_field", "src/curvemates/checks.py",
+           "if field not in entry.spreads:\n"
+           "        entry.spreads[field] = rel_spread(getattr(entry.samples, field))\n"
+           "    return entry.spreads[field]",
+           "if not entry.spreads:\n"
+           "        entry.spreads[None] = rel_spread(getattr(entry.samples, field))\n"
+           "    return entry.spreads[None]",
+           ("tests/test_shared_samples.py::test_kept_statistics_equal_their_direct_computation",)),
+    Mutant("thm5_1_gate_reads_parent", "src/curvemates/checks.py",
+           'spread = _spread(_kept_entry(mate.profile, spec), "kappa")',
+           'spread = _spread(_kept_entry(p, spec), "kappa")',
+           ("tests/test_shared_samples.py::"
+            "test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own",)),
     # the entry rule: main() owns the process and freezes its start-up heap
     Mutant("entry_point_skips_freeze", "src/curvemates/cli.py",
            "        gc.freeze()",

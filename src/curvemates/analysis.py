@@ -68,7 +68,7 @@ class ToleranceSet(NamedTuple):
 def rel_spread(x) -> float:
     """(max - min) over max(1, |mean|)."""
     x = np.asarray(x, dtype=float)
-    return float((np.max(x) - np.min(x)) / max(1.0, abs(float(np.mean(x)))))
+    return float((x.max() - x.min()) / max(1.0, abs(float(x.mean()))))
 
 
 # ---------------------------------------------------------------------------

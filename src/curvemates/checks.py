@@ -30,13 +30,16 @@ KEPT_PAIRS = 3    # (profile, group) pairs whose samples are kept: a parent, its
 
 
 # ---------------------------------------------------------------------------
-# check-grid samples shared by consecutive checks
+# check-grid samples shared by consecutive checks, with the values derived
+# from them, each computed when first read (verdicts are not kept)
 
 class _Kept(NamedTuple):
     profile: CurvatureProfile     # held, so that its id is not reused while kept
     spec: GroupSpec
     samples: ProfileSamples
     reports: dict                 # ToleranceSet -> SphericalReport
+    spreads: dict                 # field of samples -> its rel_spread
+    fits: dict                    # field of samples -> its line fit (_line_fit)
 
 
 _kept: tuple[_Kept, ...] = ()
@@ -50,7 +53,7 @@ def _kept_entry(p: CurvatureProfile, spec: GroupSpec) -> _Kept:
     kept = _kept
     entry = next((e for e in kept if e.profile is p and e.spec == spec), None)
     if entry is None:
-        entry = _Kept(p, spec, ProfileSamples(p, spec, p.grid()), {})
+        entry = _Kept(p, spec, ProfileSamples(p, spec, p.grid()), {}, {}, {})
     _kept = (entry,) + tuple(e for e in kept if e is not entry)[:KEPT_PAIRS - 1]
     return entry
 
@@ -62,13 +65,30 @@ def check_samples(p: CurvatureProfile, spec: GroupSpec) -> ProfileSamples:
     return _kept_entry(p, spec).samples
 
 
-def _spherical_report(p: CurvatureProfile, spec: GroupSpec,
-                      tol: ToleranceSet) -> SphericalReport:
-    """``_spherical`` on ``check_samples(p, spec)``, kept with them by tol."""
-    entry = _kept_entry(p, spec)
+def _spherical_report(entry: _Kept, tol: ToleranceSet) -> SphericalReport:
+    """``_spherical`` on the entry's samples, kept with them by tol."""
     if tol not in entry.reports:
         entry.reports[tol] = _spherical(entry.samples, tol)
     return entry.reports[tol]
+
+
+def _spread(entry: _Kept, field: str) -> float:
+    """``rel_spread`` of one field of the entry's samples, kept with them."""
+    if field not in entry.spreads:
+        entry.spreads[field] = rel_spread(getattr(entry.samples, field))
+    return entry.spreads[field]
+
+
+def _line_fit(entry: _Kept, field: str):
+    """Least-squares line through one field of the entry's samples: its
+    slope, the rms misfit and the range of the field, kept with them."""
+    if field not in entry.fits:
+        s, y = entry.samples.s, getattr(entry.samples, field)
+        design = np.vstack([s, np.ones_like(s)]).T
+        (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
+        fit_rms = float(np.sqrt(np.mean((y - design @ [slope, intercept]) ** 2)))
+        entry.fits[field] = slope, fit_rms, max(float(np.max(y) - np.min(y)), 1e-300)
+    return entry.fits[field]
 
 
 # ---------------------------------------------------------------------------
@@ -122,7 +142,7 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     latter tolerates the noise amplification that differentiating sampled
     estimates incurs.  Mixed domains are segmented and reported per segment.
     """
-    return _spherical_report(p, spec, tol)
+    return _spherical_report(_kept_entry(p, spec), tol)
 
 
 def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
@@ -228,29 +248,29 @@ class ClassificationReport(NamedTuple):
 def classify(p: CurvatureProfile, spec: GroupSpec,
              tol: ToleranceSet = ToleranceSet()) -> ClassificationReport:
     """Verdicts with residuals for every special-curve class."""
-    ps = check_samples(p, spec)
+    e = _kept_entry(p, spec)
 
     verdicts: dict[str, Verdict] = {}
 
-    h_spread = rel_spread(ps.H)
+    h_spread = _spread(e, "H")
     verdicts["general_helix"] = Verdict(h_spread <= tol.constancy, h_spread, tol.constancy)
 
-    slant, sig_spread = _slant_verdict(ps, tol)
+    slant, sig_spread = _slant_verdict(e, tol)
     verdicts["slant_helix"] = Verdict(
         slant, sig_spread, tol.constancy,
         "" if sig_spread is not None else "H' vanishes; sigma undefined")
 
-    rectifying, slope, fit_residual = _rectifying_fit(ps, tol)
+    rectifying, slope, fit_residual = _rectifying_fit(e, tol)
     verdicts["rectifying"] = Verdict(rectifying, fit_residual, tol.constancy,
                                      f"H fit slope {slope:.6g}")
 
-    sph = _spherical_report(p, spec, tol)
+    sph = _spherical_report(e, tol)
     worst = max((seg.spread for seg in sph.segments), default=float("inf"))
     verdicts["spherical"] = Verdict(sph.is_spherical, worst, tol.spherical_spread,
                                     f"radius {sph.radius}" if sph.radius else "")
 
-    k_spread = rel_spread(ps.kappa)
-    t_spread = rel_spread(ps.tau)
+    k_spread = _spread(e, "kappa")
+    t_spread = _spread(e, "tau")
     verdicts["salkowski"] = Verdict(
         k_spread <= tol.constancy < t_spread, k_spread, tol.constancy)
     verdicts["anti_salkowski"] = Verdict(
@@ -259,31 +279,28 @@ def classify(p: CurvatureProfile, spec: GroupSpec,
         k_spread <= tol.constancy and t_spread <= tol.constancy,
         max(k_spread, t_spread), tol.constancy)
 
-    segments = sign_segments(ps.s, ps.m, tol.zero)
+    segments = sign_segments(e.samples.s, e.samples.m, tol.zero)
     return ClassificationReport(verdicts, sph, segments)
 
 
-def _slant_verdict(ps: ProfileSamples, tol: ToleranceSet) -> tuple[bool, Optional[float]]:
+def _slant_verdict(e: _Kept, tol: ToleranceSet) -> tuple[bool, Optional[float]]:
     """Whether sigma is constant, with its relative spread; (False, None)
     where H' vanishes somewhere and sigma is undefined."""
-    if np.any(np.isnan(ps.sigma)):
+    if np.any(np.isnan(e.samples.sigma)):
         return False, None
-    spread = rel_spread(ps.sigma)
+    spread = _spread(e, "sigma")
     return spread <= tol.constancy, spread
 
 
-def _rectifying_fit(ps: ProfileSamples, tol: ToleranceSet):
-    """Least-squares line through H: whether H is linear with a slope of at
-    least ``rectifying_slope_min``, the slope, and the rms misfit relative
-    to the range of H.  Where H is constant (the general-helix test) its
-    range is round-off, and the misfit is reported as it is."""
-    design = np.vstack([ps.s, np.ones_like(ps.s)]).T
-    (slope, intercept), *_ = np.linalg.lstsq(design, ps.H, rcond=None)
-    fit_rms = float(np.sqrt(np.mean((ps.H - design @ [slope, intercept]) ** 2)))
-    h_range = max(float(np.max(ps.H) - np.min(ps.H)), 1e-300)
+def _rectifying_fit(e: _Kept, tol: ToleranceSet):
+    """Whether H is linear with a slope of at least ``rectifying_slope_min``,
+    the slope, and the rms misfit of the line relative to the range of H.
+    Where H is constant (the general-helix test) its range is round-off,
+    and the misfit is reported as it is."""
+    slope, fit_rms, h_range = _line_fit(e, "H")
     rectifying = (fit_rms <= tol.constancy * h_range
                   and abs(slope) >= tol.rectifying_slope_min)
-    if rel_spread(ps.H) <= tol.constancy:
+    if _spread(e, "H") <= tol.constancy:
         return rectifying, slope, fit_rms
     return rectifying, slope, fit_rms / h_range
 
@@ -332,14 +349,14 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
     A mate that is a circle (the parent is a circular helix) passes when
     its radius is at most 1/c.  The converse is checked on the same data
     wherever the mate torsion differs from the group torsion."""
-    kappa = check_samples(p, spec).kappa
-    spread = rel_spread(kappa)
+    e = _kept_entry(p, spec)
+    kappa, spread = e.samples.kappa, _spread(e, "kappa")
     if spread > tol.constancy:
         return _not_applicable("thm4_1", tol.residual,
                                f"kappa not constant (spread {spread:.3g})")
     c = float(np.mean(kappa))
-    mate = natural_mate_apparatus(p, spec).profile
-    mps, sph = check_samples(mate, spec), _spherical_report(mate, spec, tol)
+    me = _kept_entry(natural_mate_apparatus(p, spec).profile, spec)
+    mps, sph = me.samples, _spherical_report(me, tol)
     if not sph.is_spherical:
         return VerificationReport("thm4_1", True, False, None, tol.residual,
                                   {"c": c, "spherical": False},
@@ -365,13 +382,12 @@ def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
     """Constant mate curvature c => parent recovered by the sine/cosine
     quadrature inverse (round trip against the original profile)."""
     mate = natural_mate_apparatus(p, spec)
-    s = p.grid(INVERSE_GRID_POINTS)
-    kb = ProfileSamples(mate.profile, spec, s).kappa
-    spread = rel_spread(kb)
+    # the hypothesis is decided on the check grid, as thm5_2 and cor5_2 do
+    spread = _spread(_kept_entry(mate.profile, spec), "kappa")
     if spread > tol.constancy:
         return _not_applicable("thm5_1", tol.residual,
                                f"mate curvature not constant (spread {spread:.3g})")
-    c = float(np.mean(kb))
+    c = float(np.mean(ProfileSamples(mate.profile, spec, p.grid(INVERSE_GRID_POINTS)).kappa))
     start = ProfileSamples(p, spec, p.s_min)
     phi0 = math.atan2(float(start.m), float(start.kappa))
     rec = constant_curvature_inverse(mate.profile.tau_at, c, spec,
@@ -415,8 +431,8 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
     sph = spherical_check(p, spec, tol)
     if not sph.is_spherical:
         return _not_applicable("thm5_2", tol.residual, "parent not spherical")
-    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
-    spread = rel_spread(mps.kappa)
+    me = _kept_entry(natural_mate_apparatus(p, spec).profile, spec)
+    mps, spread = me.samples, _spread(me, "kappa")
     if spread > tol.constancy:
         return _not_applicable("thm5_2", tol.residual,
                                f"mate curvature not constant (spread {spread:.3g})")
@@ -452,8 +468,8 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 
     A mate that is a circle (the parent is a circular helix) passes when
     its radius is at most 1/|c|."""
-    m = check_samples(p, spec).m
-    spread = rel_spread(m)
+    e = _kept_entry(p, spec)
+    m, spread = e.samples.m, _spread(e, "m")
     if spread > tol.constancy:
         return _not_applicable("thm6_2", tol.residual,
                                f"tau - tau_G not constant (spread {spread:.3g})")
@@ -479,7 +495,7 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> mate torsion equals the group torsion."""
-    h_spread = rel_spread(check_samples(p, spec).H)
+    h_spread = _spread(_kept_entry(p, spec), "H")
     is_gh = h_spread <= tol.constancy
     mate = natural_mate_apparatus(p, spec)
     mate_dev = float(np.max(np.abs(check_samples(mate.profile, spec).m)))
@@ -500,15 +516,15 @@ def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
     applicable; Izumiya & Takeuchi (Turk. J. Math. 28, 2004) count a general
     helix as a slant helix with angle pi/2, and its natural mate is a
     general helix (cor3_1)."""
-    ps = check_samples(p, spec)
-    h_spread = rel_spread(ps.H)
+    e = _kept_entry(p, spec)
+    h_spread = _spread(e, "H")
     if h_spread <= tol.constancy:
         return _not_applicable("cor3_2", tol.constancy,
                                f"general helix (H spread {h_spread:.3g}): "
                                "H' vanishes identically; sigma undefined")
-    slant, sig_spread = _slant_verdict(ps, tol)
+    slant, sig_spread = _slant_verdict(e, tol)
     mate = natural_mate_apparatus(p, spec)
-    mate_h_spread = rel_spread(check_samples(mate.profile, spec).H)
+    mate_h_spread = _spread(_kept_entry(mate.profile, spec), "H")
     mate_gh = mate_h_spread <= tol.constancy
     return VerificationReport("cor3_2", True, slant == mate_gh,
                               mate_h_spread, tol.constancy,
@@ -521,8 +537,8 @@ def verify_cor_3_3(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Rectifying (H linear, slope a != 0) <=> a kappa^2 = (mate tau - tau_G)
     * mate kappa^2."""
-    ps = check_samples(p, spec)
-    rectifying, a, _ = _rectifying_fit(ps, tol)
+    e = _kept_entry(p, spec)
+    ps, (rectifying, a, _) = e.samples, _rectifying_fit(e, tol)
     mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
     residual = float(np.max(np.abs(a * ps.kappa ** 2 - mps.m * mps.kappa ** 2)))
     # the identity side carries the same nonzero-slope hypothesis: a = 0
@@ -560,7 +576,8 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
 
     Samples where the discriminant or tau - tau_G sits below the noise floor
     are excluded (the identity degenerates there)."""
-    ps, sph = check_samples(p, spec), _spherical_report(p, spec, tol)
+    e = _kept_entry(p, spec)
+    ps, sph = e.samples, _spherical_report(e, tol)
     if not sph.is_spherical:
         return _not_applicable("cor3_4", tol.residual, "parent not spherical")
     r = float(sph.radius)
@@ -582,12 +599,12 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """For spherical parents with constant-curvature mates: pointwise either
     tau = tau_G or mate torsion - tau_G = -/+ kappa sqrt(r^2 kappa^2 - 1)."""
-    ps, sph = check_samples(p, spec), _spherical_report(p, spec, tol)
+    e = _kept_entry(p, spec)
+    ps, sph = e.samples, _spherical_report(e, tol)
     if not sph.is_spherical:
         return _not_applicable("cor5_2", tol.residual, "parent not spherical")
-    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
-    spread = rel_spread(mps.kappa)
-    if spread > tol.constancy:
+    me = _kept_entry(natural_mate_apparatus(p, spec).profile, spec)
+    if _spread(me, "kappa") > tol.constancy:
         return _not_applicable("cor5_2", tol.residual, "mate curvature not constant")
     r = float(sph.radius)
     disc = r * r * ps.kappa * ps.kappa - 1.0
@@ -596,7 +613,7 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
         # dichotomy satisfied by the tau = tau_G branch everywhere
         return VerificationReport("cor5_2", True, True, 0.0, tol.residual,
                                   {"branch": "tau==tau_G"})
-    residual = _signed_sqrt_residual(mps.m, np.zeros_like(mps.m),
+    residual = _signed_sqrt_residual(me.samples.m, np.zeros_like(me.samples.m),
                                      ps.kappa * ps.kappa * disc, mask)
     return VerificationReport("cor5_2", True, residual <= tol.residual, residual,
                               tol.residual, {"r": r,
@@ -606,13 +623,14 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
 def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> conjugate mate is a general helix (needs tau != tau_G)."""
-    ps = check_samples(p, spec)
+    e = _kept_entry(p, spec)
+    ps = e.samples
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_1", tol.constancy,
                                "tau - tau_G vanishes somewhere")
-    h_spread = rel_spread(ps.H)
-    cps = check_samples(conjugate_mate_apparatus(p, spec).profile, spec)
-    conj_spread = rel_spread(cps.H)
+    h_spread = _spread(e, "H")
+    ce = _kept_entry(conjugate_mate_apparatus(p, spec).profile, spec)
+    cps, conj_spread = ce.samples, _spread(ce, "H")
     is_gh = h_spread <= tol.constancy
     conj_gh = conj_spread <= tol.constancy
     identity = float(np.max(np.abs(cps.H * ps.H - np.sign(ps.m))))
@@ -627,18 +645,19 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Slant helix <=> conjugate mate is a slant helix; the sigma values are
     opposite up to the sign of tau - tau_G."""
-    ps = check_samples(p, spec)
+    e = _kept_entry(p, spec)
+    ps = e.samples
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_2", tol.constancy,
                                "tau - tau_G vanishes somewhere")
-    h_spread = rel_spread(ps.H)
+    h_spread = _spread(e, "H")
     if h_spread <= tol.constancy:
         return _not_applicable("cor6_2", tol.constancy,
                                f"general helix (H spread {h_spread:.3g}): "
                                "H' vanishes identically; sigma undefined")
-    slant, sig_spread = _slant_verdict(ps, tol)
-    cps = check_samples(conjugate_mate_apparatus(p, spec).profile, spec)
-    conj_slant, conj_spread = _slant_verdict(cps, tol)
+    slant, sig_spread = _slant_verdict(e, tol)
+    ce = _kept_entry(conjugate_mate_apparatus(p, spec).profile, spec)
+    cps, (conj_slant, conj_spread) = ce.samples, _slant_verdict(ce, tol)
     details: dict = {"slant": slant, "conjugate_slant": conj_slant,
                      "sigma_spread": sig_spread,
                      "conjugate_sigma_spread": conj_spread}

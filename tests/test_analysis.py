@@ -1,5 +1,8 @@
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from curvemates.analysis import (EstimationError, ToleranceSet, classify,
@@ -618,3 +621,26 @@ def test_rel_spread():
     assert rel_spread([3.0, 3.0, 3.0]) == 0.0
     assert rel_spread([0.0, 1e-7]) == pytest.approx(1e-7)
     assert rel_spread([100.0, 100.001]) == pytest.approx(1e-5, rel=1e-3)
+
+
+def _rel_spread_by_functions(x) -> float:
+    """rel_spread written with numpy's reduction functions, the reference
+    of its method form."""
+    x = np.asarray(x, dtype=float)
+    return float((np.max(x) - np.min(x)) / max(1.0, abs(float(np.mean(x)))))
+
+
+_FLOATS = st.floats(allow_nan=True, allow_infinity=True, width=64)
+_SHAPES = hnp.array_shapes(max_dims=1, min_side=1, max_side=64)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(hnp.arrays(np.float64, _SHAPES, elements=_FLOATS),
+                 hnp.arrays(np.int64, _SHAPES),
+                 st.lists(_FLOATS, min_size=1, max_size=64),
+                 st.lists(st.integers(-2**63, 2**63 - 1), min_size=1, max_size=64)))
+@example(np.array([2.5]))
+@example([1.0, float("nan"), 3.0])
+def test_rel_spread_equals_its_function_form_to_the_bit(x):
+    with np.errstate(all="ignore"):
+        assert float.hex(rel_spread(x)) == float.hex(_rel_spread_by_functions(x))

@@ -1,5 +1,6 @@
 """The scripts' own logic: the mutation corpus's table, the A/B
-benchmark's summary and the speed trajectory it records."""
+benchmark's summary and the speed trajectory it records, and the
+analytic_sweep work counts."""
 
 import ast
 import json
@@ -13,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 from bench_ab import record, summarize, trajectory_row  # noqa: E402
 from mutants import MUTANTS  # noqa: E402
+from sweep_counts import main as sweep_counts_main, second_pass_counts  # noqa: E402
 
 
 def test_every_mutant_edits_one_place_in_its_file():
@@ -130,3 +132,18 @@ def test_record_appends_one_row_per_line(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert json.loads(text) == {"schema": 1, "rows": [row, row]}
     assert len(text.splitlines()) == 4
+
+
+def test_sweep_counts_repeat_exactly_and_leave_the_library_unwrapped(capsys):
+    from curvemates import analysis, expressions
+    originals = expressions.evaluate, analysis.rel_spread
+    counts = second_pass_counts(7, per_family=1)
+    assert counts == second_pass_counts(7, per_family=1)
+    assert counts["profiles"] == 12
+    assert all(isinstance(v, int) and v > 0 for v in counts.values())
+    assert (expressions.evaluate, analysis.rel_spread) == originals
+    assert sweep_counts_main(["7"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[0] for line in lines] == list(counts)
+    assert lines[0] == "profiles 24"
+    assert sweep_counts_main([]) == 2

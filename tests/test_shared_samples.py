@@ -1,7 +1,8 @@
-"""Consecutive checks of one profile share its check-grid samples and its
-spherical report.  Whatever a check finds kept, its report is the one a
-fresh run gives: in any order of checks, across groups and tolerance sets,
-and from several threads at once."""
+"""Consecutive checks of one profile share its check-grid samples, its
+spherical report, the spreads of its fields and the line fit of H.
+Whatever a check finds kept, its report is the one a fresh run gives: in
+any order of checks, across groups and tolerance sets, and from several
+threads at once."""
 
 import sys
 import threading
@@ -9,15 +10,17 @@ import threading
 import numpy as np
 import pytest
 
-from curvemates.analysis import (ToleranceSet, classify, spherical_check,
+from curvemates import checks
+from curvemates.analysis import (ToleranceSet, classify, rel_spread, spherical_check,
                                  verify_cor_3_1, verify_cor_3_2, verify_cor_3_3,
                                  verify_cor_3_4, verify_cor_5_2, verify_cor_6_1,
                                  verify_cor_6_2, verify_thm_4_1, verify_thm_5_1,
                                  verify_thm_5_2, verify_thm_6_2)
 from curvemates.catalog import SPHERICAL
-from curvemates.checks import KEPT_PAIRS, check_samples
+from curvemates.checks import INVERSE_GRID_POINTS, KEPT_PAIRS, check_samples
 from curvemates.liegroup import R3, S3, SO3
-from curvemates.profiles import CurvatureProfile
+from curvemates.mates import natural_mate_apparatus
+from curvemates.profiles import CurvatureProfile, ProfileSamples
 
 from conftest import (GENERAL_HELIX_BATTERY, NON_GENERAL_HELIX_BATTERY,
                       NON_SLANT_BATTERY, SLANT_BATTERY)
@@ -154,3 +157,56 @@ def test_samples_are_shared_while_among_the_last_pairs_asked_for():
     for q in others + [prof("3", "s", (0.0, 1.0))]:
         check_samples(q, R3)
     assert check_samples(p, R3) is not ps
+
+
+def test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own(monkeypatch):
+    # the hypothesis is read from the mate's kept check-grid samples; the
+    # fine grid of the quadrature round trip gives the same decisions here,
+    # and an applicable report is the one a run with nothing kept gives
+    applicable = 0
+    for entry in BATTERY:
+        p = prof(*entry)
+        for spec in GROUPS:
+            mate = natural_mate_apparatus(p, spec).profile
+            fine = ProfileSamples(mate, spec, p.grid(INVERSE_GRID_POINTS)).kappa
+            classify(p, spec)
+            verify_thm_5_2(p, spec)
+            rep = verify_thm_5_1(p, spec)
+            where = f"{entry} {spec.family}"
+            assert rep.applicable == (rel_spread(fine) <= ToleranceSet().constancy), where
+            if rep.applicable:
+                applicable += 1
+                monkeypatch.setattr(checks, "_kept", ())
+                assert_same(rep, verify_thm_5_1(p, spec), where)
+    # the circular helices in every group and the slant helices in r3
+    assert applicable == 4 * len(GROUPS) + len(SLANT_BATTERY)
+
+
+def test_kept_statistics_equal_their_direct_computation():
+    # whatever was kept first, each spread and the line fit of H are those
+    # of their own field, computed here from samples no check has seen
+    for entry in SLANT_BATTERY + NON_SLANT_BATTERY:
+        p = prof(*entry)
+        for spec in GROUPS:
+            where = f"{entry} {spec.family}"
+            verify_cor_3_2(p, spec)
+            verify_thm_6_2(p, spec)
+            v = classify(p, spec).verdicts
+            ps = ProfileSamples(p, spec, p.grid())
+            spread = {f: rel_spread(getattr(ps, f)) for f in ("kappa", "tau", "H", "sigma")}
+            design = np.vstack([ps.s, np.ones_like(ps.s)]).T
+            (slope, intercept), *_ = np.linalg.lstsq(design, ps.H, rcond=None)
+            rms = float(np.sqrt(np.mean((ps.H - design @ [slope, intercept]) ** 2)))
+            fit = rms / max(float(np.max(ps.H) - np.min(ps.H)), 1e-300)
+            sigma_defined = not np.any(np.isnan(ps.sigma))
+            for verdict, want in (("general_helix", spread["H"]),
+                                  ("slant_helix", spread["sigma"] if sigma_defined else None),
+                                  ("salkowski", spread["kappa"]),
+                                  ("anti_salkowski", spread["tau"]),
+                                  ("rectifying", fit)):
+                assert_same(v[verdict].residual, want, f"{where} {verdict}")
+            assert v["rectifying"].note == f"H fit slope {slope:.6g}", where
+            mate = natural_mate_apparatus(p, spec).profile
+            mate_h = rel_spread(ProfileSamples(mate, spec, mate.grid()).H)
+            rep = verify_cor_3_2(p, spec)
+            assert float.hex(rep.details["mate_H_spread"]) == float.hex(mate_h), where
