@@ -100,8 +100,8 @@ MUTANTS = (
            "mul(out[lo - 1], block[0])",
            ("tests/test_integrate.py::test_defects_of_demo_profiles_stay_below_1e_12",)),
     Mutant("hermite_midpoint_sign", "src/curvemates/integrate.py",
-           "(h / 8.0) * (deriv[:-1] - deriv[1:])",
-           "(h / 8.0) * (deriv[1:] - deriv[:-1])",
+           "slope = deriv[:-1] - deriv[1:]",
+           "slope = deriv[1:] - deriv[:-1]",
            ("tests/test_integrate.py", "tests/test_acceptance.py")),
     Mutant("binormal_derivative_sign", "src/curvemates/integrate.py",
            "deriv = -m[:, None] * source.n",
@@ -262,6 +262,19 @@ MUTANTS = (
            'spread = _spread(_kept_entry(p, spec), "kappa")',
            ("tests/test_shared_samples.py::"
             "test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own",)),
+    # the in-place work of the integrators and the estimator
+    Mutant("magnus_scaling_dropped", "src/curvemates/integrate.py",
+           "omega *= h / 6.0",
+           "omega *= 1.0 / 6.0",
+           ("tests/test_integrate.py::test_magnus_exact_on_constant_coefficients",)),
+    Mutant("hermite_sum_in_callers_field", "src/curvemates/integrate.py",
+           "mid = field[:-1] + field[1:]",
+           "mid = field[:-1]\n    mid += field[1:]",
+           ("tests/test_memory.py::test_pipeline_leaves_its_inputs_unchanged",)),
+    Mutant("estimator_normalises_callers_positions", "src/curvemates/liegroup.py",
+           "return np.asarray(dg, dtype=float)",
+           "return np.asarray(g, dtype=float)",
+           ("tests/test_memory.py::test_pipeline_leaves_its_inputs_unchanged",)),
     # the entry rule: main() owns the process and freezes its start-up heap
     Mutant("entry_point_skips_freeze", "src/curvemates/cli.py",
            "        gc.freeze()",

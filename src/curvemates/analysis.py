@@ -103,8 +103,8 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
         raise EstimationError("estimation requires a uniform s-grid")
     h = float(s[1] - s[0])
 
-    dpos = sg_derivative(positions, h, DEFAULT_WINDOW)
-    t = pull_back_tangent(positions, dpos, spec)
+    # the position derivative is dropped once the tangent exists
+    t = pull_back_tangent(positions, sg_derivative(positions, h, DEFAULT_WINDOW), spec)
     tp = sg_derivative(t, h, DEFAULT_WINDOW)
     kappa = np.linalg.norm(tp, axis=1)
 
@@ -114,10 +114,13 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
         raise EstimationError("kappa below 1e-9 on an interior window; "
                               "not a Frenet curve there")
     kappa_safe = np.where(kappa < 1e-300, 1.0, kappa)
-    that = t / np.linalg.norm(t, axis=1, keepdims=True)
-    nhat = tp / kappa_safe[:, None]
+    # T, N and B are normalised in place: t, tp and the cross product are
+    # arrays of this function (for r3, t is the position derivative itself)
+    that, nhat = t, tp
+    that /= np.linalg.norm(that, axis=1, keepdims=True)
+    nhat /= kappa_safe[:, None]
     bhat = np.cross(that, nhat)
-    bhat = bhat / np.linalg.norm(bhat, axis=1, keepdims=True)
+    bhat /= np.linalg.norm(bhat, axis=1, keepdims=True)
     nprime = sg_derivative(nhat, h, DEFAULT_WINDOW)
     tn_bracket = bracket(that, nhat, spec)
     tau_g = 0.5 * np.sum(tn_bracket * bhat, axis=1)

@@ -100,11 +100,17 @@ def _magnus_exponents(w: np.ndarray, w_mid: np.ndarray, h: float,
                       lam: float) -> np.ndarray:
     """Fourth-order Magnus exponent of every step, from algebra values at
     the nodes (N+1, 3) and the midpoints (N, 3); lam is the structure
-    scalar of the bracket."""
+    scalar of the bracket.  Each sum is formed in place, so that the
+    exponents cost one array besides the bracket term."""
     w0, w1 = w[:-1], w[1:]
-    omega = (h / 6.0) * (w0 + 4.0 * w_mid + w1)
+    omega = 4.0 * w_mid
+    omega += w0
+    omega += w1
+    omega *= h / 6.0
     if lam:
-        omega += (lam * h * h / 12.0) * np.cross(w0, w1)
+        commutator = np.cross(w0, w1)
+        commutator *= lam * h * h / 12.0
+        omega += commutator
     return omega
 
 
@@ -153,7 +159,8 @@ def _integrate_group_positions(s: np.ndarray, field: np.ndarray,
     out = np.empty((s.shape[0],) + g.shape)
     out[0] = g
     if spec.family == "r3":
-        out[1:] = g + np.cumsum(_magnus_exponents(field, field_mid, h, spec.lam), axis=0)
+        np.cumsum(_magnus_exponents(field, field_mid, h, spec.lam), axis=0, out=out[1:])
+        out[1:] += g
         return out, (0.0, 0.0)
     exp, mul = ((_exp_quaternions, quat_mul_rows) if spec.family == "s3"
                 else (_exp_rotations, np.matmul))
@@ -195,8 +202,11 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
     def algebra(kap, tor):
         return np.column_stack([tor - spec.tau_g, np.zeros_like(kap), kap])
 
+    # the midpoint samples are freed before the integration allocates the frames
+    field_mid = algebra(kappa_mid, tau_mid)
+    del mid, kappa_mid, tau_mid
     g, (step_defect, frame_defect) = _integrate_group_positions(
-        s, algebra(kappa, tau), algebra(kappa_mid, tau_mid), SO3,
+        s, algebra(kappa, tau), field_mid, SO3,
         None if init is None else np.asarray(init, dtype=float).T)
     return FrameTrajectory(
         s=s, t=g[:, :, 0], n=g[:, :, 1], b=g[:, :, 2], kappa=kappa, tau=tau,
@@ -205,16 +215,20 @@ def integrate_frame(p: CurvatureProfile, spec: GroupSpec, s0: float, s1: float,
 
 def _hermite_midpoints(field: np.ndarray, deriv: np.ndarray, h: float) -> np.ndarray:
     """Cubic Hermite value at every interval midpoint from node values and
-    node derivatives.  O(h^4) accurate."""
-    return 0.5 * (field[:-1] + field[1:]) + (h / 8.0) * (deriv[:-1] - deriv[1:])
+    node derivatives, formed in place with one temporary besides the
+    result.  O(h^4) accurate."""
+    mid = field[:-1] + field[1:]
+    mid *= 0.5
+    slope = deriv[:-1] - deriv[1:]
+    slope *= h / 8.0
+    mid += slope
+    return mid
 
 
 def reconstruct_position(traj: FrameTrajectory, spec: GroupSpec,
                          g0: Optional[np.ndarray] = None) -> FrameTrajectory:
     """Integrate gamma' = dL_gamma(t(s)) along the trajectory's own tangent."""
-    h = traj.h
-    t_prime = traj.kappa[:, None] * traj.n
-    t_mid = _hermite_midpoints(traj.t, t_prime, h)
+    t_mid = _hermite_midpoints(traj.t, traj.kappa[:, None] * traj.n, traj.h)
     positions, (step_defect, drift) = _integrate_group_positions(
         traj.s, traj.t, t_mid, spec, g0)
     return traj._replace(positions=positions, max_element_defect=drift,
@@ -235,6 +249,7 @@ def integrate_direction_curve(source: FrameTrajectory, which: str, spec: GroupSp
     else:
         raise ValueError("which must be 'principal_normal' or 'binormal'")
     field_mid = _hermite_midpoints(field, deriv, source.h)
+    del m, deriv    # freed before the integration allocates the positions
     positions, (step_defect, drift) = _integrate_group_positions(
         source.s, field, field_mid, spec, g0)
     return PositionCurve(s=source.s, positions=positions, spec=spec,

@@ -151,7 +151,8 @@ def pull_back_tangent(g: np.ndarray, dg: np.ndarray, spec: GroupSpec) -> np.ndar
     if spec.family == "s3":
         return quat_mul_rows(g * np.array([1.0, -1.0, -1.0, -1.0]), dg)[..., 1:]
     a = np.einsum("...ja,...jb->...ab", g, dg)
-    return vee(0.5 * (a - np.swapaxes(a, -1, -2)))
+    # the skew part's components, read without another (N, 3, 3) array
+    return 0.5 * (vee(a) - vee(np.swapaxes(a, -1, -2)))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The scripts' own logic: the mutation corpus's table, the A/B
-benchmark's summary and the speed trajectory it records, and the
-analytic_sweep work counts."""
+benchmark's summary and the speed trajectory it records, the
+analytic_sweep work counts and the pipeline's peak memory."""
 
 import ast
 import json
@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 from bench_ab import record, summarize, trajectory_row  # noqa: E402
 from mutants import MUTANTS  # noqa: E402
+from peak_memory import command_rss, function_peaks  # noqa: E402
+import workloads  # noqa: E402
 from sweep_counts import main as sweep_counts_main, second_pass_counts  # noqa: E402
 
 
@@ -147,3 +149,12 @@ def test_sweep_counts_repeat_exactly_and_leave_the_library_unwrapped(capsys):
     assert [line.split()[0] for line in lines] == list(counts)
     assert lines[0] == "profiles 24"
     assert sweep_counts_main([]) == 2
+
+
+def test_peak_memory_measures_every_function_and_a_command():
+    peaks = function_peaks(steps=(1e-2,))
+    assert len(peaks) == 4 * 3
+    assert all(isinstance(v, int) and v > 0 for v in peaks.values())
+    op = workloads.cli_ops("synth", 7, groups=("r3",))[0]
+    [(key, rc, rss)] = command_rss([op])
+    assert (key, rc) == (op.key, 0) and rss > 0
