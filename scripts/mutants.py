@@ -199,6 +199,19 @@ MUTANTS = (
            "_sg_coeffs(window, window - 1 - p)",
            "_sg_coeffs(window, window - 2 - p)",
            ("tests/test_liegroup.py",)),
+    # the closed forms that stand in for LAPACK
+    Mutant("sg_recurrence_drops_beta", "src/curvemates/liegroup.py",
+           "p_prev, p = p, x * p - bk * p_prev",
+           "p_prev, p = p, x * p",
+           ("tests/test_liegroup.py",)),
+    Mutant("polar_step_drops_half", "src/curvemates/liegroup.py",
+           "step = [0.5 * (v + w / det) for v, w in zip(x, cof)]",
+           "step = [(v + w / det) for v, w in zip(x, cof)]",
+           ("tests/test_liegroup.py",)),
+    Mutant("line_fit_uncentred", "src/curvemates/checks.py",
+           "sc, yc = s - s.mean(), y - y.mean()",
+           "sc, yc = s, y",
+           ("tests/test_shared_samples.py::test_kept_statistics_equal_their_direct_computation",)),
     Mutant("estimator_margin_shrunk", "src/curvemates/analysis.py",
            "MARGIN = 3 * (DEFAULT_WINDOW // 2)",
            "MARGIN = 2 * (DEFAULT_WINDOW // 2)",

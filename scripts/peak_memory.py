@@ -12,14 +12,18 @@ call: ``integrate_frame``, ``reconstruct_position``,
 ``estimate_apparatus`` (of the reconstructed positions).  Then it runs the
 benchmark's CLI commands (the 15 of ``synth`` and the 12 of
 ``mate_geometric``, from perfbench/workloads.py) one at a time through
-perfbench/spawner.py and prints each command's exit code and max RSS.  A
-forked child's max RSS counts the pages of the process that forked it, so
-the commands are started from the spawner, which never imports numpy.
+perfbench/spawner.py and prints each command's exit code, its max RSS and
+how far that lies above the floor: the median max RSS of five
+``curve-mates --show-tolerances`` runs, which import the CLI and its
+libraries and compute nothing.  A forked child's max RSS counts the pages of
+the process that forked it, so the commands are started from the spawner,
+which never imports numpy.
 """
 
 from __future__ import annotations
 
 import os
+import statistics
 import sys
 import tempfile
 import tracemalloc
@@ -39,6 +43,7 @@ from run import CLI, Spawner  # noqa: E402
 GROUPS = ("r3", "so3", "s3")
 STEPS = (1e-3, 1e-4)
 MB = 2 ** 20
+FLOOR_RUNS = 5
 
 
 def salkowski_calls(family: str, h: float) -> tuple[dict, list]:
@@ -86,9 +91,10 @@ def function_peaks(steps=STEPS) -> dict:
     return peaks
 
 
-def command_rss(ops) -> list[tuple[str, int, float]]:
-    """(op key, exit code, max RSS in MB) of each benchmark CLI op, run
-    through the spawner with ./src first on PYTHONPATH."""
+def cli_rss(argvs) -> list[tuple[int, float]]:
+    """(exit code, max RSS in MB) of each CLI command, run through the
+    spawner with ./src first on PYTHONPATH.  ``argvs`` maps the path of a
+    scratch output file to the commands' argument lists."""
     old = os.environ.get("PYTHONPATH")
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src") + (os.pathsep + old if old else ""))
     spawner = Spawner(env, min(os.sched_getaffinity(0)))
@@ -96,13 +102,25 @@ def command_rss(ops) -> list[tuple[str, int, float]]:
     try:
         with tempfile.TemporaryDirectory() as tmp:
             work = Path(tmp)
-            for op in ops:
-                child = spawner.run([sys.executable, "-c", CLI] + op.argv(work / "out.csv"),
+            for argv in argvs(work / "out.csv"):
+                child = spawner.run([sys.executable, "-c", CLI] + argv,
                                     work / "stdout", work / "stderr")
-                rows.append((op.key, child.rc, child.rss_mb))
+                rows.append((child.rc, child.rss_mb))
     finally:
         spawner.close()
     return rows
+
+
+def command_rss(ops) -> list[tuple[str, int, float]]:
+    """(op key, exit code, max RSS in MB) of each benchmark CLI op."""
+    rows = cli_rss(lambda out: [op.argv(out) for op in ops])
+    return [(op.key, rc, rss) for op, (rc, rss) in zip(ops, rows)]
+
+
+def floor_rss(runs: int = FLOOR_RUNS) -> float:
+    """Median max RSS in MB of ``curve-mates --show-tolerances``."""
+    rows = cli_rss(lambda out: [["--show-tolerances"]] * runs)
+    return statistics.median(rss for _, rss in rows)
 
 
 def main(argv=None) -> int:
@@ -112,10 +130,12 @@ def main(argv=None) -> int:
     print("function peaks above start (MB), Salkowski curve")
     for (name, family, h), peak in function_peaks().items():
         print(f"  {name:26s} {family:4s} h={h:g}  {peak / MB:.3f}")
-    print("benchmark commands, max RSS (MB)")
+    floor = floor_rss()
+    print(f"benchmark commands, max RSS and its excess over the floor (MB); "
+          f"--show-tolerances floor {floor:.2f}")
     ops = workloads.cli_ops("synth", 7) + workloads.cli_ops("mate_geometric", 7)
     for key, rc, rss in command_rss(ops):
-        print(f"  {key:40s} exit {rc}  {rss:.2f}")
+        print(f"  {key:40s} exit {rc}  {rss:.2f}  +{rss - floor:.2f}")
     return 0
 
 

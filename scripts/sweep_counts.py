@@ -10,7 +10,8 @@ verifiers and both analytic mates.  The first pass builds what a run keeps
 for its whole life (parsed expressions, derivatives, mates); the counts of
 the second pass are printed, one ``name value`` line each:
 ``expressions.evaluate`` calls and the points they evaluate, ``rel_spread``
-calls, ``numpy.linalg.lstsq`` calls, and spherical criteria computed
+calls, line fits computed (``checks._fit_line``; the library calls no
+``numpy.linalg.lstsq``), and spherical criteria computed
 (``checks._spherical``).  The counts depend on the seed only, so two
 versions of the code compare exactly.
 """
@@ -38,13 +39,13 @@ PER_FAMILY = 2
 @contextmanager
 def counting(counts: Counter):
     """Count calls of the counted functions, wherever a module of the
-    package or numpy.linalg holds them, and restore them on exit."""
+    package holds them, and restore them on exit."""
     targets = {"expressions.evaluate": expressions.evaluate,
                "rel_spread": analysis.rel_spread,
-               "lstsq": np.linalg.lstsq,
+               "line_fits": checks._fit_line,
                "spherical_criteria": checks._spherical}
     modules = [m for name, m in sys.modules.items()
-               if name.startswith("curvemates.")] + [np.linalg]
+               if name.startswith("curvemates.")]
     saved = []
 
     def wrap(name, fn):
@@ -93,7 +94,7 @@ def second_pass_counts(seed: int, per_family: int = PER_FAMILY) -> dict[str, int
     with counting(counts):
         run_pass(cases)
     names = ("expressions.evaluate.calls", "expressions.evaluate.points",
-             "rel_spread.calls", "lstsq.calls", "spherical_criteria.calls")
+             "rel_spread.calls", "line_fits.calls", "spherical_criteria.calls")
     return {"profiles": len(cases), **{name: counts[name] for name in names}}
 
 

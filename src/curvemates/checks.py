@@ -79,15 +79,21 @@ def _spread(entry: _Kept, field: str) -> float:
     return entry.spreads[field]
 
 
+def _fit_line(s: np.ndarray, y: np.ndarray) -> tuple[float, float]:
+    """Slope and rms misfit of the least-squares line through (s, y), from
+    the centred samples: slope = sum(sc yc) / sum(sc^2), misfit yc - slope sc."""
+    sc, yc = s - s.mean(), y - y.mean()
+    slope = float((sc * yc).sum() / (sc * sc).sum())
+    return slope, float(np.sqrt(np.mean((yc - slope * sc) ** 2)))
+
+
 def _line_fit(entry: _Kept, field: str):
     """Least-squares line through one field of the entry's samples: its
     slope, the rms misfit and the range of the field, kept with them."""
     if field not in entry.fits:
-        s, y = entry.samples.s, getattr(entry.samples, field)
-        design = np.vstack([s, np.ones_like(s)]).T
-        (slope, intercept), *_ = np.linalg.lstsq(design, y, rcond=None)
-        fit_rms = float(np.sqrt(np.mean((y - design @ [slope, intercept]) ** 2)))
-        entry.fits[field] = slope, fit_rms, max(float(np.max(y) - np.min(y)), 1e-300)
+        y = getattr(entry.samples, field)
+        entry.fits[field] = (*_fit_line(entry.samples.s, y),
+                             max(float(np.max(y) - np.min(y)), 1e-300))
     return entry.fits[field]
 
 

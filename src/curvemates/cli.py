@@ -24,7 +24,7 @@ from .analysis import ToleranceSet
 from .expressions import DifferentiationError, DomainError, ExpressionSyntaxError
 from .integrate import (_grid, _samples, integrate_direction_curve,
                         integrate_frame, reconstruct_position)
-from .liegroup import GroupSpec, group_spec, identity_element
+from .liegroup import GroupSpec, det3, group_spec, identity_element
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
                     natural_mate_apparatus)
 from .profiles import (CurvatureProfile, FrenetViolation, ProfileSamples,
@@ -334,11 +334,11 @@ def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
     # no unit quaternion to give for 0
     if config.init_frame is not None:
         init = config.init_frame.reshape(3, 3)
-        if not np.linalg.det(init) > 0:
+        if not det3(init) > 0:
             raise ConfigError("init_frame must be a right-handed frame (det > 0)")
     if config.init_position is not None:
         g0 = config.init_position.reshape(identity_element(spec).shape)
-        if spec.family == "so3" and not np.linalg.det(g0) > 0:
+        if spec.family == "so3" and not det3(g0) > 0:
             raise ConfigError("init_position must be a rotation matrix (det > 0)")
         if spec.family == "s3" and not 0 < np.linalg.norm(g0) < np.inf:
             raise ConfigError("init_position must be a nonzero quaternion of finite norm")

@@ -9,10 +9,15 @@ Group elements are plain numpy arrays whose shape depends on the family:
 (3,) translation vectors, (3,3) rotation matrices, (4,) scalar-first unit
 quaternions; a group is a ``GroupSpec`` record.  The uniform-grid rules,
 cumulative quadrature and the least-squares derivative filter, live here.
+
+No function here calls LAPACK: the 3x3 determinant, the projection onto
+the rotations and the filter's weights are closed forms in float
+arithmetic.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -111,12 +116,29 @@ def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return out
 
 
+def det3(m) -> float:
+    """Determinant of a 3x3 matrix: the triple product of its rows."""
+    (a, b, c), (d, e, f), (p, q, r) = np.asarray(m, dtype=float).tolist()
+    return a * (e * r - f * q) + b * (f * p - d * r) + c * (d * q - e * p)
+
+
+POLAR_STEPS = 1100    # past the ~1075 halvings that the float range allows
+
+
 def renormalize_element(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
     """Project back onto the group manifold (the identity map for r3).
 
+    A matrix goes to its polar factor, the nearest rotation, by Newton's
+    iteration g <- (g + g^-T) / 2 (Higham 1986), with g^-T = cof(g) / det g,
+    until no entry moves by more than 1e-15; a rotation is a fixed point and
+    the identity maps to itself exactly.  A matrix whose largest entry lies
+    outside [0.5, 2) is first scaled by a power of two, which is exact and
+    leaves the polar factor as it is.
+
     Raises ValueError where no nearby group element exists: a translation
-    with a non-finite entry, a matrix with det <= 0 or a non-finite entry, a
-    quaternion of zero or non-finite norm."""
+    with a non-finite entry, a matrix with det <= 0 or a non-finite entry (or
+    one so near singular that the iteration does not settle in POLAR_STEPS
+    steps), a quaternion of zero or non-finite norm."""
     if spec.family == "r3":
         if not np.all(np.isfinite(g)):
             raise ValueError("a translation with a non-finite entry is no point of R^3")
@@ -126,12 +148,27 @@ def renormalize_element(spec: GroupSpec, g: np.ndarray) -> np.ndarray:
         if not 0 < norm < np.inf:
             raise ValueError(f"a quaternion of norm {norm} has no nearest unit quaternion")
         return g / norm
-    if not (np.all(np.isfinite(g)) and np.linalg.det(g) > 0):
+    if not (np.all(np.isfinite(g)) and det3(g) > 0):
         raise ValueError("a matrix with det <= 0 or a non-finite entry "
                          "has no nearest rotation")
-    # det g > 0, so the polar factor u vt is a rotation
-    u, _, vt = np.linalg.svd(g)
-    return u @ vt
+    x = g.ravel().tolist()
+    big = max(map(abs, x))
+    if not 0.5 <= big < 2.0:
+        x = [math.ldexp(v, -math.frexp(big)[1]) for v in x]
+    for _ in range(POLAR_STEPS):
+        a, b, c, d, e, f, p, q, r = x
+        # rows of the cofactor matrix: r1 x r2, r2 x r0, r0 x r1
+        cof = (e * r - f * q, f * p - d * r, d * q - e * p,
+               q * c - r * b, r * a - p * c, p * b - q * a,
+               b * f - c * e, c * d - a * f, a * e - b * d)
+        det = a * cof[0] + b * cof[1] + c * cof[2]
+        step = [0.5 * (v + w / det) for v, w in zip(x, cof)]
+        moved = max(abs(v - w) for v, w in zip(step, x))
+        x = step
+        if moved <= 1e-15:
+            return np.array(x).reshape(3, 3)
+    raise ValueError("a matrix this near singular has no nearest rotation "
+                     f"that {POLAR_STEPS} polar steps reach")
 
 
 def element_defect(spec: GroupSpec, g: np.ndarray) -> float:
@@ -198,9 +235,41 @@ def is_uniform_grid(s: np.ndarray) -> bool:
 
 @lru_cache(maxsize=None)
 def _sg_coeffs(window: int, offset: int) -> np.ndarray:
-    """First-derivative weights of the quartic fit at ``offset``, read-only."""
-    x = np.arange(window, dtype=float) - float(offset)
-    w = np.linalg.pinv(np.vander(x, 5, increasing=True))[1]
+    """First-derivative weights of the quartic fit at ``offset``, read-only.
+
+    With p_0..p_4 the monic polynomials orthogonal on the window's nodes
+    x_i = i - half (Forsythe 1957), w_i = sum_k p_k'(t) p_k(x_i) / |p_k|^2 at
+    t = offset - half.  On these nodes p_k+1 = x p_k - beta_k p_k-1 with
+    beta_k = k^2 (n^2 - k^2) / (4 (4k^2 - 1)) and |p_k|^2 = beta_k |p_k-1|^2."""
+    n, half = window, window // 2
+    x = np.arange(-half, half + 1, dtype=float)
+    t = float(offset - half)
+
+    def beta(k):
+        return k * k * (n * n - k * k) / (4.0 * (4 * k * k - 1))
+
+    w = np.zeros(n)
+    p_prev, p = np.zeros(n), np.ones(n)         # p_k-1, p_k at the nodes
+    v_prev, v, dv_prev, dv = 0.0, 1.0, 0.0, 0.0   # p_k-1(t), p_k(t) and their slopes
+    norm = float(n)                             # |p_k|^2
+    for k in range(5):                          # beta_0 = 0 multiplies p_-1 = 0
+        w += (dv / norm) * p
+        bk = beta(k)
+        p_prev, p = p, x * p - bk * p_prev
+        dv_prev, dv = dv, v + t * dv - bk * dv_prev
+        v_prev, v = v, t * v - bk * v_prev
+        norm *= beta(k + 1)
+    w.flags.writeable = False
+    return w
+
+
+@lru_cache(maxsize=None)
+def _sg_end_coeffs(window: int) -> np.ndarray:
+    """Weights of the one-sided rows, read-only, shape (2, half, window, 1):
+    [0, p] for row p of the first window, [1, p] for row p from the end."""
+    half = window // 2
+    w = np.array([[_sg_coeffs(window, p) for p in range(half)],
+                  [_sg_coeffs(window, window - 1 - p) for p in range(half)]])[..., None]
     w.flags.writeable = False
     return w
 
@@ -219,14 +288,17 @@ def sg_derivative(values: np.ndarray, h: float, window: int) -> np.ndarray:
     half = window // 2
     flat = f.reshape(n, -1)
     out = np.empty_like(flat)
-    # the centred window, one weighted shifted copy at a time
+    # every row adds its weighted samples one at a time in window order, so
+    # its bits do not depend on the input's memory layout: the centred rows
+    # as shifted copies, the one-sided rows by cumsum along the window
     w, m = _sg_coeffs(window, half), n - 2 * half
     inner = np.multiply(flat[:m], w[0], out=out[half:n - half])
     for k in range(1, window):
         inner += w[k] * flat[k:k + m]
-    for p in range(half):
-        out[p] = flat[:window].T @ _sg_coeffs(window, p)
-        out[n - 1 - p] = flat[n - window:].T @ _sg_coeffs(window, window - 1 - p)
+    ends = np.stack([flat[:window], flat[n - window:]])[:, None]
+    ends = np.cumsum(_sg_end_coeffs(window) * ends, axis=2)[:, :, -1]
+    out[:half] = ends[0]
+    out[n - 1:n - 1 - half:-1] = ends[1]
     return (out / h).reshape(f.shape)
 
 

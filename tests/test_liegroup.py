@@ -1,10 +1,13 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import polar
 
-from curvemates.liegroup import (R3, S3, SO3, GroupSpec, bracket,
-                                 cumulative_quadrature, element_defect,
+from curvemates.liegroup import (R3, S3, SO3, GroupSpec, _sg_coeffs, bracket,
+                                 cumulative_quadrature, det3, element_defect,
                                  group_spec, identity_element,
                                  pull_back_tangent, quat_mul, quat_mul_rows,
                                  renormalize_element, sg_derivative, vee)
@@ -183,6 +186,101 @@ def test_renormalize_and_defect():
 def test_renormalize_rejects_an_element_with_no_nearest_group_element(spec, g):
     with pytest.raises(ValueError):
         renormalize_element(spec, g)
+
+
+def test_det3_matches_numpy_det():
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        m = rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-3, 3)
+        assert det3(m) == pytest.approx(np.linalg.det(m), rel=1e-12, abs=0.0)
+    assert det3(np.diag([1.0, 1.0, -1.0])) == -1.0
+    assert np.isnan(det3(np.where(np.eye(3) > 0, np.nan, 0.0)))
+
+
+def test_projection_matches_the_polar_factor():
+    # the closed form against scipy's SVD-based polar decomposition, near
+    # rotations and on matrices far from any (scaled, sheared), det > 0
+    rng = np.random.default_rng(5)
+    for trial in range(400):
+        u, _, vt = np.linalg.svd(rng.normal(size=(3, 3)))
+        if trial % 2:
+            m = u @ vt + 10.0 ** rng.uniform(-12, -3) * rng.normal(size=(3, 3))
+        else:
+            m = 10.0 ** rng.uniform(-3, 3) * (u @ np.diag(10.0 ** rng.uniform(-0.5, 0.5, 3)) @ vt)
+        if np.linalg.det(m) < 0:
+            m = -m
+        r = renormalize_element(SO3, m)
+        np.testing.assert_allclose(r, polar(m)[0], rtol=0, atol=1e-14)
+        assert element_defect(SO3, r) <= 1e-15 and det3(r) > 0
+
+
+@pytest.mark.parametrize("scale", [1e-100, 1e-30, 1e-3, 1e3, 1e30, 1e100])
+def test_projection_ignores_the_scale(scale):
+    m = np.array([[0.0, 1.0, 0.2], [-1.0, 0.1, 0.0], [0.0, 0.3, 1.0]])
+    np.testing.assert_allclose(renormalize_element(SO3, scale * m), polar(m)[0],
+                               rtol=0, atol=1e-14)
+
+
+def test_projection_keeps_the_identity_bit_for_bit():
+    eye = np.eye(3)
+    assert renormalize_element(SO3, eye).tobytes() == eye.tobytes()
+
+
+@pytest.mark.parametrize("g", [
+    -np.eye(3),
+    np.array([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [0.0, 0.0, 1.0]]),
+    np.where(np.eye(3) > 0, np.inf, 0.0),
+], ids=["det-minus-one", "singular", "inf"])
+def test_projection_rejects_det_at_most_zero_and_non_finite_entries(g):
+    with pytest.raises(ValueError, match="no nearest rotation"):
+        renormalize_element(SO3, g)
+
+
+def exact_sg_weights(window, offset):
+    """Derivative at 0 of the least-squares quartic through the samples at
+    x_i = i - offset, as exact rationals: the normal equations V^T V a = e_1
+    solved by Gauss-Jordan elimination, then w_i = sum_j a_j x_i^j."""
+    xs = [Fraction(i - offset) for i in range(window)]
+    rows = [[sum(x ** (i + j) for x in xs) for j in range(5)] + [Fraction(i == 1)]
+            for i in range(5)]
+    for c in range(5):
+        rows[c] = [v / rows[c][c] for v in rows[c]]
+        for r in range(5):
+            if r != c:
+                rows[r] = [v - rows[r][c] * pivot for v, pivot in zip(rows[r], rows[c])]
+    a = [row[5] for row in rows]
+    return [sum(a[j] * x ** j for j in range(5)) for x in xs]
+
+
+@pytest.mark.parametrize("window", [5, 11, 101])
+def test_sg_weights_match_exact_rational_weights(window):
+    for offset in range(window):
+        exact = exact_sg_weights(window, offset)
+        scale = max(abs(v) for v in exact)
+        got = _sg_coeffs(window, offset)
+        err = max(abs(Fraction(float(g)) - e) for g, e in zip(got, exact))
+        assert err <= Fraction(1, 10 ** 15) * scale, (window, offset, float(err / scale))
+
+
+@pytest.mark.parametrize("window", [5, 11, 101])
+def test_sg_derivative_gives_the_same_bits_for_any_layout(window):
+    rng = np.random.default_rng(window)
+    f = np.cumsum(rng.normal(size=(301, 9)), axis=0)
+    want = sg_derivative(f, 0.01, window)
+    for g in (np.asfortranarray(f), np.repeat(f, 2, axis=1)[:, ::2]):
+        assert not g.flags.c_contiguous
+        assert sg_derivative(g, 0.01, window).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("window", [5, 11, 101])
+def test_sg_derivative_differentiates_quartics_in_every_row(window):
+    # 241 samples: the one-sided rows at both ends and the centred rows
+    P = np.polynomial.polynomial
+    s = np.linspace(-1.0, 2.0, 241)
+    c = np.array([0.3, -1.2, 0.7, 2.0, -0.5])
+    f = np.stack([P.polyval(s, c), P.polyval(s, -2.0 * c)], axis=1)
+    df = np.stack([P.polyval(s, P.polyder(c)), P.polyval(s, P.polyder(-2.0 * c))], axis=1)
+    np.testing.assert_allclose(sg_derivative(f, s[1] - s[0], window), df, rtol=0, atol=1e-11)
 
 
 def test_left_shift_line():

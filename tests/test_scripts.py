@@ -14,7 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
 from bench_ab import record, summarize, trajectory_row  # noqa: E402
 from mutants import MUTANTS  # noqa: E402
-from peak_memory import command_rss, function_peaks  # noqa: E402
+from peak_memory import command_rss, floor_rss, function_peaks  # noqa: E402
 import workloads  # noqa: E402
 from sweep_counts import main as sweep_counts_main, second_pass_counts  # noqa: E402
 
@@ -137,13 +137,13 @@ def test_record_appends_one_row_per_line(tmp_path):
 
 
 def test_sweep_counts_repeat_exactly_and_leave_the_library_unwrapped(capsys):
-    from curvemates import analysis, expressions
-    originals = expressions.evaluate, analysis.rel_spread
+    from curvemates import analysis, checks, expressions
+    originals = expressions.evaluate, analysis.rel_spread, checks._fit_line
     counts = second_pass_counts(7, per_family=1)
     assert counts == second_pass_counts(7, per_family=1)
     assert counts["profiles"] == 12
     assert all(isinstance(v, int) and v > 0 for v in counts.values())
-    assert (expressions.evaluate, analysis.rel_spread) == originals
+    assert (expressions.evaluate, analysis.rel_spread, checks._fit_line) == originals
     assert sweep_counts_main(["7"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert [line.split()[0] for line in lines] == list(counts)
@@ -158,3 +158,10 @@ def test_peak_memory_measures_every_function_and_a_command():
     op = workloads.cli_ops("synth", 7, groups=("r3",))[0]
     [(key, rc, rss)] = command_rss([op])
     assert (key, rc) == (op.key, 0) and rss > 0
+
+
+def test_peak_memory_floor_is_the_start_up_alone():
+    # --show-tolerances imports what a command imports and computes nothing
+    op = workloads.cli_ops("synth", 7, groups=("so3",))[0]
+    [(_, rc, rss)] = command_rss([op])
+    assert rc == 0 and 0 < floor_rss(runs=1) < rss

@@ -182,6 +182,12 @@ def test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own(monkeypatc
     assert applicable == 4 * len(GROUPS) + len(SLANT_BATTERY)
 
 
+# the line fit of H is a closed form, checked against numpy's lstsq: its
+# slope to within FIT_REL of the slope, its rms misfit to within FIT_REL of
+# the range of H (the rectifying residual is that misfit over the range)
+FIT_REL = 1e-12
+
+
 def test_kept_statistics_equal_their_direct_computation():
     # whatever was kept first, each spread and the line fit of H are those
     # of their own field, computed here from samples no check has seen
@@ -197,15 +203,21 @@ def test_kept_statistics_equal_their_direct_computation():
             design = np.vstack([ps.s, np.ones_like(ps.s)]).T
             (slope, intercept), *_ = np.linalg.lstsq(design, ps.H, rcond=None)
             rms = float(np.sqrt(np.mean((ps.H - design @ [slope, intercept]) ** 2)))
-            fit = rms / max(float(np.max(ps.H) - np.min(ps.H)), 1e-300)
+            h_range = max(float(np.max(ps.H) - np.min(ps.H)), 1e-300)
             sigma_defined = not np.any(np.isnan(ps.sigma))
             for verdict, want in (("general_helix", spread["H"]),
                                   ("slant_helix", spread["sigma"] if sigma_defined else None),
                                   ("salkowski", spread["kappa"]),
-                                  ("anti_salkowski", spread["tau"]),
-                                  ("rectifying", fit)):
+                                  ("anti_salkowski", spread["tau"])):
                 assert_same(v[verdict].residual, want, f"{where} {verdict}")
-            assert v["rectifying"].note == f"H fit slope {slope:.6g}", where
+            kept_slope, kept_rms, kept_range = checks._line_fit(
+                checks._kept_entry(p, spec), "H")
+            assert abs(kept_slope - slope) <= FIT_REL * abs(slope), where
+            assert abs(kept_rms - rms) <= FIT_REL * h_range, where
+            assert float.hex(kept_range) == float.hex(h_range), where
+            assert abs(v["rectifying"].residual - rms / h_range) <= FIT_REL, where
+            assert v["rectifying"].note == f"H fit slope {kept_slope:.6g}", where
+            assert f"{kept_slope:.6g}" == f"{slope:.6g}", where
             mate = natural_mate_apparatus(p, spec).profile
             mate_h = rel_spread(ProfileSamples(mate, spec, mate.grid()).H)
             rep = verify_cor_3_2(p, spec)
