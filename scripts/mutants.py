@@ -250,10 +250,14 @@ MUTANTS = (
            "np.min(np.minimum(diff_minus, diff_plus))",
            ("tests/test_analysis.py::test_bertrand_residual_is_the_worst_sample",)),
     # the check-grid samples and spherical reports kept between checks
-    Mutant("check_samples_ignores_group", "src/curvemates/checks.py",
-           "if e.profile is p and e.spec == spec), None)",
-           "if e.profile is p), None)",
+    Mutant("case_ignores_group", "src/curvemates/checks.py",
+           "if case[0] is not p or case[1] != spec:",
+           "if case[0] is not p:",
            ("tests/test_shared_samples.py",)),
+    Mutant("case_swaps_the_mates", "src/curvemates/checks.py",
+           '_MATES = {"natural": natural_mate_apparatus, "conjugate": conjugate_mate_apparatus}',
+           '_MATES = {"natural": conjugate_mate_apparatus, "conjugate": natural_mate_apparatus}',
+           ("tests/test_analysis.py",)),
     Mutant("spherical_report_ignores_tol", "src/curvemates/checks.py",
            "if tol not in entry.reports:\n"
            "        entry.reports[tol] = _spherical(entry.samples, tol)\n"
@@ -271,8 +275,8 @@ MUTANTS = (
            "    return entry.spreads[None]",
            ("tests/test_shared_samples.py::test_kept_statistics_equal_their_direct_computation",)),
     Mutant("thm5_1_gate_reads_parent", "src/curvemates/checks.py",
-           'spread = _spread(_kept_entry(mate.profile, spec), "kappa")',
-           'spread = _spread(_kept_entry(p, spec), "kappa")',
+           'spread = _spread(_entry(p, spec, "natural"), "kappa")',
+           'spread = _spread(_entry(p, spec), "kappa")',
            ("tests/test_shared_samples.py::"
             "test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own",)),
     # the in-place work of the integrators and the estimator

@@ -2,7 +2,8 @@
 and the theorem verifiers.
 
 The profile checks read exactly evaluated curvature data at the check
-grid (``check_samples``); ``verify_mate_geometry`` reads the apparatus that
+grid, kept for the last profile checked and its two mates (``_entry``);
+``verify_mate_geometry`` reads the apparatus that
 ``analysis.estimate_apparatus`` recovers from integrated positions.  The
 names here are also attributes of ``analysis``, which imports this module
 when one of them is first looked up there.
@@ -26,43 +27,40 @@ if TYPE_CHECKING:
 
 # grid of the quadrature round trip of thm5_1, finer than the check grid
 INVERSE_GRID_POINTS = 8001
-KEPT_PAIRS = 3    # (profile, group) pairs whose samples are kept: a parent, its mates
 
 
 # ---------------------------------------------------------------------------
-# check-grid samples shared by consecutive checks, with the values derived
-# from them, each computed when first read (verdicts are not kept)
+# the case of the last profile checked: its check-grid samples and those of
+# its two mates, with the values derived from them, each computed when first
+# read (verdicts are not kept)
 
 class _Kept(NamedTuple):
-    profile: CurvatureProfile     # held, so that its id is not reused while kept
-    spec: GroupSpec
     samples: ProfileSamples
     reports: dict                 # ToleranceSet -> SphericalReport
     spreads: dict                 # field of samples -> its rel_spread
     fits: dict                    # field of samples -> its line fit (_line_fit)
 
 
-_kept: tuple[_Kept, ...] = ()
+_MATES = {"natural": natural_mate_apparatus, "conjugate": conjugate_mate_apparatus}
+# (profile, group, entries by role); the profile is held, so its id is not reused
+_case: tuple[Optional[CurvatureProfile], Optional[GroupSpec], dict] = (None, None, {})
 
 
-def _kept_entry(p: CurvatureProfile, spec: GroupSpec) -> _Kept:
-    """The kept entry of (p, spec), made if it is not among the last
-    KEPT_PAIRS asked for.  The kept set is replaced in one assignment, so a
-    concurrent caller can at worst make an entry again."""
-    global _kept
-    kept = _kept
-    entry = next((e for e in kept if e.profile is p and e.spec == spec), None)
-    if entry is None:
-        entry = _Kept(p, spec, ProfileSamples(p, spec, p.grid()), {}, {}, {})
-    _kept = (entry,) + tuple(e for e in kept if e is not entry)[:KEPT_PAIRS - 1]
-    return entry
-
-
-def check_samples(p: CurvatureProfile, spec: GroupSpec) -> ProfileSamples:
-    """The samples of p at its check grid ``p.grid()``: the same object for
-    the same profile object and group while that pair is among the last
-    KEPT_PAIRS asked for.  Callers only read it."""
-    return _kept_entry(p, spec).samples
+def _entry(p: CurvatureProfile, spec: GroupSpec, role: str = "parent") -> _Kept:
+    """The kept entry of role ("parent", "natural" or "conjugate") in the case
+    of p in spec, which replaces the kept case unless it is that of the same
+    profile object and group.  A mate's entry is built from the mate's
+    profile when first asked for.  The case is replaced in one assignment,
+    so a concurrent caller can at worst build an entry again."""
+    global _case
+    case = _case
+    if case[0] is not p or case[1] != spec:
+        case = _case = (p, spec, {})
+    entries = case[2]
+    if role not in entries:
+        q = p if role == "parent" else _MATES[role](p, spec).profile
+        entries[role] = _Kept(ProfileSamples(q, spec, q.grid()), {}, {}, {})
+    return entries[role]
 
 
 def _spherical_report(entry: _Kept, tol: ToleranceSet) -> SphericalReport:
@@ -148,7 +146,7 @@ def spherical_check(p: CurvatureProfile, spec: GroupSpec,
     latter tolerates the noise amplification that differentiating sampled
     estimates incurs.  Mixed domains are segmented and reported per segment.
     """
-    return _spherical_report(_kept_entry(p, spec), tol)
+    return _spherical_report(_entry(p, spec), tol)
 
 
 def _spherical(ps: ProfileSamples, tol: ToleranceSet) -> SphericalReport:
@@ -254,7 +252,7 @@ class ClassificationReport(NamedTuple):
 def classify(p: CurvatureProfile, spec: GroupSpec,
              tol: ToleranceSet = ToleranceSet()) -> ClassificationReport:
     """Verdicts with residuals for every special-curve class."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
 
     verdicts: dict[str, Verdict] = {}
 
@@ -355,13 +353,13 @@ def verify_thm_4_1(p: CurvatureProfile, spec: GroupSpec,
     A mate that is a circle (the parent is a circular helix) passes when
     its radius is at most 1/c.  The converse is checked on the same data
     wherever the mate torsion differs from the group torsion."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     kappa, spread = e.samples.kappa, _spread(e, "kappa")
     if spread > tol.constancy:
         return _not_applicable("thm4_1", tol.residual,
                                f"kappa not constant (spread {spread:.3g})")
     c = float(np.mean(kappa))
-    me = _kept_entry(natural_mate_apparatus(p, spec).profile, spec)
+    me = _entry(p, spec, "natural")
     mps, sph = me.samples, _spherical_report(me, tol)
     if not sph.is_spherical:
         return VerificationReport("thm4_1", True, False, None, tol.residual,
@@ -389,7 +387,7 @@ def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
     quadrature inverse (round trip against the original profile)."""
     mate = natural_mate_apparatus(p, spec)
     # the hypothesis is decided on the check grid, as thm5_2 and cor5_2 do
-    spread = _spread(_kept_entry(mate.profile, spec), "kappa")
+    spread = _spread(_entry(p, spec, "natural"), "kappa")
     if spread > tol.constancy:
         return _not_applicable("thm5_1", tol.residual,
                                f"mate curvature not constant (spread {spread:.3g})")
@@ -437,7 +435,7 @@ def verify_thm_5_2(p: CurvatureProfile, spec: GroupSpec,
     sph = spherical_check(p, spec, tol)
     if not sph.is_spherical:
         return _not_applicable("thm5_2", tol.residual, "parent not spherical")
-    me = _kept_entry(natural_mate_apparatus(p, spec).profile, spec)
+    me = _entry(p, spec, "natural")
     mps, spread = me.samples, _spread(me, "kappa")
     if spread > tol.constancy:
         return _not_applicable("thm5_2", tol.residual,
@@ -474,7 +472,7 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 
     A mate that is a circle (the parent is a circular helix) passes when
     its radius is at most 1/|c|."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     m, spread = e.samples.m, _spread(e, "m")
     if spread > tol.constancy:
         return _not_applicable("thm6_2", tol.residual,
@@ -482,8 +480,7 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
     c = float(np.mean(m))
     if abs(c) <= tol.zero:
         return _not_applicable("thm6_2", tol.residual, "tau - tau_G vanishes")
-    mate = natural_mate_apparatus(p, spec)
-    sph = spherical_check(mate.profile, spec, tol)
+    sph = _spherical_report(_entry(p, spec, "natural"), tol)
     if not sph.is_spherical:
         return VerificationReport("thm6_2", True, False, None, tol.residual,
                                   {"c": c}, hypothesis_note="mate not spherical")
@@ -501,10 +498,9 @@ def verify_thm_6_2(p: CurvatureProfile, spec: GroupSpec,
 def verify_cor_3_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> mate torsion equals the group torsion."""
-    h_spread = _spread(_kept_entry(p, spec), "H")
+    h_spread = _spread(_entry(p, spec), "H")
     is_gh = h_spread <= tol.constancy
-    mate = natural_mate_apparatus(p, spec)
-    mate_dev = float(np.max(np.abs(check_samples(mate.profile, spec).m)))
+    mate_dev = float(np.max(np.abs(_entry(p, spec, "natural").samples.m)))
     mate_flat = mate_dev <= tol.zero
     passed = is_gh == mate_flat
     return VerificationReport("cor3_1", True, passed,
@@ -522,15 +518,14 @@ def verify_cor_3_2(p: CurvatureProfile, spec: GroupSpec,
     applicable; Izumiya & Takeuchi (Turk. J. Math. 28, 2004) count a general
     helix as a slant helix with angle pi/2, and its natural mate is a
     general helix (cor3_1)."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     h_spread = _spread(e, "H")
     if h_spread <= tol.constancy:
         return _not_applicable("cor3_2", tol.constancy,
                                f"general helix (H spread {h_spread:.3g}): "
                                "H' vanishes identically; sigma undefined")
     slant, sig_spread = _slant_verdict(e, tol)
-    mate = natural_mate_apparatus(p, spec)
-    mate_h_spread = _spread(_kept_entry(mate.profile, spec), "H")
+    mate_h_spread = _spread(_entry(p, spec, "natural"), "H")
     mate_gh = mate_h_spread <= tol.constancy
     return VerificationReport("cor3_2", True, slant == mate_gh,
                               mate_h_spread, tol.constancy,
@@ -543,9 +538,9 @@ def verify_cor_3_3(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Rectifying (H linear, slope a != 0) <=> a kappa^2 = (mate tau - tau_G)
     * mate kappa^2."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     ps, (rectifying, a, _) = e.samples, _rectifying_fit(e, tol)
-    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
+    mps = _entry(p, spec, "natural").samples
     residual = float(np.max(np.abs(a * ps.kappa ** 2 - mps.m * mps.kappa ** 2)))
     # the identity side carries the same nonzero-slope hypothesis: a = 0
     # satisfies it only trivially
@@ -582,12 +577,12 @@ def verify_cor_3_4(p: CurvatureProfile, spec: GroupSpec,
 
     Samples where the discriminant or tau - tau_G sits below the noise floor
     are excluded (the identity degenerates there)."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     ps, sph = e.samples, _spherical_report(e, tol)
     if not sph.is_spherical:
         return _not_applicable("cor3_4", tol.residual, "parent not spherical")
     r = float(sph.radius)
-    mps = check_samples(natural_mate_apparatus(p, spec).profile, spec)
+    mps = _entry(p, spec, "natural").samples
     lhs = mps.kappa_prime / mps.kappa
     disc = r * r * ps.kappa * ps.kappa - 1.0
     mask = (np.abs(ps.m) > tol.zero) & (disc > DISCRIMINANT_FLOOR)
@@ -605,11 +600,11 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """For spherical parents with constant-curvature mates: pointwise either
     tau = tau_G or mate torsion - tau_G = -/+ kappa sqrt(r^2 kappa^2 - 1)."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     ps, sph = e.samples, _spherical_report(e, tol)
     if not sph.is_spherical:
         return _not_applicable("cor5_2", tol.residual, "parent not spherical")
-    me = _kept_entry(natural_mate_apparatus(p, spec).profile, spec)
+    me = _entry(p, spec, "natural")
     if _spread(me, "kappa") > tol.constancy:
         return _not_applicable("cor5_2", tol.residual, "mate curvature not constant")
     r = float(sph.radius)
@@ -629,13 +624,13 @@ def verify_cor_5_2(p: CurvatureProfile, spec: GroupSpec,
 def verify_cor_6_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """General helix <=> conjugate mate is a general helix (needs tau != tau_G)."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     ps = e.samples
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_1", tol.constancy,
                                "tau - tau_G vanishes somewhere")
     h_spread = _spread(e, "H")
-    ce = _kept_entry(conjugate_mate_apparatus(p, spec).profile, spec)
+    ce = _entry(p, spec, "conjugate")
     cps, conj_spread = ce.samples, _spread(ce, "H")
     is_gh = h_spread <= tol.constancy
     conj_gh = conj_spread <= tol.constancy
@@ -651,7 +646,7 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Slant helix <=> conjugate mate is a slant helix; the sigma values are
     opposite up to the sign of tau - tau_G."""
-    e = _kept_entry(p, spec)
+    e = _entry(p, spec)
     ps = e.samples
     if np.min(np.abs(ps.m)) <= tol.zero:
         return _not_applicable("cor6_2", tol.constancy,
@@ -662,7 +657,7 @@ def verify_cor_6_2(p: CurvatureProfile, spec: GroupSpec,
                                f"general helix (H spread {h_spread:.3g}): "
                                "H' vanishes identically; sigma undefined")
     slant, sig_spread = _slant_verdict(e, tol)
-    ce = _kept_entry(conjugate_mate_apparatus(p, spec).profile, spec)
+    ce = _entry(p, spec, "conjugate")
     cps, (conj_slant, conj_spread) = ce.samples, _slant_verdict(ce, tol)
     details: dict = {"slant": slant, "conjugate_slant": conj_slant,
                      "sigma_spread": sig_spread,

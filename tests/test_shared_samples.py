@@ -1,8 +1,9 @@
-"""Consecutive checks of one profile share its check-grid samples, its
-spherical report, the spreads of its fields and the line fit of H.
-Whatever a check finds kept, its report is the one a fresh run gives: in
-any order of checks, across groups and tolerance sets, and from several
-threads at once."""
+"""Consecutive checks of one profile share its case: the check-grid
+samples of the profile and of its two mates, with their spherical reports,
+the spreads of their fields and the line fit of H.  Whatever a check finds
+kept, its report is the one a fresh run gives: in any order of checks,
+across groups and tolerance sets, and from several threads at once.  Only
+the case of the last profile checked is kept."""
 
 import sys
 import threading
@@ -17,9 +18,9 @@ from curvemates.analysis import (ToleranceSet, classify, rel_spread, spherical_c
                                  verify_cor_6_2, verify_thm_4_1, verify_thm_5_1,
                                  verify_thm_5_2, verify_thm_6_2)
 from curvemates.catalog import SPHERICAL
-from curvemates.checks import INVERSE_GRID_POINTS, KEPT_PAIRS, check_samples
+from curvemates.checks import INVERSE_GRID_POINTS, _entry
 from curvemates.liegroup import R3, S3, SO3
-from curvemates.mates import natural_mate_apparatus
+from curvemates.mates import conjugate_mate_apparatus, natural_mate_apparatus
 from curvemates.profiles import CurvatureProfile, ProfileSamples
 
 from conftest import (GENERAL_HELIX_BATTERY, NON_GENERAL_HELIX_BATTERY,
@@ -130,7 +131,7 @@ def test_one_profile_object_in_two_groups():
         for check in CHECKS:
             assert_same(outcome(check, p, spec), fresh(check, entry, spec),
                         f"{check.__name__} {spec.family}")
-    assert check_samples(p, R3) is not check_samples(p, SO3)
+    assert _entry(p, R3) is not _entry(p, SO3)
 
 
 def test_spherical_check_with_two_tolerance_sets_in_a_row():
@@ -140,23 +141,36 @@ def test_spherical_check_with_two_tolerance_sets_in_a_row():
     first = spherical_check(p, R3, strict)
     second = spherical_check(p, R3, floor)
     assert first.is_spherical and not second.is_spherical
+    assert spherical_check(p, R3, strict) is first
     for tol, rep in ((strict, first), (floor, second)):
         assert_same(rep, fresh(spherical_check, entry, R3, tol), repr(tol))
-    assert spherical_check(p, R3, strict) is first
 
 
-def test_samples_are_shared_while_among_the_last_pairs_asked_for():
+def test_samples_are_shared_within_the_case_of_the_last_profile():
     p = prof("2", "1+0.5*s", (0.0, 1.0))
-    ps = check_samples(p, R3)
-    assert ps is check_samples(p, R3)
+    parent = _entry(p, R3)
+    assert parent is _entry(p, R3)
     assert classify(p, R3).spherical is spherical_check(p, R3)
-    others = [prof("2", f"{k}+s", (0.0, 1.0)) for k in range(KEPT_PAIRS - 1)]
-    for q in others:
-        check_samples(q, R3)
-    assert check_samples(p, R3) is ps
-    for q in others + [prof("3", "s", (0.0, 1.0))]:
-        check_samples(q, R3)
-    assert check_samples(p, R3) is not ps
+    natural, conjugate = _entry(p, R3, "natural"), _entry(p, R3, "conjugate")
+    assert len({id(parent), id(natural), id(conjugate)}) == 3
+    assert natural.samples.profile is natural_mate_apparatus(p, R3).profile
+    assert conjugate.samples.profile is conjugate_mate_apparatus(p, R3).profile
+    verify_cor_3_1(p, R3)
+    verify_cor_6_1(p, R3)
+    for role, e in (("parent", parent), ("natural", natural), ("conjugate", conjugate)):
+        assert _entry(p, R3, role) is e, role
+    classify(prof("3", "s", (0.0, 1.0)), R3)
+    assert _entry(p, R3) is not parent
+    assert _entry(p, R3, "natural") is not natural
+
+
+def test_a_checked_profile_is_released_once_another_is_checked():
+    p = prof("2", "1+0.5*s", (0.0, 1.0))
+    held = sys.getrefcount(p)
+    for check in CHECKS:
+        outcome(check, p, R3)
+    classify(prof("3", "s", (0.0, 1.0)), R3)
+    assert sys.getrefcount(p) == held
 
 
 def test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own(monkeypatch):
@@ -176,7 +190,7 @@ def test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own(monkeypatc
             assert rep.applicable == (rel_spread(fine) <= ToleranceSet().constancy), where
             if rep.applicable:
                 applicable += 1
-                monkeypatch.setattr(checks, "_kept", ())
+                monkeypatch.setattr(checks, "_case", (None, None, {}))
                 assert_same(rep, verify_thm_5_1(p, spec), where)
     # the circular helices in every group and the slant helices in r3
     assert applicable == 4 * len(GROUPS) + len(SLANT_BATTERY)
@@ -210,8 +224,7 @@ def test_kept_statistics_equal_their_direct_computation():
                                   ("salkowski", spread["kappa"]),
                                   ("anti_salkowski", spread["tau"])):
                 assert_same(v[verdict].residual, want, f"{where} {verdict}")
-            kept_slope, kept_rms, kept_range = checks._line_fit(
-                checks._kept_entry(p, spec), "H")
+            kept_slope, kept_rms, kept_range = checks._line_fit(_entry(p, spec), "H")
             assert abs(kept_slope - slope) <= FIT_REL * abs(slope), where
             assert abs(kept_rms - rms) <= FIT_REL * h_range, where
             assert float.hex(kept_range) == float.hex(h_range), where
