@@ -27,9 +27,20 @@ tree differs from it), the ``parent`` revision, the workload, seed, pairs
 and run seconds, and for every end-to-end metric each side's
 ``[first quartile, median, third quartile]`` with the pairs the change won
 and lost.  ``host`` holds the ``nproc`` and each run's ``loadavg`` that
-perfbench reports, in run order.  ``source`` is ``"bench_ab"``; rows copied
-from older records say where they come from and leave null what was not
-recorded.
+perfbench reports, in run order.  ``tree`` is the ``git write-tree`` hash
+of the files copied for the change, built in a temporary index so that the
+repository's own index is untouched; the trajectory FILE is left out of
+it, since the committed FILE holds the row itself.  A row therefore
+matches a commit whose files, FILE aside, are the ones measured: its
+``tree`` equals what
+
+    GIT_INDEX_FILE=/tmp/i git read-tree COMMIT
+    GIT_INDEX_FILE=/tmp/i git rm -q --cached FILE
+    GIT_INDEX_FILE=/tmp/i git write-tree
+
+prints.  ``source`` is ``"bench_ab"``; rows copied from older records say
+where they come from and leave null what was not recorded (rows recorded
+before ``tree`` existed have none).
 """
 
 from __future__ import annotations
@@ -37,6 +48,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import shutil
 import statistics
 import subprocess
@@ -85,14 +97,31 @@ def export(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def _copy_tree(dest: Path) -> None:
+def _copy_tree(dest: Path) -> list[str]:
+    """Copy the working tree into dest; returns the names copied."""
     listed = subprocess.run(["git", "ls-files", "-z", "--cached", "--others",
                              "--exclude-standard"], check=True,
                             capture_output=True).stdout
+    copied = []
     for name in listed.decode().split("\0"):
         if name and Path(name).is_file():   # a deleted, uncommitted file is skipped
             (dest / name).parent.mkdir(parents=True, exist_ok=True)
             shutil.copy2(name, dest / name)
+            copied.append(name)
+    return copied
+
+
+def tree_hash(names: list[str], cwd=None) -> str:
+    """The ``git write-tree`` hash of the named files of the work tree at
+    cwd, built in a temporary index: the repository's own index is not
+    read or written."""
+    with tempfile.TemporaryDirectory() as tmp:
+        env = {**os.environ, "GIT_INDEX_FILE": str(Path(tmp, "index"))}
+        subprocess.run(["git", "update-index", "--add", "-z", "--stdin"], cwd=cwd,
+                       env=env, input="\0".join(names).encode(), check=True,
+                       capture_output=True)
+        return subprocess.run(["git", "write-tree"], cwd=cwd, env=env, check=True,
+                              capture_output=True, text=True).stdout.strip()
 
 
 def _run(root: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -119,13 +148,13 @@ def _sig(x: float) -> float:
     return float(f"{x:.6g}")
 
 
-def trajectory_row(commit: str, parent: str, workload: str, seed: int,
+def trajectory_row(commit: str, parent: str, tree: str, workload: str, seed: int,
                    seconds: float, summaries: dict, runs: list[dict]) -> dict:
     """One trajectory row: summaries maps each end-to-end metric to its
     ``summarize`` result, runs lists every run of both sides in run order."""
     return {
-        "commit": commit, "parent": parent, "workload": workload, "seed": seed,
-        "pairs": len(runs) // 2, "seconds": seconds, "source": "bench_ab",
+        "commit": commit, "parent": parent, "tree": tree, "workload": workload,
+        "seed": seed, "pairs": len(runs) // 2, "seconds": seconds, "source": "bench_ab",
         "metrics": {name: {"parent": [_sig(x) for x in row["parent"]],
                            "change": [_sig(x) for x in row["change"]],
                            "wins": row["wins"], "losses": row["losses"]}
@@ -172,7 +201,10 @@ def main(argv=None) -> int:
         for root in roots.values():
             root.mkdir()
         export(args.rev, roots["parent"])
-        _copy_tree(roots["change"])
+        copied = _copy_tree(roots["change"])
+        if args.record is not None:
+            trajectory = args.record.resolve()
+            tree = tree_hash([n for n in copied if Path(n).resolve() != trajectory])
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             for side in order:
@@ -202,8 +234,9 @@ def main(argv=None) -> int:
               f"gain holds: {row['gain_holds']}; "
               f"worse than the bound {metric['bound']:g}: {row['regressed']}")
     if args.record is not None:
-        record(args.record, trajectory_row(commit, parent, args.workload, args.seed,
-                                           args.seconds, summaries, in_order))
+        record(args.record, trajectory_row(commit, parent, tree, args.workload,
+                                           args.seed, args.seconds, summaries,
+                                           in_order))
         print(f"  recorded in {args.record}")
     return 0
 

@@ -275,7 +275,7 @@ MUTANTS = (
            "    return entry.spreads[None]",
            ("tests/test_shared_samples.py::test_kept_statistics_equal_their_direct_computation",)),
     Mutant("thm5_1_gate_reads_parent", "src/curvemates/checks.py",
-           'spread = _spread(_entry(p, spec, "natural"), "kappa")',
+           'spread = _spread(natural, "kappa")',
            'spread = _spread(_entry(p, spec), "kappa")',
            ("tests/test_shared_samples.py::"
             "test_thm_5_1_decides_on_the_mates_check_grid_as_it_did_on_its_own",)),

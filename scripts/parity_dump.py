@@ -125,8 +125,8 @@ def mate_values(mate):
 def dump(key, p, group):
     spec = group_spec(group)
     rec = {}
-    for preset in ("analytic", "estimated"):
-        tol = getattr(analysis.ToleranceSet, preset)()
+    for preset, tol in (("analytic", analysis.ToleranceSet()),
+                        ("estimated", analysis.ToleranceSet.estimated())):
         rec[f"classify:{preset}"] = outcome(analysis.classify, p, spec, tol)
         rec[f"spherical_check:{preset}"] = outcome(analysis.spherical_check, p, spec, tol)
     for t in THEOREMS:

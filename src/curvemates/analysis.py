@@ -39,8 +39,9 @@ class EstimationError(ValueError):
 class ToleranceSet(NamedTuple):
     """Every tolerance used by classification and verification.
 
-    Two presets reflect two noise floors: exactly evaluated profiles versus
-    apparatus estimated from integrated positions.
+    Two presets reflect two noise floors: exactly evaluated profiles (the
+    defaults, ``ToleranceSet()``) versus apparatus estimated from
+    integrated positions (``ToleranceSet.estimated()``).
     """
 
     constancy: float = 1e-6          # relative spread counting as constant
@@ -53,10 +54,6 @@ class ToleranceSet(NamedTuple):
     tangent: float = 1e-5            # mate tangent agreement
     bertrand: float = 1e-4           # principal-normal collinearity
     orthogonality: float = 1e-5
-
-    @classmethod
-    def analytic(cls) -> "ToleranceSet":
-        return cls()
 
     @classmethod
     def estimated(cls) -> "ToleranceSet":

@@ -385,17 +385,18 @@ def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
                    tol: ToleranceSet = ToleranceSet()) -> VerificationReport:
     """Constant mate curvature c => parent recovered by the sine/cosine
     quadrature inverse (round trip against the original profile)."""
-    mate = natural_mate_apparatus(p, spec)
+    natural = _entry(p, spec, "natural")
     # the hypothesis is decided on the check grid, as thm5_2 and cor5_2 do
-    spread = _spread(_entry(p, spec, "natural"), "kappa")
+    spread = _spread(natural, "kappa")
     if spread > tol.constancy:
         return _not_applicable("thm5_1", tol.residual,
                                f"mate curvature not constant (spread {spread:.3g})")
-    c = float(np.mean(ProfileSamples(mate.profile, spec, p.grid(INVERSE_GRID_POINTS)).kappa))
+    mate = natural.samples.profile
+    c = float(np.mean(ProfileSamples(mate, spec, p.grid(INVERSE_GRID_POINTS)).kappa))
     start = ProfileSamples(p, spec, p.s_min)
     phi0 = math.atan2(float(start.m), float(start.kappa))
-    rec = constant_curvature_inverse(mate.profile.tau_at, c, spec,
-                                     mate.profile.domain, INVERSE_GRID_POINTS, phi0)
+    rec = constant_curvature_inverse(mate.tau_at, c, spec, mate.domain,
+                                     INVERSE_GRID_POINTS, phi0)
     sg = rec.s_grid[4:-4]
     orig = ProfileSamples(p, spec, sg)
     res_k = np.max(np.abs(rec.kappa_samples[4:-4] - orig.kappa))

@@ -24,7 +24,8 @@ from .analysis import ToleranceSet
 from .expressions import DifferentiationError, DomainError, ExpressionSyntaxError
 from .integrate import (_grid, _samples, integrate_direction_curve,
                         integrate_frame, reconstruct_position)
-from .liegroup import GroupSpec, det3, group_spec, identity_element
+from .liegroup import (GroupSpec, det3, group_spec, identity_element,
+                       renormalize_element)
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
                     natural_mate_apparatus)
 from .profiles import (CurvatureProfile, FrenetViolation, ProfileSamples,
@@ -51,7 +52,7 @@ class RunConfig(NamedTuple):
     mode: str = "analytic"
     kind: str = "natural"
     theorems: tuple[str, ...] = ()
-    tolerances: ToleranceSet = ToleranceSet.analytic()
+    tolerances: ToleranceSet = ToleranceSet()
     init_frame: Optional[np.ndarray] = None      # 9 numbers, rows T, N, B
     init_position: Optional[np.ndarray] = None   # the group's 3, 9 or 4 numbers
 
@@ -321,6 +322,16 @@ def _check_estimator_grid(config: RunConfig) -> None:
                           f"needs at least {2 * analysis.MARGIN + 1}")
 
 
+def _require_projection(key: str, spec: GroupSpec, g: np.ndarray) -> None:
+    """Reject a start g that has no projection onto its group (a matrix too
+    near singular), before anything is integrated.  The command integrates
+    from g itself, which it projects again."""
+    try:
+        renormalize_element(spec, g)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
+
+
 # ---------------------------------------------------------------------------
 # commands: each returns its exit code and its outputs, in the order main
 # writes them, as (file path, or None for stdout, text chunks)
@@ -336,12 +347,15 @@ def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
         init = config.init_frame.reshape(3, 3)
         if not det3(init) > 0:
             raise ConfigError("init_frame must be a right-handed frame (det > 0)")
+        # the frame's rotation has columns T, N, B
+        _require_projection("init_frame", group_spec("so3"), init.T)
     if config.init_position is not None:
         g0 = config.init_position.reshape(identity_element(spec).shape)
         if spec.family == "so3" and not det3(g0) > 0:
             raise ConfigError("init_position must be a rotation matrix (det > 0)")
         if spec.family == "s3" and not 0 < np.linalg.norm(g0) < np.inf:
             raise ConfigError("init_position must be a nonzero quaternion of finite norm")
+        _require_projection("init_position", spec, g0)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1],
                            config.step, init)
     traj = reconstruct_position(traj, spec, g0)
@@ -560,7 +574,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _show_tolerances() -> None:
     print("default tolerances (analytic preset):")
-    analytic = ToleranceSet.analytic()._asdict()
+    analytic = ToleranceSet()._asdict()
     for name, value in analytic.items():
         print(f"  {name:22s} {value:g}")
     print("estimated preset overrides:")

@@ -94,7 +94,7 @@ def test_criterion_3_end_to_end_oracle():
 
 
 def test_criterion_4_spherical_mate_theorems():
-    analytic = ToleranceSet.analytic()
+    analytic = ToleranceSet()
     estimated = ToleranceSet.estimated()
     checks = []
 

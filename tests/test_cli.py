@@ -855,13 +855,25 @@ SYNTH_CONFIG = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
           "init_position": [1, 0, 0, 0, 1, 0, 0, 0, -1]}, "init_position"),
     ([], {**SYNTH_CONFIG, "group": "s3", "init_position": [0, 0, 0, 0]},
      "init_position"),
+    # det > 0, yet too near singular for the projection onto SO(3)
+    ([], {**SYNTH_CONFIG, "group": "so3",
+          "init_frame": [1, 0, 0, 0, 1, 0, 0, 0, 5e-324]}, "init_frame"),
+    ([], {**SYNTH_CONFIG, "group": "so3",
+          "init_position": [1, 0, 0, 0, 1, 0, 0, 0, 5e-324]}, "init_position"),
+    (["--domain", "0;1"], SYNTH_CONFIG, "domain must be 'a:b'"),
+    (["--domain=a:1"], SYNTH_CONFIG, "bad domain"),
+    ([], {**SYNTH_CONFIG, "domain": [1, 0]}, "s_min < s_max"),
+    ([], {**SYNTH_CONFIG, "group": "se3"}, "unknown group family"),
 ], ids=["step-nan", "domain-inf", "domain-minus-inf", "top-level-list",
         "domain-one-number", "step-text", "init-frame-3", "init-position-r3-4",
         "init-position-so3-4", "init-position-s3-3", "tolerances-list",
         "theorems-number", "tau-list", "out-list", "step-missing", "kappa-true",
         "tau-false", "step-true", "domain-true", "init-frame-true",
         "init-position-true", "kappa-inf", "tau-nan", "kappa-past-float-range",
-        "init-position-so3-reflection", "init-position-s3-zero"])
+        "init-position-so3-reflection", "init-position-s3-zero",
+        "init-frame-near-singular", "init-position-so3-near-singular",
+        "domain-flag-no-colon", "domain-flag-not-a-number", "domain-reversed",
+        "group-unknown"])
 def test_malformed_config_exits_2(flags, config, key, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")
@@ -869,6 +881,34 @@ def test_malformed_config_exits_2(flags, config, key, tmp_path, capsys):
                                 capsys)
     assert code == 2 and stdout == ""
     assert err.startswith("error: ") and key in err
+
+
+def test_unreadable_config_exits_2(tmp_path, capsys):
+    not_json = tmp_path / "cfg.json"
+    not_json.write_text("{group: so3}", encoding="utf-8")
+    for path in (not_json, tmp_path / "missing.json"):
+        code, stdout, err = run_cli(["synthesize", "--config", str(path)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith(f"error: cannot read config {path}: ")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("kind", "normal", "kind must be natural or conjugate, got 'normal'"),
+    ("mode", "fast", "mode must be analytic, geometric or both, got 'fast'"),
+])
+def test_mate_config_rejects_unknown_kind_and_mode(key, value, message, tmp_path,
+                                                   capsys):
+    # the flags take only the known choices; a config file reaches the command
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SYNTH_CONFIG, key: value}), encoding="utf-8")
+    code, stdout, err = run_cli(["mate", "--config", str(cfg_path)], capsys)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+def test_no_command_prints_usage_and_exits_2(capsys):
+    code, stdout, err = run_cli([], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith("usage: ")
 
 
 # a value of each key that one command reads, and of a misspelt key

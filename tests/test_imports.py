@@ -1,8 +1,7 @@
-"""A command loads only the modules it runs, and the package's public names
-resolve lazily to the objects of their home modules."""
+"""A command loads only the modules it runs, and each name is imported from
+the module that defines it."""
 
 import ast
-import importlib
 import subprocess
 import sys
 from pathlib import Path
@@ -116,53 +115,30 @@ def test_importing_the_package_loads_no_submodule():
     assert cp.stdout.strip() == "['curvemates']"
 
 
-# every public name of the package, by its home module
-EXPORTS = {
-    "analysis": ["EstimatedApparatus", "ToleranceSet", "estimate_apparatus"],
-    "checks": ["ClassificationReport", "SphericalReport", "VerificationReport",
-               "classify", "spherical_check", "verify_cor_3_1", "verify_cor_3_2",
-               "verify_cor_3_3", "verify_cor_3_4", "verify_cor_5_2",
-               "verify_cor_6_1", "verify_cor_6_2", "verify_mate_geometry",
-               "verify_thm_4_1", "verify_thm_5_1", "verify_thm_5_2",
-               "verify_thm_6_2"],
-    "expressions": ["DomainError", "ExpressionSyntaxError", "differentiate",
-                    "evaluate", "parse", "to_text"],
-    "integrate": ["FrameTrajectory", "PositionCurve", "integrate_direction_curve",
-                  "integrate_frame", "reconstruct_position"],
-    "liegroup": ["R3", "S3", "SO3", "GroupSpec", "bracket",
-                 "group_spec", "pull_back_tangent"],
-    "mates": ["MateApparatus", "NotAFrenetMate", "Segment",
-              "conjugate_mate_apparatus", "constant_curvature_inverse",
-              "natural_mate_apparatus"],
-    "profiles": ["CurvatureProfile", "FrenetViolation", "SingularSigma",
-                 "darboux_vectors", "harmonic_curvature",
-                 "harmonic_curvature_prime", "omega", "sigma"],
-}
-
-
-@pytest.mark.parametrize("module", sorted(EXPORTS))
-def test_lazy_names_are_the_home_objects(module):
-    home = importlib.import_module(f"curvemates.{module}")
-    for name in EXPORTS[module]:
-        assert getattr(curvemates, name) is getattr(home, name), name
-        assert name in dir(curvemates)
-        assert name in curvemates.__all__
+def test_only_analysis_resolves_names_lazily():
+    # the modules are the API: the package keeps no second route to their names
+    src = Path(curvemates.__file__).parent
+    lazy = sorted(path.stem for path in src.glob("*.py")
+                  if any(isinstance(node, ast.FunctionDef) and node.name == "__getattr__"
+                         for node in ast.parse(path.read_text(encoding="utf-8")).body))
+    assert lazy == ["analysis"]
+    with pytest.raises(ImportError):
+        exec("from curvemates import classify", {})
 
 
 def test_checks_names_resolve_through_analysis():
-    assert curvemates.classify is analysis.classify is checks.classify
-    for name in EXPORTS["checks"]:
+    names = [name for name, value in vars(checks).items() if not name.startswith("_")
+             and getattr(value, "__module__", None) == checks.__name__]
+    assert {"classify", "spherical_check", "verify_thm_5_1"} <= set(names)
+    for name in names:
         assert getattr(analysis, name) is getattr(checks, name), name
 
 
 def test_unknown_names_raise_attribute_error():
-    for module in (curvemates, analysis):
-        with pytest.raises(AttributeError):
-            getattr(module, "no_such_name")
-        with pytest.raises(AttributeError):
-            getattr(module, "__no_such_dunder__")
-    with pytest.raises(ImportError):
-        exec("from curvemates import no_such_name", {})
+    with pytest.raises(AttributeError):
+        getattr(analysis, "no_such_name")
+    with pytest.raises(AttributeError):
+        getattr(analysis, "__no_such_dunder__")
 
 
 def test_from_package_import_submodule():

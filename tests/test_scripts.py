@@ -4,7 +4,9 @@ analytic_sweep work counts and the pipeline's peak memory."""
 
 import ast
 import json
+import os
 import re
+import subprocess
 import sys
 from pathlib import Path
 
@@ -12,7 +14,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "scripts"))
-from bench_ab import record, summarize, trajectory_row  # noqa: E402
+from bench_ab import record, summarize, trajectory_row, tree_hash  # noqa: E402
 from mutants import MUTANTS  # noqa: E402
 from peak_memory import command_rss, floor_rss, function_peaks  # noqa: E402
 import workloads  # noqa: E402
@@ -71,10 +73,11 @@ ROW_KEYS = {"commit", "parent", "workload", "seed", "pairs", "seconds", "source"
             "metrics", "host"}
 
 
-def check_row(row):
+def check_row(row, tree_required=False):
     """A trajectory row as scripts/bench_ab.py documents it; rows copied from
-    older records may leave null what those records did not give."""
-    assert set(row) == ROW_KEYS
+    older records may leave null what those records did not give, and a
+    bench_ab row lacks ``tree`` only where tree_required is false."""
+    assert ROW_KEYS <= set(row) <= ROW_KEYS | {"tree"}
     assert re.fullmatch(r"[0-9a-f]{7,40}\+?", row["commit"])
     assert re.fullmatch(r"[0-9a-f]{7,40}", row["parent"])
     assert row["workload"] in {w["name"] for w in BENCH["workloads"]}
@@ -108,13 +111,20 @@ def check_row(row):
         assert host is not None
         assert all(None not in m["parent"] + m["change"] + [m["wins"], m["losses"]]
                    for m in row["metrics"].values())
+        assert "tree" in row or not tree_required
+    if "tree" in row:
+        assert row["source"] == "bench_ab"
+        assert re.fullmatch(r"[0-9a-f]{40}|[0-9a-f]{64}", row["tree"])
 
 
 def test_trajectory_rows_follow_the_schema():
     data = json.loads((ROOT / "BENCH_trajectory.json").read_text(encoding="utf-8"))
     assert set(data) == {"schema", "rows"} and data["schema"] == 1
+    # rows recorded before bench_ab wrote a tree have none; every later one has
+    tree_seen = False
     for row in data["rows"]:
-        check_row(row)
+        check_row(row, tree_required=tree_seen)
+        tree_seen = tree_seen or "tree" in row
     assert any(row["source"] == "bench_ab" for row in data["rows"])
 
 
@@ -122,8 +132,13 @@ def test_record_appends_one_row_per_line(tmp_path):
     runs = [{"nproc": 2, "loadavg": (0.5, 0.4, 0.3)} for _ in range(6)]
     summaries = {m["name"]: summarize([1.0, 1.1, 1.2], [0.9, 1.0, 1.3], m["better"],
                                       m["bound"]) for m in BENCH["end_to_end"]}
-    row = trajectory_row("0123abc+", "0123abc", "synth", 7, 25.0, summaries, runs)
-    check_row(row)
+    row = trajectory_row("0123abc+", "0123abc", "ab" * 20, "synth", 7, 25.0,
+                         summaries, runs)
+    check_row(row, tree_required=True)
+    assert row["tree"] == "ab" * 20
+    with pytest.raises(AssertionError):
+        check_row({k: v for k, v in row.items() if k != "tree"}, tree_required=True)
+    check_row({k: v for k, v in row.items() if k != "tree"})
     assert row["pairs"] == 3
     assert row["metrics"]["wall_s"] == {"parent": [1.05, 1.1, 1.15],
                                         "change": [0.95, 1.0, 1.15],
@@ -134,6 +149,31 @@ def test_record_appends_one_row_per_line(tmp_path):
     text = path.read_text(encoding="utf-8")
     assert json.loads(text) == {"schema": 1, "rows": [row, row]}
     assert len(text.splitlines()) == 4
+
+
+def test_tree_hash_matches_the_commit_without_the_trajectory(tmp_path):
+    def git(*args):
+        return subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                               *args], cwd=tmp_path, check=True, capture_output=True,
+                              text=True).stdout.strip()
+    names = ["a.py", "sub/b.txt", "BENCH_trajectory.json"]
+    for name in names:
+        (tmp_path / name).parent.mkdir(exist_ok=True)
+        (tmp_path / name).write_text(name, encoding="utf-8")
+    git("init", "-q")
+    git("add", *names)
+    git("commit", "-q", "-m", "files")
+    index = (tmp_path / ".git" / "index").read_bytes()
+    assert tree_hash(names, cwd=tmp_path) == git("rev-parse", "HEAD^{tree}")
+    # the recipe of the bench_ab docstring, in a temporary index of its own
+    env = {**os.environ, "GIT_INDEX_FILE": str(tmp_path / "i")}
+    for args in (["read-tree", "HEAD"],
+                 ["rm", "-q", "--cached", "BENCH_trajectory.json"]):
+        subprocess.run(["git", *args], cwd=tmp_path, env=env, check=True)
+    recipe = subprocess.run(["git", "write-tree"], cwd=tmp_path, env=env, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    assert tree_hash(names[:2], cwd=tmp_path) == recipe
+    assert (tmp_path / ".git" / "index").read_bytes() == index
 
 
 def test_sweep_counts_repeat_exactly_and_leave_the_library_unwrapped(capsys):
