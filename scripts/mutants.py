@@ -144,6 +144,10 @@ MUTANTS = (
            'return Binary("*", Binary("+", Num(1.0), sq), du)',
            'return Binary("*", sq, du)',
            ("tests/test_expressions.py",)),
+    Mutant("samples_derivative_window_7", "src/curvemates/expressions.py",
+           "return Samples(e.s, sg_derivative(e.values, e.s[1] - e.s[0], 5))",
+           "return Samples(e.s, sg_derivative(e.values, e.s[1] - e.s[0], 7))",
+           ("tests/test_expressions.py::test_samples_differentiate_by_the_window_5_filter",)),
     Mutant("so3_pull_back_right", "src/curvemates/liegroup.py",
            'a = np.einsum("...ja,...jb->...ab", g, dg)',
            'a = np.einsum("...aj,...bj->...ab", dg, g)',

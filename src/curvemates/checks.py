@@ -397,10 +397,10 @@ def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
     phi0 = math.atan2(float(start.m), float(start.kappa))
     rec = constant_curvature_inverse(mate.tau_at, c, spec, mate.domain,
                                      INVERSE_GRID_POINTS, phi0)
-    sg = rec.s_grid[4:-4]
+    sg = rec.kappa_expr.s[4:-4]
     orig = ProfileSamples(p, spec, sg)
-    res_k = np.max(np.abs(rec.kappa_samples[4:-4] - orig.kappa))
-    res_t = np.max(np.abs(rec.tau_samples[4:-4] - orig.tau))
+    res_k = np.max(np.abs(rec.kappa_expr.values[4:-4] - orig.kappa))
+    res_t = np.max(np.abs(rec.tau_expr.values[4:-4] - orig.tau))
     residual = float(max(res_k, res_t))
     return VerificationReport("thm5_1", True, residual <= tol.residual, residual,
                               tol.residual, {"c": c, "phi0": phi0,

@@ -93,18 +93,24 @@ def _holds_bool(value) -> bool:
     return isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """Whether value is a number that a float holds: not text, not true or
+    false, and within the float range, so finite.  Compared rather than
+    converted, so an integer past the float range is rejected here instead
+    of overflowing later."""
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and -_FLOAT_MAX <= value <= _FLOAT_MAX)
+
+
 def _numbers(data: dict, key: str, size: int) -> Optional[np.ndarray]:
     """data[key] as ``size`` finite floats, flattened; None when absent."""
     value = data.get(key)
     if value is None:
         return None
-    try:
-        arr = np.asarray(value, dtype=float).reshape(-1)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.size != size or not np.all(np.isfinite(arr)):
+    flat = np.asarray(value, dtype=object).reshape(-1)
+    if flat.size != size or not all(map(_is_number, flat)):
         raise ConfigError(f"{key} must be {size} finite numbers, got {value!r}")
-    return arr
+    return flat.astype(float)
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
@@ -151,32 +157,22 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     for key, value in (("kappa", kappa), ("tau", tau)):
         if not isinstance(value, (str, int, float)):
             raise ConfigError(f"{key} must be an expression or a number, got {value!r}")
-        # compared rather than converted, so an integer past the float range
-        # is rejected here instead of overflowing later
-        if not (isinstance(value, str) or -_FLOAT_MAX <= value <= _FLOAT_MAX):
+        if not (isinstance(value, str) or _is_number(value)):
             raise ConfigError(f"{key} must be finite, got {value!r}")
     # open() would take a number as a file descriptor; an empty path names
     # no file, for every command alike
     if out is not None and not (isinstance(out, str) and out):
         raise ConfigError(f"out must be a file path, got {out!r}")
-    if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-        raise ConfigError(f"domain must be [a, b], got {domain!r}")
-    try:
-        domain = (float(domain[0]), float(domain[1]))
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad domain {domain!r}: {e}") from e
-    try:
-        step = float(step)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad step {step!r}: {e}") from e
-    if not np.all(np.isfinite(domain)):
-        raise ConfigError(f"domain must be finite, got {domain!r}")
+    if not (isinstance(domain, (list, tuple)) and len(domain) == 2
+            and all(map(_is_number, domain))):
+        raise ConfigError(f"domain must be [a, b], two finite numbers, got {domain!r}")
+    if not (_is_number(step) and step > 0):
+        raise ConfigError(f"step must be a positive finite number, got {step!r}")
+    domain, step = (float(domain[0]), float(domain[1])), float(step)
     if not domain[0] < domain[1]:
         raise ConfigError("domain must satisfy s_min < s_max")
     if not np.isfinite(domain[1] - domain[0]):
         raise ConfigError(f"domain span s_max - s_min must be finite, got {domain!r}")
-    if not 0 < step < np.inf:
-        raise ConfigError(f"step must be positive and finite, got {step!r}")
     if step > (domain[1] - domain[0]) / 8.0:
         raise ConfigError("step too large: need h <= (s_max - s_min)/8")
 
@@ -192,8 +188,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown tolerance names: {sorted(unknown)}")
     for name, value in tol_kwargs.items():
-        if not (isinstance(value, (int, float)) and not isinstance(value, bool)
-                and 0 <= value < np.inf):
+        if not (_is_number(value) and value >= 0):
             raise ConfigError(f"tolerance {name} must be finite and >= 0, got {value!r}")
     tolerances = ToleranceSet(**tol_kwargs)
 

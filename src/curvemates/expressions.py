@@ -13,6 +13,10 @@ command line or in config files:
 '^' binds tighter than unary minus, so "-s^2" is -(s^2).  Function
 application requires parentheses.  Whitespace is insignificant.  'pi' is
 the number Num(math.pi), and prints as 3.141592653589793.
+
+Besides the parsed nodes, a tree may hold ``Samples``, a function sampled on
+a uniform grid, so a sampled profile is read, differentiated and combined
+by the same rules as a written one.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import math
 from typing import NamedTuple, Union
 
 import numpy as np
+
+from .liegroup import cubic_interp, sg_derivative
 
 _FUNCTIONS = ("sin", "cos", "tan", "sqrt", "abs", "exp")
 
@@ -55,6 +61,13 @@ class Var(NamedTuple):
     """The variable s."""
 
 
+class Samples(NamedTuple):
+    """Values on the uniform grid ``s``: read between the nodes by the
+    4-point cubic, differentiated by the window-5 least-squares filter."""
+    s: np.ndarray
+    values: np.ndarray
+
+
 class Unary(NamedTuple):
     op: str  # 'neg' or a function name
     arg: "Expr"
@@ -66,7 +79,7 @@ class Binary(NamedTuple):
     right: "Expr"
 
 
-Expr = Union[Num, Var, Unary, Binary]
+Expr = Union[Num, Var, Samples, Unary, Binary]
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +224,8 @@ def parse(text: str) -> Expr:
 # evaluation
 
 # Inside evaluate, overflow, invalid operations and division by zero raise
-# FloatingPointError.  Every leaf is finite (numbers, and s, which is
-# checked once per call), and from finite operands a value leaves the
+# FloatingPointError.  Every leaf is finite (numbers, samples, and s, which
+# is checked once per call), and from finite operands a value leaves the
 # reals only through one of those faults, so no node scans its result; a
 # fault is traced back to its first s by _apply.  Underflow yields a finite
 # value and is ignored.  _eval still checks sqrt of a negative, x/0 and a
@@ -248,6 +261,10 @@ def _eval(e: Expr, s):
         return e.value
     if isinstance(e, Var):
         return s
+    if isinstance(e, Samples):
+        if not np.isfinite(e.values).all():
+            raise DomainError(e, s)
+        return _apply(e, s, e.s, e.values, s)
     if isinstance(e, Unary):
         v = _eval(e.arg, s)
         if e.op == "neg":
@@ -278,7 +295,7 @@ def _apply(node: Expr, s, *args):
     """The ufunc of ``node`` on ``args``, under the traps of evaluate.  A
     trapped fault raises the DomainError of the first s whose value is not
     finite."""
-    fn = _UFUNCS[node.op]
+    fn = cubic_interp if isinstance(node, Samples) else _UFUNCS[node.op]
     try:
         return fn(*args)
     except FloatingPointError:
@@ -308,7 +325,7 @@ def _where(v, pred, s):
 def is_constant(e: Expr) -> bool:
     if isinstance(e, Num):
         return True
-    if isinstance(e, Var):
+    if isinstance(e, (Var, Samples)):
         return False
     if isinstance(e, Unary):
         return is_constant(e.arg)
@@ -321,7 +338,8 @@ def differentiate(e: Expr) -> Expr:
     abs is differentiated as (u/abs(u))*u', undefined exactly at zeros of u
     (evaluation there raises DomainError).  Powers require a constant
     exponent; the grammar has no logarithm so u^v with v depending on s has
-    no in-grammar derivative.
+    no in-grammar derivative.  Samples differentiate by the window-5 filter
+    of ``liegroup.sg_derivative``.
     """
     return simplify(_diff(e))
 
@@ -331,6 +349,8 @@ def _diff(e: Expr) -> Expr:
         return Num(0.0)
     if isinstance(e, Var):
         return Num(1.0)
+    if isinstance(e, Samples):
+        return Samples(e.s, sg_derivative(e.values, e.s[1] - e.s[0], 5))
     if isinstance(e, Unary):
         du = _diff(e.arg)
         u = e.arg
@@ -372,7 +392,7 @@ def _diff(e: Expr) -> Expr:
 
 def simplify(e: Expr) -> Expr:
     """Constant folding and zero/one elimination only."""
-    if isinstance(e, (Num, Var)):
+    if isinstance(e, (Num, Var, Samples)):
         return e
     if isinstance(e, Unary):
         arg = simplify(e.arg)
@@ -439,7 +459,9 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 
 def to_text(e: Expr) -> str:
-    """Render to text that reparses to an evaluation-equivalent tree."""
+    """Render to text that reparses to an evaluation-equivalent tree, unless
+    the tree holds Samples: they print as a placeholder, ``samples[n]`` for
+    n values, which names them in messages and does not reparse."""
     return _fmt(e, 0)
 
 
@@ -451,6 +473,8 @@ def _fmt(e: Expr, parent_prec: int) -> str:
         return _wrap(repr(e.value), 3, parent_prec)
     if isinstance(e, Var):
         return "s"
+    if isinstance(e, Samples):
+        return f"samples[{len(e.values)}]"
     if isinstance(e, Unary):
         if e.op == "neg":
             return _wrap("-" + _fmt(e.arg, _PREC["neg"]), _PREC["neg"], parent_prec)
@@ -474,7 +498,7 @@ def ensure_expr(e) -> Expr:
     """Accept an Expr or expression text."""
     if isinstance(e, str):
         return parse(e)
-    if isinstance(e, (Num, Var, Unary, Binary)):
+    if isinstance(e, (Num, Var, Samples, Unary, Binary)):
         return e
     if isinstance(e, (int, float)):
         if not math.isfinite(e):

@@ -8,7 +8,8 @@ group torsion is lam/2: 0 for R^3, 1/2 for SO(3), 1 for S^3.
 Group elements are plain numpy arrays whose shape depends on the family:
 (3,) translation vectors, (3,3) rotation matrices, (4,) scalar-first unit
 quaternions; a group is a ``GroupSpec`` record.  The uniform-grid rules,
-cumulative quadrature and the least-squares derivative filter, live here.
+cumulative quadrature, cubic interpolation and the least-squares derivative
+filter, live here.
 
 No function here calls LAPACK: the 3x3 determinant, the projection onto
 the rotations and the filter's weights are closed forms in float
@@ -300,6 +301,30 @@ def sg_derivative(values: np.ndarray, h: float, window: int) -> np.ndarray:
     out[:half] = ends[0]
     out[n - 1:n - 1 - half:-1] = ends[1]
     return (out / h).reshape(f.shape)
+
+
+def cubic_interp(s_grid: np.ndarray, values: np.ndarray, s) -> np.ndarray:
+    """4-point Lagrange cubic on a uniform grid (clamped near the ends)."""
+    s = np.asarray(s, dtype=float)
+    scalar = s.ndim == 0
+    sq = np.atleast_1d(s)
+    n = s_grid.shape[0]
+    # a query at a node reads its sample: (s - s0)/h lands a few ulp off
+    # the node index, which would mix in the neighbours
+    node = np.minimum(np.searchsorted(s_grid, sq), n - 1)
+    at_node = s_grid[node] == sq
+    h = s_grid[1] - s_grid[0]
+    pos = (sq - s_grid[0]) / h
+    i = np.clip(np.floor(pos).astype(int), 1, n - 3)
+    x = pos - i  # in [0,1] inside the cell, outside when clamped
+    fm1, f0, f1, f2 = values[i - 1], values[i], values[i + 1], values[i + 2]
+    out = np.where(at_node, values[node], (
+        fm1 * (-x * (x - 1.0) * (x - 2.0) / 6.0)
+        + f0 * ((x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0)
+        + f1 * (-(x + 1.0) * x * (x - 2.0) / 2.0)
+        + f2 * ((x + 1.0) * x * (x - 1.0) / 6.0)
+    ))
+    return out[0] if scalar else out
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,10 @@ tau* = kappa + tau_G, with frames (B, -sign N, sign T); it is only a Frenet
 curve away from zeros of tau - tau_G, so its domain splits into maximal
 segments of constant sign.
 
-For expression-form parents the mate curvatures are built as expression
-trees, so downstream symbolic derivatives (and second derivatives via
-another differentiation) stay exact.  Sampled parents yield sampled mates.
+Each formula is written once, as an expression tree over the parent's
+kappa and tau, for every parent: a written parent's mate has exact
+symbolic derivatives, and a sampled parent's mate is the formula over the
+cubic interpolants of its samples, differentiated by the chain rule.
 A parent keeps each mate it has (``CurvatureProfile.mates``), so every
 caller after the first gets the same object.
 """
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import expressions as ex
 from .liegroup import GroupSpec, cumulative_quadrature, runs
-from .profiles import CurvatureProfile, FrenetViolation, ProfileSamples
+from .profiles import CurvatureProfile, FrenetViolation
 
 # |tau - tau_G| below this counts as a zero when splitting conjugate segments:
 # below finite-difference noise, above accumulated integration error.
@@ -89,20 +90,14 @@ def conjugate_mate_apparatus(p: CurvatureProfile, spec: GroupSpec) -> MateAppara
 
 def _natural_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     tg = spec.tau_g
-    if p.is_symbolic:
-        m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
-        kb = ex.Unary("sqrt", ex.Binary("+", ex.Binary("^", m, ex.Num(2.0)),
-                                        ex.Binary("^", p.kappa_expr, ex.Num(2.0))))
-        h = ex.Binary("/", m, p.kappa_expr)
-        hp = ex.differentiate(h)
-        one_h2 = ex.Binary("+", ex.Num(1.0), ex.Binary("^", h, ex.Num(2.0)))
-        tb = ex.simplify(ex.Binary("+", ex.Num(tg), ex.Binary("/", hp, one_h2)))
-        mate_profile = CurvatureProfile.from_expressions(ex.simplify(kb), tb, p.domain)
-    else:
-        ps = ProfileSamples(p, spec, p.s_grid)
-        h = ps.H
-        mate_profile = CurvatureProfile.from_samples(
-            p.s_grid, ps.omega, tg + ps.H_prime / (1.0 + h * h))
+    m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
+    kb = ex.Unary("sqrt", ex.Binary("+", ex.Binary("^", m, ex.Num(2.0)),
+                                    ex.Binary("^", p.kappa_expr, ex.Num(2.0))))
+    h = ex.Binary("/", m, p.kappa_expr)
+    hp = ex.differentiate(h)
+    one_h2 = ex.Binary("+", ex.Num(1.0), ex.Binary("^", h, ex.Num(2.0)))
+    tb = ex.simplify(ex.Binary("+", ex.Num(tg), ex.Binary("/", hp, one_h2)))
+    mate_profile = CurvatureProfile.from_expressions(ex.simplify(kb), tb, p.domain)
     return MateApparatus(mate_profile, (Segment(p.s_min, p.s_max, 1),))
 
 
@@ -113,14 +108,10 @@ def _conjugate_mate(p: CurvatureProfile, spec: GroupSpec) -> MateApparatus:
     if not segments:
         raise NotAFrenetMate(
             f"tau - tau_G vanishes identically on [{p.s_min}, {p.s_max}]")
-    if p.is_symbolic:
-        m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
-        kstar = ex.Unary("abs", m)
-        tstar = ex.simplify(ex.Binary("+", p.kappa_expr, ex.Num(tg)))
-        mate_profile = CurvatureProfile.from_expressions(kstar, tstar, p.domain)
-    else:
-        mate_profile = CurvatureProfile.from_samples(
-            p.s_grid, np.abs(p.tau_samples - tg), p.kappa_samples + tg)
+    m = ex.simplify(ex.Binary("-", p.tau_expr, ex.Num(tg)))
+    kstar = ex.Unary("abs", m)
+    tstar = ex.simplify(ex.Binary("+", p.kappa_expr, ex.Num(tg)))
+    mate_profile = CurvatureProfile.from_expressions(kstar, tstar, p.domain)
     return MateApparatus(mate_profile, segments)
 
 

@@ -1,23 +1,24 @@
 """Curvature/torsion profiles and the derived scalar/vector apparatus.
 
-A profile, a NamedTuple record, carries kappa(s) and tau(s) either as
-expression trees (exact, with symbolic derivatives) or as uniform samples
-(derivatives from ``liegroup.sg_derivative`` with window 5, the classical
-5-point stencil; off-grid values from cubic interpolation).
-Everything downstream (harmonic curvature H, sigma, the Darboux vectors)
-is read from one ``ProfileSamples`` of the profile on the points asked for.
+A profile, a NamedTuple record, carries kappa(s) and tau(s) as two
+expression trees.  A sampled profile's trees are ``expressions.Samples``
+leaves on a uniform grid: off-grid values from cubic interpolation,
+derivatives from ``liegroup.sg_derivative`` with window 5, the classical
+5-point stencil.  Everything downstream (harmonic curvature H, sigma, the
+Darboux vectors) is read from one ``ProfileSamples`` of the profile on the
+points asked for.
 A profile derives its symbolic derivatives, and keeps its mates, once.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from . import expressions as ex
-from .liegroup import GroupSpec, is_uniform_grid, sg_derivative
+from .liegroup import GroupSpec, is_uniform_grid
 
 SINGULAR_SIGMA_TOL = 1e-12
 # points of the check grid that classification and verification sample
@@ -45,42 +46,15 @@ class SingularSigma(ArithmeticError):
     """H' vanishes: sigma is undefined, the curve is locally a general helix."""
 
 
-def _cubic_interp(s_grid: np.ndarray, values: np.ndarray, s) -> np.ndarray:
-    """4-point Lagrange cubic on a uniform grid (clamped near the ends)."""
-    s = np.asarray(s, dtype=float)
-    scalar = s.ndim == 0
-    sq = np.atleast_1d(s)
-    n = s_grid.shape[0]
-    # a query at a node reads its sample: (s - s0)/h lands a few ulp off
-    # the node index, which would mix in the neighbours
-    node = np.minimum(np.searchsorted(s_grid, sq), n - 1)
-    at_node = s_grid[node] == sq
-    h = s_grid[1] - s_grid[0]
-    pos = (sq - s_grid[0]) / h
-    i = np.clip(np.floor(pos).astype(int), 1, n - 3)
-    x = pos - i  # in [0,1] inside the cell, outside when clamped
-    fm1, f0, f1, f2 = values[i - 1], values[i], values[i + 1], values[i + 2]
-    out = np.where(at_node, values[node], (
-        fm1 * (-x * (x - 1.0) * (x - 2.0) / 6.0)
-        + f0 * ((x + 1.0) * (x - 1.0) * (x - 2.0) / 2.0)
-        + f1 * (-(x + 1.0) * x * (x - 2.0) / 2.0)
-        + f2 * ((x + 1.0) * x * (x - 1.0) / 6.0)
-    ))
-    return out[0] if scalar else out
-
-
 class _ProfileFields(NamedTuple):
     s_min: float
     s_max: float
-    kappa_expr: Optional[ex.Expr] = None
-    tau_expr: Optional[ex.Expr] = None
-    s_grid: Optional[np.ndarray] = None
-    kappa_samples: Optional[np.ndarray] = None
-    tau_samples: Optional[np.ndarray] = None
+    kappa_expr: ex.Expr
+    tau_expr: ex.Expr
 
 
 class CurvatureProfile(_ProfileFields):
-    """(kappa, tau) over a domain, in expression or sampled form; no
+    """(kappa, tau) over a domain as two expressions, written or sampled; no
     __slots__, so the values derived below are kept in the instance dict."""
 
     @classmethod
@@ -88,8 +62,7 @@ class CurvatureProfile(_ProfileFields):
         s_min, s_max = float(domain[0]), float(domain[1])
         if not s_min < s_max:
             raise ValueError("empty domain")
-        return cls(s_min, s_max, kappa_expr=ex.ensure_expr(kappa),
-                   tau_expr=ex.ensure_expr(tau))
+        return cls(s_min, s_max, ex.ensure_expr(kappa), ex.ensure_expr(tau))
 
     @classmethod
     def from_samples(cls, s_grid, kappa_samples, tau_samples) -> "CurvatureProfile":
@@ -105,32 +78,18 @@ class CurvatureProfile(_ProfileFields):
             raise ValueError("sampled profiles need finite grid points and samples")
         if not is_uniform_grid(s_grid):
             raise ValueError("sampled profiles require a uniform grid")
-        return cls(float(s_grid[0]), float(s_grid[-1]), s_grid=s_grid,
-                   kappa_samples=kappa_samples, tau_samples=tau_samples)
-
-    @property
-    def is_symbolic(self) -> bool:
-        return self.kappa_expr is not None
-
-    @property
-    def h(self) -> Optional[float]:
-        if self.s_grid is None:
-            return None
-        return float(self.s_grid[1] - self.s_grid[0])
+        return cls(float(s_grid[0]), float(s_grid[-1]),
+                   ex.Samples(s_grid, kappa_samples), ex.Samples(s_grid, tau_samples))
 
     @property
     def domain(self) -> tuple[float, float]:
         return (self.s_min, self.s_max)
 
     def kappa_at(self, s):
-        if self.is_symbolic:
-            return ex.evaluate(self.kappa_expr, s)
-        return _cubic_interp(self.s_grid, self.kappa_samples, s)
+        return ex.evaluate(self.kappa_expr, s)
 
     def tau_at(self, s):
-        if self.is_symbolic:
-            return ex.evaluate(self.tau_expr, s)
-        return _cubic_interp(self.s_grid, self.tau_samples, s)
+        return ex.evaluate(self.tau_expr, s)
 
     # Values derived from the fields are computed when first read and kept
     # on the instance, whose fields are read-only, so they live and die with
@@ -152,20 +111,12 @@ class CurvatureProfile(_ProfileFields):
         return {}
 
     def kappa_prime_at(self, s):
-        if self.is_symbolic:
-            return ex.evaluate(self.kappa_prime_expr, s)
-        d = sg_derivative(self.kappa_samples, self.h, 5)
-        return _cubic_interp(self.s_grid, d, s)
+        return ex.evaluate(self.kappa_prime_expr, s)
 
     def tau_prime_at(self, s):
-        if self.is_symbolic:
-            return ex.evaluate(self.tau_prime_expr, s)
-        d = sg_derivative(self.tau_samples, self.h, 5)
-        return _cubic_interp(self.s_grid, d, s)
+        return ex.evaluate(self.tau_prime_expr, s)
 
     def grid(self, n: int = GRID_POINTS) -> np.ndarray:
-        if self.s_grid is not None and n == self.s_grid.shape[0]:
-            return self.s_grid
         return np.linspace(self.s_min, self.s_max, n)
 
 

@@ -79,12 +79,12 @@ def test_criterion_3_end_to_end_oracle():
         p = entry.profile()
         for h in tolerances:
             prof_est, _ = estimated_profile(p, R3, h)
-            sg = prof_est.s_grid
+            sg = prof_est.kappa_expr.s
             worst[h] = max(
                 worst[h],
-                float(np.max(np.abs(prof_est.kappa_samples
+                float(np.max(np.abs(prof_est.kappa_expr.values
                                     - np.asarray(p.kappa_at(sg))))),
-                float(np.max(np.abs(prof_est.tau_samples
+                float(np.max(np.abs(prof_est.tau_expr.values
                                     - np.asarray(p.tau_at(sg))))),
             )
     ok = all(worst[h] <= tol for h, tol in tolerances.items())

@@ -46,9 +46,9 @@ def test_estimate_unit_speed_circle_radius_two():
 def test_estimate_synthesized_spherical_profile(profiles):
     p = profiles["spherical"]
     prof_est, est = estimated_profile(p, R3, 1e-3)
-    sg = prof_est.s_grid
-    assert np.max(np.abs(prof_est.kappa_samples - np.asarray(p.kappa_at(sg)))) <= 1e-4
-    assert np.max(np.abs(prof_est.tau_samples - np.asarray(p.tau_at(sg)))) <= 1e-4
+    sg = prof_est.kappa_expr.s
+    assert np.max(np.abs(prof_est.kappa_expr.values - np.asarray(p.kappa_at(sg)))) <= 1e-4
+    assert np.max(np.abs(prof_est.tau_expr.values - np.asarray(p.tau_at(sg)))) <= 1e-4
 
 
 def test_estimated_group_torsion_s3_flat_case():
@@ -154,9 +154,9 @@ def test_estimator_order_at_coarse_steps(profiles):
     errs = {}
     for h in (0.02, 0.01):
         prof_est, _ = estimated_profile(p, R3, h)
-        sg = prof_est.s_grid
-        errs[h] = (np.max(np.abs(prof_est.kappa_samples - np.asarray(p.kappa_at(sg)))),
-                   np.max(np.abs(prof_est.tau_samples - np.asarray(p.tau_at(sg)))))
+        sg = prof_est.kappa_expr.s
+        errs[h] = (np.max(np.abs(prof_est.kappa_expr.values - np.asarray(p.kappa_at(sg)))),
+                   np.max(np.abs(prof_est.tau_expr.values - np.asarray(p.tau_at(sg)))))
     k_ratio = errs[0.02][0] / errs[0.01][0]
     t_ratio = errs[0.02][1] / errs[0.01][1]
     print(f"estimator refinement ratios at h=0.02 -> 0.01: "
@@ -432,6 +432,26 @@ def test_thm_6_2(profiles):
     rep = verify_thm_6_2(profiles["anti_salkowski"], R3, ToleranceSet(spherical_spread=0.0))
     assert rep.applicable and not rep.passed
     assert rep.hypothesis_note == "mate not spherical"
+
+
+def sampled_copy(p):
+    """A copy of p sampled at 401 points of its domain."""
+    s = p.grid(401)
+    return CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s))
+
+
+@pytest.mark.parametrize("spec", [R3, SO3, S3], ids=["r3", "so3", "s3"])
+def test_thm_6_2_holds_on_a_sampled_anti_salkowski_curve(profiles, spec):
+    # the sampled parent's mate is the same formula over its samples, so
+    # its spherical check sees no second layer of interpolation and filtering
+    rep = verify_thm_6_2(sampled_copy(profiles["anti_salkowski"]), spec)
+    assert rep.applicable and rep.passed, (rep.max_residual, rep.hypothesis_note)
+
+
+@pytest.mark.parametrize("spec", [R3, SO3, S3], ids=["r3", "so3", "s3"])
+def test_cor_3_3_holds_on_a_sampled_salkowski_curve(profiles, spec):
+    rep = verify_cor_3_3(sampled_copy(profiles["salkowski"]), spec)
+    assert rep.applicable and rep.passed, rep.max_residual
 
 
 @pytest.mark.parametrize("spec", [R3, SO3, S3], ids=["r3", "so3", "s3"])

@@ -864,6 +864,17 @@ SYNTH_CONFIG = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
     (["--domain=a:1"], SYNTH_CONFIG, "bad domain"),
     ([], {**SYNTH_CONFIG, "domain": [1, 0]}, "s_min < s_max"),
     ([], {**SYNTH_CONFIG, "group": "se3"}, "unknown group family"),
+    # a number as text, and an integer past the float range, are not numbers
+    ([], {**SYNTH_CONFIG, "step": "0.01"}, "step"),
+    ([], {**SYNTH_CONFIG, "domain": ["0", "1"]}, "domain"),
+    ([], {**SYNTH_CONFIG, "init_frame": ["1", "0", "0", "0", "1", "0", "0", "0", "1"]},
+     "init_frame"),
+    ([], {**SYNTH_CONFIG, "domain": [0, 10 ** 400]}, "domain"),
+    ([], {**SYNTH_CONFIG, "step": 10 ** 400}, "step"),
+    ([], {**SYNTH_CONFIG, "init_frame": [10 ** 400, 0, 0, 0, 1, 0, 0, 0, 1]},
+     "init_frame"),
+    ([], {**SYNTH_CONFIG, "init_position": [10 ** 400, 0, 0]}, "init_position"),
+    ([], {**SYNTH_CONFIG, "tolerances": {"residual": 10 ** 400}}, "residual"),
 ], ids=["step-nan", "domain-inf", "domain-minus-inf", "top-level-list",
         "domain-one-number", "step-text", "init-frame-3", "init-position-r3-4",
         "init-position-so3-4", "init-position-s3-3", "tolerances-list",
@@ -873,7 +884,10 @@ SYNTH_CONFIG = {"group": "r3", "kappa": "1", "tau": "0", "domain": [0, 1],
         "init-position-so3-reflection", "init-position-s3-zero",
         "init-frame-near-singular", "init-position-so3-near-singular",
         "domain-flag-no-colon", "domain-flag-not-a-number", "domain-reversed",
-        "group-unknown"])
+        "group-unknown", "step-number-text", "domain-number-text",
+        "init-frame-number-text", "domain-past-float-range", "step-past-float-range",
+        "init-frame-past-float-range", "init-position-past-float-range",
+        "tolerance-past-float-range"])
 def test_malformed_config_exits_2(flags, config, key, tmp_path, capsys):
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(config), encoding="utf-8")

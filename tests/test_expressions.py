@@ -6,9 +6,10 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from curvemates.expressions import (Binary, DifferentiationError, DomainError,
-                                    ExpressionSyntaxError, Num, Unary, Var,
-                                    differentiate, ensure_expr, evaluate, parse,
-                                    simplify, to_text)
+                                    ExpressionSyntaxError, Num, Samples, Unary,
+                                    Var, differentiate, ensure_expr, evaluate,
+                                    is_constant, parse, simplify, to_text)
+from curvemates.liegroup import sg_derivative
 from curvemates.catalog import PROFILES
 
 
@@ -397,3 +398,38 @@ def test_trapping_evaluator_matches_the_scanning_one(e, s):
     value = evaluate(e, s)
     assert np.shape(value) == np.shape(want)
     assert _bits(value) == _bits(want)
+
+
+# ---------------------------------------------------------------------------
+# sampled leaves
+
+def sampled_sine(n=401):
+    s = np.linspace(0.0, 2.0, n)
+    return Samples(s, np.sin(3.0 * s))
+
+
+def test_samples_differentiate_by_the_window_5_filter():
+    leaf = sampled_sine()
+    d = differentiate(leaf)
+    assert isinstance(d, Samples) and d.s is leaf.s
+    h = leaf.s[1] - leaf.s[0]
+    assert d.values.tobytes() == sg_derivative(leaf.values, h, 5).tobytes()
+    # inside a tree, by the chain rule over the same leaf
+    tree = differentiate(Binary("*", Num(2.0), Unary("sin", leaf)))
+    np.testing.assert_allclose(evaluate(tree, leaf.s),
+                               2.0 * np.cos(leaf.values) * d.values, rtol=1e-15)
+
+
+def test_samples_are_not_constant_and_pass_through_simplify():
+    leaf = sampled_sine()
+    assert not is_constant(leaf)
+    assert not is_constant(Binary("+", Num(1.0), leaf))
+    assert simplify(leaf) is leaf
+    assert simplify(Binary("+", leaf, Num(0.0))) is leaf
+
+
+def test_samples_print_as_a_placeholder_named_in_domain_errors():
+    leaf = sampled_sine()
+    assert to_text(Binary("/", Num(1.0), leaf)) == "1.0/samples[401]"
+    with pytest.raises(DomainError, match=r"samples\[401\]"):
+        evaluate(Unary("sqrt", leaf), leaf.s)

@@ -153,8 +153,8 @@ def test_sigma_of_mates_opposite_for_positive_torsion_gap():
 
 def test_constant_curvature_inverse_trivial():
     rec = constant_curvature_inverse("0", 3.0, R3, domain=(0, 2), n=201)
-    np.testing.assert_allclose(rec.kappa_samples, 3.0, atol=1e-15)
-    np.testing.assert_allclose(rec.tau_samples, 0.0, atol=1e-15)
+    np.testing.assert_allclose(rec.kappa_expr.values, 3.0, atol=1e-15)
+    np.testing.assert_allclose(rec.tau_expr.values, 0.0, atol=1e-15)
 
 
 def test_constant_curvature_inverse_arctangent_oracle():
@@ -162,10 +162,10 @@ def test_constant_curvature_inverse_arctangent_oracle():
     # must be kappa = 3 cos(arctan(2s/3)) = 9/sqrt(9+4s^2) and
     # tau = 3 sin(arctan(2s/3)) = 6s/sqrt(9+4s^2)
     rec = constant_curvature_inverse("6/(9+4*s^2)", 3.0, R3, domain=(0, 2), n=4001)
-    s = rec.s_grid
-    np.testing.assert_allclose(rec.kappa_samples, 9 / np.sqrt(9 + 4 * s ** 2),
+    s = rec.kappa_expr.s
+    np.testing.assert_allclose(rec.kappa_expr.values, 9 / np.sqrt(9 + 4 * s ** 2),
                                atol=1e-8)
-    np.testing.assert_allclose(rec.tau_samples, 6 * s / np.sqrt(9 + 4 * s ** 2),
+    np.testing.assert_allclose(rec.tau_expr.values, 6 * s / np.sqrt(9 + 4 * s ** 2),
                                atol=1e-8)
 
 
@@ -178,7 +178,7 @@ def test_constant_curvature_inverse_round_trips():
         text = f"{a[0]}*sin(s)+{a[1]}*cos(2*s)+{a[2]}"
         rec = constant_curvature_inverse(text, c, R3, domain=(0.0, 1.0), n=2001)
         mate = natural_mate_apparatus(rec, R3)
-        s = rec.s_grid[4:-4]
+        s = rec.kappa_expr.s[4:-4]
         vals = a[0] * np.sin(s) + a[1] * np.cos(2 * s) + a[2]
         worst = max(worst,
                     float(np.max(np.abs(mate.kappa_at(s) - c))),

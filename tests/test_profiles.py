@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from curvemates.analysis import verify_cor_3_2, verify_cor_6_2
-from curvemates.expressions import DomainError
+from curvemates.expressions import DomainError, Samples, evaluate
 from curvemates.integrate import integrate_frame
 from curvemates.liegroup import R3, S3, SO3, bracket, sg_derivative
 from curvemates.profiles import (SINGULAR_SIGMA_TOL, CurvatureProfile,
@@ -197,6 +197,15 @@ def test_sampled_profile_values_roundtrip(profiles):
     np.testing.assert_allclose(sampled.tau_at(probe), p.tau_at(probe), atol=1e-10)
 
 
+def test_a_profile_is_two_expressions(profiles):
+    assert CurvatureProfile._fields == ("s_min", "s_max", "kappa_expr", "tau_expr")
+    p = profiles["slant_helix"]
+    s = p.grid(401)
+    q = CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s))
+    assert isinstance(q.kappa_expr, Samples) and isinstance(q.tau_expr, Samples)
+    assert q.domain == p.domain
+
+
 @pytest.mark.parametrize("name", ["slant_helix", "rectifying", "anti_salkowski"])
 def test_sampled_profile_reads_its_samples_at_its_nodes(profiles, name):
     # (s - s0)/h lands a few ulp off the node index; a node must still read
@@ -204,12 +213,13 @@ def test_sampled_profile_reads_its_samples_at_its_nodes(profiles, name):
     p = profiles[name]
     s = np.linspace(*p.domain, 401)
     q = CurvatureProfile.from_samples(s, p.kappa_at(s), p.tau_at(s))
-    np.testing.assert_array_equal(q.kappa_at(q.s_grid), q.kappa_samples)
-    np.testing.assert_array_equal(q.tau_at(q.s_grid), q.tau_samples)
-    np.testing.assert_array_equal(q.kappa_prime_at(q.s_grid),
-                                  sg_derivative(q.kappa_samples, q.h, 5))
+    nodes, kappa, tau = q.kappa_expr.s, q.kappa_expr.values, q.tau_expr.values
+    np.testing.assert_array_equal(evaluate(q.kappa_expr, nodes), kappa)
+    np.testing.assert_array_equal(q.tau_at(nodes), tau)
+    np.testing.assert_array_equal(q.kappa_prime_at(nodes),
+                                  sg_derivative(kappa, nodes[1] - nodes[0], 5))
     for i in (0, 1, 200, 399, 400):
-        assert q.kappa_at(q.s_grid[i]) == q.kappa_samples[i]
+        assert q.kappa_at(nodes[i]) == kappa[i]
 
 
 def test_frame_rotation_residuals(profiles):
