@@ -139,6 +139,15 @@ MUTANTS = (
            'return Binary("/", du, Binary("*", Num(2.0), Unary("sqrt", u)))',
            'return Binary("/", du, Binary("*", Num(1.0), Unary("sqrt", u)))',
            ("tests/test_expressions.py",)),
+    # the scanner's number rule and the precedence table
+    Mutant("times_binds_like_plus", "src/curvemates/expressions.py",
+           '_PREC = {"+": 1, "-": 1, "*": 2,',
+           '_PREC = {"+": 1, "-": 1, "*": 1,',
+           ("tests/test_expressions.py",)),
+    Mutant("exponent_digits_optional", "src/curvemates/expressions.py",
+           "(?:[eE][+-]?[0-9]+)?",
+           "(?:[eE][+-]?[0-9]*)?",
+           ("tests/test_expressions.py",)),
     # from earlier hand-made mutants
     Mutant("tan_derivative_drops_one", "src/curvemates/expressions.py",
            'return Binary("*", Binary("+", Num(1.0), sq), du)',

@@ -395,7 +395,7 @@ def verify_thm_5_1(p: CurvatureProfile, spec: GroupSpec,
     c = float(np.mean(ProfileSamples(mate, spec, p.grid(INVERSE_GRID_POINTS)).kappa))
     start = ProfileSamples(p, spec, p.s_min)
     phi0 = math.atan2(float(start.m), float(start.kappa))
-    rec = constant_curvature_inverse(mate.tau_at, c, spec, mate.domain,
+    rec = constant_curvature_inverse(mate.tau_expr, c, spec, mate.domain,
                                      INVERSE_GRID_POINTS, phi0)
     sg = rec.kappa_expr.s[4:-4]
     orig = ProfileSamples(p, spec, sg)

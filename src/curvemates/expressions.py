@@ -3,16 +3,18 @@
 The grammar covers everything needed to write curvature/torsion laws on the
 command line or in config files:
 
-    expr   := term  (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
+    expr   := unary (('+'|'-'|'*'|'/') unary)*    # left-associative
     unary  := '-' unary | power
     power  := atom ('^' unary)?          # right-associative
     atom   := NUMBER | 'pi' | 's' | FUNC '(' expr ')' | '(' expr ')'
     FUNC   := sin | cos | tan | sqrt | abs | exp
+    NUMBER := (D+ ('.' D*)? | '.' D+) ([eE] [+-]? D+)?    # D is an ASCII digit
 
-'^' binds tighter than unary minus, so "-s^2" is -(s^2).  Function
-application requires parentheses.  Whitespace is insignificant.  'pi' is
-the number Num(math.pi), and prints as 3.141592653589793.
+'*' and '/' bind tighter than '+' and '-', and '^' tighter than unary
+minus, so "-s^2" is -(s^2); ``_PREC`` holds these levels.  A name is a
+letter or '_' followed by letters, digits and '_'.  Function application
+requires parentheses.  Whitespace is insignificant.  'pi' is the number
+Num(math.pi), and prints as 3.141592653589793.
 
 Besides the parsed nodes, a tree may hold ``Samples``, a function sampled on
 a uniform grid, so a sampled profile is read, differentiated and combined
@@ -22,6 +24,7 @@ by the same rules as a written one.
 from __future__ import annotations
 
 import math
+import re
 from typing import NamedTuple, Union
 
 import numpy as np
@@ -85,54 +88,33 @@ Expr = Union[Num, Var, Samples, Unary, Binary]
 # ---------------------------------------------------------------------------
 # parsing
 
-# not str.isdigit, which also holds for "²" and "٣"
-_DIGITS = frozenset("0123456789")
+# The one precedence table: the parser climbs it and the printer wraps by it.
+_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
+
+# A number takes ASCII digits only: not \d or str.isdigit, which also hold
+# for "²" and "٣".  \w and \s are str.isalnum (or "_") and str.isspace.
+_TOKEN = re.compile(r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
+                    r"|(?P<name>\w+)|(?P<op>[-+*/^()])|\s+")
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _DIGITS or (c == "." and i + 1 < n and text[i + 1] in _DIGITS):
-            start = i
-            while i < n and text[i] in _DIGITS:
-                i += 1
-            if i < n and text[i] == ".":
-                i += 1
-                while i < n and text[i] in _DIGITS:
-                    i += 1
-            if i < n and text[i] in "eE":
-                j = i + 1
-                if j < n and text[j] in "+-":
-                    j += 1
-                if j < n and text[j] in _DIGITS:
-                    i = j
-                    while i < n and text[i] in _DIGITS:
-                        i += 1
-            tokens.append(("num", text[start:i], start))
-            continue
-        if c.isalpha() or c == "_":
-            start = i
-            while i < n and (text[i].isalnum() or text[i] == "_"):
-                i += 1
-            tokens.append(("name", text[start:i], start))
-            continue
-        if c in "+-*/^()":
-            tokens.append((c, c, i))
-            i += 1
-            continue
-        raise ExpressionSyntaxError(f"unexpected character {c!r}", i)
-    tokens.append(("end", "", n))
+    i = 0
+    while i < len(text):
+        m = _TOKEN.match(text, i)
+        # a name starts with a letter or "_", so "²" starts no token
+        if m is None or (m.lastgroup == "name" and not (text[i].isalpha() or text[i] == "_")):
+            raise ExpressionSyntaxError(f"unexpected character {text[i]!r}", i)
+        if m.lastgroup is not None:
+            kind = m[0] if m.lastgroup == "op" else m.lastgroup
+            tokens.append((kind, m[0], i))
+        i = m.end()
+    tokens.append(("end", "", len(text)))
     return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
@@ -159,18 +141,15 @@ class _Parser:
             raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
         return e
 
-    def expr(self) -> Expr:
-        left = self.term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
-            left = Binary(op, left, self.term())
-        return left
-
-    def term(self) -> Expr:
+    def expr(self, floor: int = 0) -> Expr:
+        """Unary operands joined by the left-associative operators, those
+        that bind looser than unary minus (precedence climbing): an operator
+        joins here when its precedence is at least floor, and its right
+        operand holds only operators that bind tighter."""
         left = self.unary()
-        while self.peek()[0] in ("*", "/"):
-            op = self.advance()[0]
-            left = Binary(op, left, self.unary())
+        while (op := self.peek()[0]) in _PREC and floor <= _PREC[op] < _PREC["neg"]:
+            self.advance()
+            left = Binary(op, left, self.expr(_PREC[op] + 1))
         return left
 
     def unary(self) -> Expr:
@@ -187,8 +166,7 @@ class _Parser:
         return base
 
     def atom(self) -> Expr:
-        tok = self.advance()
-        kind, text, offset = tok
+        kind, text, offset = self.advance()
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
@@ -455,8 +433,6 @@ def _is_one(e: Expr) -> bool:
 # ---------------------------------------------------------------------------
 # printing
 
-_PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
-
 
 def to_text(e: Expr) -> str:
     """Render to text that reparses to an evaluation-equivalent tree, unless
@@ -470,7 +446,7 @@ def _fmt(e: Expr, parent_prec: int) -> str:
         if e.value >= 0:
             text = repr(e.value)
             return text
-        return _wrap(repr(e.value), 3, parent_prec)
+        return _wrap(repr(e.value), _PREC["neg"], parent_prec)
     if isinstance(e, Var):
         return "s"
     if isinstance(e, Samples):
@@ -498,9 +474,10 @@ def ensure_expr(e) -> Expr:
     """Accept an Expr or expression text."""
     if isinstance(e, str):
         return parse(e)
-    if isinstance(e, (Num, Var, Samples, Unary, Binary)):
+    if isinstance(e, Expr):
         return e
-    if isinstance(e, (int, float)):
+    # bool is an int, but True is no curvature
+    if isinstance(e, (int, float)) and not isinstance(e, bool):
         if not math.isfinite(e):
             raise ValueError(f"constant {e!r} is not finite")
         return Num(float(e))

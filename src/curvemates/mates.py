@@ -125,14 +125,14 @@ def constant_curvature_inverse(tau_bar, c: float, spec: GroupSpec, domain, n: in
         tau - tau_G = c sin(phi(s)),   phi(s) = phi0 + integral of (tau_bar - tau_G)
 
     with the integral taken by the same cumulative quadrature as the left
-    shift.  ``tau_bar`` is a callable over s or an expression.  Returns a
-    sampled profile on an n-point grid.
+    shift.  ``tau_bar`` is an expression or its text.  Returns a sampled
+    profile on an n-point grid.
     """
     if c <= 0:
         raise ValueError("c must be positive")
     s = np.linspace(float(domain[0]), float(domain[1]), n)
     h = s[1] - s[0]
-    values = tau_bar(s) if callable(tau_bar) else ex.evaluate(ex.ensure_expr(tau_bar), s)
+    values = ex.evaluate(ex.ensure_expr(tau_bar), s)
     phi = phi0 + cumulative_quadrature(values - spec.tau_g, h)
     kappa = c * np.cos(phi)
     tau = spec.tau_g + c * np.sin(phi)

@@ -1,13 +1,15 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvemates.expressions import (Binary, DifferentiationError, DomainError,
-                                    ExpressionSyntaxError, Num, Samples, Unary,
-                                    Var, differentiate, ensure_expr, evaluate,
+from curvemates.expressions import (_PREC, Binary, DifferentiationError,
+                                    DomainError, ExpressionSyntaxError, Num,
+                                    Samples, Unary, Var, _tokenize,
+                                    differentiate, ensure_expr, evaluate,
                                     is_constant, parse, simplify, to_text)
 from curvemates.liegroup import sg_derivative
 from curvemates.catalog import PROFILES
@@ -39,6 +41,58 @@ def test_non_ascii_digits_rejected(text, offset):
     assert exc.value.offset == offset
 
 
+@pytest.mark.parametrize("text,message", [
+    ("2e", "unexpected 'e' at offset 1"), ("2e+", "unexpected 'e' at offset 1"),
+    ("2*e", "unknown identifier 'e' at offset 2"),
+    ("2*e1", "unknown identifier 'e1' at offset 2")])
+def test_exponent_needs_digits(text, message):
+    # an "e" with no digits after it ends the number and starts a name
+    with pytest.raises(ExpressionSyntaxError, match=f"^{re.escape(message)}$"):
+        parse(text)
+
+
+# ASCII, and characters that str.isdigit, str.isalnum or str.isspace accept
+# but the grammar does not read as they might look: a superscript two, an
+# Arabic-Indic three, a fullwidth one, an accented letter, a vulgar half,
+# a no-break space, a file separator and a combining accent
+_SCANNED = st.text(st.sampled_from(list("0123456789.eE+-*/^()s _xpi\t")
+                                   + ["\u00b2", "\u0663", "\uff11", "\u00e9",
+                                      "\u00bd", "\u00a0", "\x1c", "\u0301"]),
+                   max_size=16)
+# the documented number grammar, in ASCII digits
+_NUMBER = re.compile(r"([0-9]+(\.[0-9]*)?|\.[0-9]+)([eE][+-]?[0-9]+)?")
+
+
+def _starts_a_token(text, i):
+    c = text[i]
+    return (c.isspace() or c.isalpha() or c == "_" or c in "0123456789+-*/^()"
+            or c == "." and text[i + 1:i + 2] in tuple("0123456789"))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_SCANNED)
+def test_scanner_splits_text_into_the_documented_tokens(text):
+    try:
+        tokens = _tokenize(text)
+    except ExpressionSyntaxError as e:
+        # the first character that can start no token
+        assert not _starts_a_token(text, e.offset)
+        _tokenize(text[:e.offset])
+        return
+    assert tokens[-1] == ("end", "", len(text))
+    assert "".join(tok[1] for tok in tokens) == "".join(
+        c for c in text if not c.isspace())
+    for kind, tok, offset in tokens[:-1]:
+        assert text[offset:offset + len(tok)] == tok
+        if kind == "num":
+            assert _NUMBER.fullmatch(tok)
+        elif kind == "name":
+            assert tok[0].isalpha() or tok[0] == "_"
+            assert all(c.isalnum() or c == "_" for c in tok)
+        else:
+            assert kind == tok and tok in "+-*/^()"
+
+
 def test_empty_input():
     with pytest.raises(ExpressionSyntaxError):
         parse("")
@@ -67,6 +121,43 @@ def test_precedence():
     assert ev("12/4/3", 0.0) == pytest.approx(1.0)
     assert ev("2*s^2", 3.0) == pytest.approx(18.0)
     assert ev("pi", 0.0) == pytest.approx(math.pi)
+
+
+_BINARY = ("+", "-", "*", "/", "^")
+S, TWO, THREE = Var(), Num(2.0), Num(3.0)
+
+
+def _grouped(a, b, x, y, z):
+    """The tree of "x a y b z" by _PREC: '^' alone is right-associative."""
+    if _PREC[a] > _PREC[b] or _PREC[a] == _PREC[b] and a != "^":
+        return Binary(b, Binary(a, x, y), z)
+    return Binary(a, x, Binary(b, y, z))
+
+
+def test_precedence_table_is_the_documented_one():
+    assert _PREC["+"] == _PREC["-"] < _PREC["*"] == _PREC["/"] < _PREC["neg"] < _PREC["^"]
+
+
+@pytest.mark.parametrize("a", _BINARY)
+@pytest.mark.parametrize("b", _BINARY)
+def test_every_pair_of_operators_groups_as_the_precedence_table_says(a, b):
+    assert parse(f"s{a}2{b}3") == _grouped(a, b, S, TWO, THREE)
+    # a unary minus after a takes 2 alone unless b binds tighter than it
+    if _PREC["neg"] > _PREC[b]:
+        want = _grouped(a, b, S, Unary("neg", TWO), THREE)
+    else:
+        want = Binary(a, S, Unary("neg", Binary(b, TWO, THREE)))
+    assert parse(f"s{a}-2{b}3") == want
+    for text in (f"s{a}2{b}3", f"s{a}-2{b}3"):
+        assert parse(to_text(parse(text))) == parse(text)
+
+
+@pytest.mark.parametrize("a", _BINARY)
+def test_unary_minus_groups_as_the_precedence_table_says(a):
+    want = (Binary(a, Unary("neg", S), TWO) if _PREC["neg"] > _PREC[a]
+            else Unary("neg", Binary(a, S, TWO)))
+    assert parse(f"-s{a}2") == want
+    assert parse(to_text(want)) == want
 
 
 def test_pi_parses_to_the_number_pi():
@@ -120,6 +211,13 @@ def test_non_finite_constants_rejected(value):
     with pytest.raises(DomainError) as exc:
         evaluate(Binary("/", Num(1.0), Num(value)), np.array([0.5, 1.0]))
     assert exc.value.subterm == Num(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True)])
+def test_booleans_are_not_expressions(value):
+    # bool is an int, but True is not the curvature 1
+    with pytest.raises(TypeError, match="cannot interpret"):
+        ensure_expr(value)
 
 
 def test_non_finite_s_rejected():

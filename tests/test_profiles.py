@@ -206,6 +206,13 @@ def test_a_profile_is_two_expressions(profiles):
     assert q.domain == p.domain
 
 
+def test_a_boolean_is_no_curvature_law():
+    with pytest.raises(TypeError):
+        CurvatureProfile.from_expressions(True, 0, (0, 1))
+    with pytest.raises(TypeError):
+        CurvatureProfile.from_expressions(1, False, (0, 1))
+
+
 @pytest.mark.parametrize("name", ["slant_helix", "rectifying", "anti_salkowski"])
 def test_sampled_profile_reads_its_samples_at_its_nodes(profiles, name):
     # (s - s0)/h lands a few ulp off the node index; a node must still read
