@@ -181,6 +181,20 @@ MUTANTS = (
            "bytes([23 - i]) * 10 ** (3 - i)",
            "bytes([22 - i]) * 10 ** (3 - i)",
            ("tests/test_csvfmt.py",)),
+    # one rule for each value from outside: a config number, a start
+    # position, the nesting of an expression
+    Mutant("config_number_takes_booleans", "src/curvemates/cli.py",
+           "isinstance(value, (int, float)) and not isinstance(value, bool)",
+           "isinstance(value, (int, float))",
+           ("tests/test_cli.py::test_malformed_config_exits_2",)),
+    Mutant("start_position_projection_dropped", "src/curvemates/cli.py",
+           '_require_projection("init_position", spec, g0)',
+           "None",
+           ("tests/test_cli.py::test_malformed_config_exits_2",)),
+    Mutant("nesting_bound_never_trips", "src/curvemates/expressions.py",
+           "if depth >= MAX_DEPTH:",
+           "if False:",
+           ("tests/test_expressions.py::test_nesting_is_bounded_at_max_depth",)),
     # the mate's direction, the CSV chunks and the grid too large for memory
     Mutant("mate_direction_swapped", "src/curvemates/cli.py",
            'which = "principal_normal" if kind == "natural" else "binormal"',

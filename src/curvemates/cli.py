@@ -85,14 +85,6 @@ _COMMAND_KEYS = {
 _FLOAT_MAX = sys.float_info.max
 
 
-def _holds_bool(value) -> bool:
-    """Whether value is JSON true or false, or a list holding one at any
-    depth: Python would read it as the number 1 or 0."""
-    if isinstance(value, (list, tuple)):
-        return any(_holds_bool(v) for v in value)
-    return isinstance(value, bool)
-
-
 def _is_number(value) -> bool:
     """Whether value is a number that a float holds: not text, not true or
     false, and within the float range, so finite.  Compared rather than
@@ -120,7 +112,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         try:
             with open(args.config, encoding="utf-8") as fh:
                 data = json.load(fh)
-        except (OSError, json.JSONDecodeError) as e:
+        except (OSError, ValueError, RecursionError) as e:   # not UTF-8 or JSON, too deep
             raise ConfigError(f"cannot read config {args.config}: {e}") from e
         if not isinstance(data, dict):
             raise ConfigError(f"config {args.config} must hold a JSON object")
@@ -145,20 +137,13 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     out = pick("out", "out")
     if None in (group, kappa, tau, domain, step):
         raise ConfigError("group, kappa, tau, domain and step are all required")
-    for key, value in (("kappa", kappa), ("tau", tau), ("domain", domain),
-                       ("step", step), ("init_frame", data.get("init_frame")),
-                       ("init_position", data.get("init_position"))):
-        if _holds_bool(value):
-            raise ConfigError(f"{key} takes numbers, not true or false, got {value!r}")
     try:
-        family = group_spec(str(group)).family
+        spec = group_spec(str(group))
     except ValueError as e:
         raise ConfigError(str(e)) from e
     for key, value in (("kappa", kappa), ("tau", tau)):
-        if not isinstance(value, (str, int, float)):
-            raise ConfigError(f"{key} must be an expression or a number, got {value!r}")
         if not (isinstance(value, str) or _is_number(value)):
-            raise ConfigError(f"{key} must be finite, got {value!r}")
+            raise ConfigError(f"{key} must be an expression or a finite number, got {value!r}")
     # open() would take a number as a file descriptor; an empty path names
     # no file, for every command alike
     if out is not None and not (isinstance(out, str) and out):
@@ -207,7 +192,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
                      theorems=tuple(theorems), tolerances=tolerances,
                      init_frame=_numbers(data, "init_frame", 9),
                      init_position=_numbers(data, "init_position",
-                                            len(_POSITION_COLUMNS[family])))
+                                            identity_element(spec).size))
 
 
 # ---------------------------------------------------------------------------
@@ -318,9 +303,9 @@ def _check_estimator_grid(config: RunConfig) -> None:
 
 
 def _require_projection(key: str, spec: GroupSpec, g: np.ndarray) -> None:
-    """Reject a start g that has no projection onto its group (a matrix too
-    near singular), before anything is integrated.  The command integrates
-    from g itself, which it projects again."""
+    """Reject a start g with no projection onto its group (det <= 0 or near
+    singular, a quaternion of zero or non-finite norm) before anything is
+    integrated.  The command integrates from g itself, which it projects again."""
     try:
         renormalize_element(spec, g)
     except ValueError as e:
@@ -335,9 +320,8 @@ def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
     spec = config.spec()
     p = config.profile()
     init = g0 = None
-    # the frame and the position are projected onto their groups once, which
-    # would silently turn a reflection into an unrelated rotation, and has
-    # no unit quaternion to give for 0
+    # each start needs a projection onto its group, and a frame must be
+    # right-handed too: projecting a reflection gives an unrelated rotation
     if config.init_frame is not None:
         init = config.init_frame.reshape(3, 3)
         if not det3(init) > 0:
@@ -346,10 +330,6 @@ def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
         _require_projection("init_frame", group_spec("so3"), init.T)
     if config.init_position is not None:
         g0 = config.init_position.reshape(identity_element(spec).shape)
-        if spec.family == "so3" and not det3(g0) > 0:
-            raise ConfigError("init_position must be a rotation matrix (det > 0)")
-        if spec.family == "s3" and not 0 < np.linalg.norm(g0) < np.inf:
-            raise ConfigError("init_position must be a nonzero quaternion of finite norm")
         _require_projection("init_position", spec, g0)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1],
                            config.step, init)

@@ -16,6 +16,13 @@ letter or '_' followed by letters, digits and '_'.  Function application
 requires parentheses.  Whitespace is insignificant.  'pi' is the number
 Num(math.pi), and prints as 3.141592653589793.
 
+Nesting is bounded by ``MAX_DEPTH``: each '(' (a function's too), unary
+'-' and '^' opens a level that lasts to the end of its operand, and so does
+each operator of a left-associative chain, to the end of the chain.  A
+token that would open a level past the bound is a syntax error, so parsing
+and the recursive walks below (evaluate, differentiate, simplify, to_text)
+keep within Python's default recursion limit.
+
 Besides the parsed nodes, a tree may hold ``Samples``, a function sampled on
 a uniform grid, so a sampled profile is read, differentiated and combined
 by the same rules as a written one.
@@ -91,6 +98,8 @@ Expr = Union[Num, Var, Samples, Unary, Binary]
 # The one precedence table: the parser climbs it and the printer wraps by it.
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
+MAX_DEPTH = 100
+
 # A number takes ASCII digits only: not \d or str.isdigit, which also hold
 # for "²" and "٣".  \w and \s are str.isalnum (or "_") and str.isspace.
 _TOKEN = re.compile(r"(?P<num>(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+)(?:[eE][+-]?[0-9]+)?)"
@@ -135,47 +144,52 @@ class _Parser:
     def parse(self) -> Expr:
         if self.peek()[0] == "end":
             raise ExpressionSyntaxError("empty expression", 0)
-        e = self.expr()
+        e = self.expr(0)
         tok = self.peek()
         if tok[0] != "end":
             raise ExpressionSyntaxError(f"unexpected {tok[1]!r}", tok[2])
         return e
 
-    def expr(self, floor: int = 0) -> Expr:
+    def deeper(self, depth: int) -> int:
+        """The level that the next token opens, which is consumed."""
+        offset = self.advance()[2]
+        if depth >= MAX_DEPTH:
+            raise ExpressionSyntaxError(f"nesting deeper than {MAX_DEPTH} levels", offset)
+        return depth + 1
+
+    def expr(self, depth: int, floor: int = 0) -> Expr:
         """Unary operands joined by the left-associative operators, those
         that bind looser than unary minus (precedence climbing): an operator
         joins here when its precedence is at least floor, and its right
         operand holds only operators that bind tighter."""
-        left = self.unary()
+        left = self.unary(depth)
         while (op := self.peek()[0]) in _PREC and floor <= _PREC[op] < _PREC["neg"]:
-            self.advance()
-            left = Binary(op, left, self.expr(_PREC[op] + 1))
+            depth = self.deeper(depth)
+            left = Binary(op, left, self.expr(depth, _PREC[op] + 1))
         return left
 
-    def unary(self) -> Expr:
+    def unary(self, depth: int) -> Expr:
         if self.peek()[0] == "-":
-            self.advance()
-            return Unary("neg", self.unary())
-        return self.power()
+            return Unary("neg", self.unary(self.deeper(depth)))
+        return self.power(depth)
 
-    def power(self) -> Expr:
-        base = self.atom()
+    def power(self, depth: int) -> Expr:
+        base = self.atom(depth)
         if self.peek()[0] == "^":
-            self.advance()
-            return Binary("^", base, self.unary())
+            return Binary("^", base, self.unary(self.deeper(depth)))
         return base
 
-    def atom(self) -> Expr:
+    def atom(self, depth: int) -> Expr:
+        if self.peek()[0] == "(":
+            e = self.expr(self.deeper(depth))
+            self.expect(")")
+            return e
         kind, text, offset = self.advance()
         if kind == "num":
             value = float(text)
             if not math.isfinite(value):
                 raise ExpressionSyntaxError(f"number {text!r} is out of range", offset)
             return Num(value)
-        if kind == "(":
-            e = self.expr()
-            self.expect(")")
-            return e
         if kind == "name":
             if text == "pi":
                 return Num(math.pi)
@@ -186,10 +200,7 @@ class _Parser:
                 if nxt[0] != "(":
                     raise ExpressionSyntaxError(
                         f"function {text!r} requires parentheses", nxt[2])
-                self.advance()
-                arg = self.expr()
-                self.expect(")")
-                return Unary(text, arg)
+                return Unary(text, self.atom(depth))
             raise ExpressionSyntaxError(f"unknown identifier {text!r}", offset)
         raise ExpressionSyntaxError(f"unexpected {text!r}", offset)
 

@@ -235,10 +235,11 @@ def reconstruct_position(traj: FrameTrajectory, spec: GroupSpec,
                          max_step_defect=max(traj.max_step_defect, step_defect))
 
 
-def integrate_direction_curve(source: FrameTrajectory, which: str, spec: GroupSpec,
-                              g0: Optional[np.ndarray] = None) -> PositionCurve:
-    """Position curve whose left-invariant tangent components equal the
-    source's principal normal (natural mate) or binormal (conjugate mate)."""
+def integrate_direction_curve(source: FrameTrajectory, which: str,
+                              spec: GroupSpec) -> PositionCurve:
+    """Position curve from the identity whose left-invariant tangent
+    components equal the source's principal normal (natural mate) or
+    binormal (conjugate mate)."""
     m = source.tau - spec.tau_g
     if which == "principal_normal":
         field = source.n
@@ -251,6 +252,6 @@ def integrate_direction_curve(source: FrameTrajectory, which: str, spec: GroupSp
     field_mid = _hermite_midpoints(field, deriv, source.h)
     del m, deriv    # freed before the integration allocates the positions
     positions, (step_defect, drift) = _integrate_group_positions(
-        source.s, field, field_mid, spec, g0)
+        source.s, field, field_mid, spec, None)
     return PositionCurve(s=source.s, positions=positions, spec=spec,
                          max_step_defect=step_defect, max_element_defect=drift)

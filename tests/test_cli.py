@@ -1,3 +1,4 @@
+import ast
 import errno
 import gc
 import io
@@ -16,8 +17,9 @@ import pytest
 from scipy.linalg import expm
 
 from curvemates.catalog import PROFILES
-from curvemates import csvfmt
+from curvemates import cli, csvfmt
 from curvemates.cli import _CHUNK_CELLS, THEOREMS, _csv_rows, main
+from curvemates.expressions import MAX_DEPTH
 from curvemates.liegroup import group_spec, identity_element
 
 from oracles import hat, left_translate
@@ -906,6 +908,17 @@ def test_unreadable_config_exits_2(tmp_path, capsys):
         assert err.startswith(f"error: cannot read config {path}: ")
 
 
+@pytest.mark.parametrize("text", [b'{"group": "\xff"}',
+                                  b'{"init_frame": ' + b"[" * 100000 + b"]" * 100000 + b"}"],
+                         ids=["not-utf-8", "nested-past-the-recursion-limit"])
+def test_config_that_json_cannot_read_exits_2(text, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_bytes(text)
+    code, stdout, err = run_cli(["synthesize", "--config", str(path)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err.startswith(f"error: cannot read config {path}: ")
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("kind", "normal", "kind must be natural or conjugate, got 'normal'"),
     ("mode", "fast", "mode must be analytic, geometric or both, got 'fast'"),
@@ -989,6 +1002,57 @@ def test_non_ascii_digit_exits_2(kappa, capsys):
                               "--tau", "1", "--domain", "0:1", "--step", "0.01"], capsys)
     assert code == 2 and out == ""
     assert err.startswith("error: unexpected character") and "at offset 2" in err
+
+
+@pytest.mark.parametrize("args,offset", [
+    (["synthesize", "--kappa", "(" * 400 + "1" + ")" * 400, "--tau", "1"], MAX_DEPTH),
+    (["synthesize", "--kappa", "1", "--tau=" + "-" * 1000 + "1"], MAX_DEPTH),
+    (["synthesize", "--kappa", "^".join(["1"] * 600), "--tau", "1"], 2 * MAX_DEPTH + 1),
+    (["classify", "--kappa", "+".join(["s"] * 1500), "--tau", "1"], 2 * MAX_DEPTH + 1),
+], ids=["parentheses", "unary-minus", "powers", "sum"])
+def test_expression_nested_past_the_bound_exits_2(args, offset, capsys):
+    code, out, err = run_cli(args + ["--group", "r3", "--domain", "1:2",
+                                     "--step", "0.01"], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: nesting deeper than {MAX_DEPTH} levels at offset {offset}\n"
+
+
+@pytest.mark.parametrize("group", ["r3", "so3", "s3"])
+def test_expressions_at_the_nesting_bound_verify_like_their_shallow_forms(group,
+                                                                          capsys):
+    def verify(kappa, tau):
+        return run_cli(["verify", "--group", group, "--kappa", kappa, "--tau", tau,
+                        "--domain", "1:2", "--step", "0.01",
+                        "--theorems", ",".join(THEOREMS)], capsys)
+
+    parentheses = "(" * MAX_DEPTH + "s" + ")" * MAX_DEPTH
+    total = "+".join(["s"] * (MAX_DEPTH + 1))
+    code, out, _ = verify(parentheses, total)
+    shallow_code, shallow_out, _ = verify("s", f"{MAX_DEPTH + 1}*s")
+    assert code == shallow_code
+    verdicts = [[r["theorem"], r["applicable"], r["pass"]]
+                for r in json.loads(out)["results"]]
+    assert len(verdicts) == len(THEOREMS)
+    assert verdicts == [[r["theorem"], r["applicable"], r["pass"]]
+                        for r in json.loads(shallow_out)["results"]]
+    # one level more is a syntax error
+    assert verify("(" + parentheses + ")", total)[0] == 2
+    assert verify(parentheses, total + "+s")[0] == 2
+
+
+def test_cli_reads_the_group_family_only_to_name_position_columns():
+    # a config number has one rule, _is_number, and a start position one,
+    # its group's projection: neither tests the family
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    nodes = list(ast.walk(tree))
+    assert "_holds_bool" not in {n.name for n in nodes if isinstance(n, ast.FunctionDef)}
+    keys = {id(n.slice) for n in nodes if isinstance(n, ast.Subscript)
+            and isinstance(n.value, ast.Name) and n.value.id == "_POSITION_COLUMNS"}
+    family = [n for n in nodes if isinstance(n, ast.Attribute) and n.attr == "family"]
+    assert family and all(id(n) in keys for n in family)
+    # det3 checks the handedness of init_frame, and nothing else
+    assert sum(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+               and n.func.id == "det3" for n in nodes) == 1
 
 
 @pytest.mark.parametrize("command", [["synthesize"],

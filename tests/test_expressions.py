@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from curvemates.expressions import (_PREC, Binary, DifferentiationError,
+from curvemates.expressions import (_PREC, MAX_DEPTH, Binary, DifferentiationError,
                                     DomainError, ExpressionSyntaxError, Num,
                                     Samples, Unary, Var, _tokenize,
                                     differentiate, ensure_expr, evaluate,
@@ -110,6 +110,28 @@ def test_unknown_identifier():
 def test_function_requires_parentheses():
     with pytest.raises(ExpressionSyntaxError, match="parentheses"):
         parse("sin s")
+
+
+# each shape nested n levels deep, and the token that opens a level
+@pytest.mark.parametrize("shape,opener", [
+    (lambda n: "(" * n + "s" + ")" * n, "("),
+    (lambda n: "sin(" * n + "s" + ")" * n, "("),
+    (lambda n: "-" * n + "s", "-"),
+    (lambda n: "^".join(["s"] + ["1"] * n), "^"),
+    (lambda n: "+".join(["s"] * (n + 1)), "+"),
+    (lambda n: "/".join(["s"] * (n + 1)), "/"),
+    (lambda n: "(" * 10 + "+".join(["s"] * (n - 9)) + ")" * 10, "+"),
+], ids=["parentheses", "functions", "unary-minus", "powers", "sum", "quotient",
+        "sum-in-parentheses"])
+def test_nesting_is_bounded_at_max_depth(shape, opener):
+    # at the bound a tree still parses, evaluates and differentiates; one
+    # level more is a syntax error at the token that opens it
+    e = parse(shape(MAX_DEPTH))
+    assert np.isfinite(evaluate(differentiate(e), np.linspace(0.5, 1.0, 5))).all()
+    text = shape(MAX_DEPTH + 1)
+    message = f"nesting deeper than {MAX_DEPTH} levels at offset {text.rfind(opener)}"
+    with pytest.raises(ExpressionSyntaxError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 def test_precedence():

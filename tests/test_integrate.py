@@ -151,8 +151,6 @@ def test_start_with_no_nearby_group_element_raises():
     for g0 in ([np.nan, 0.0, 0.0], [0.0, np.inf, 0.0]):
         with pytest.raises(ValueError, match="non-finite"):
             reconstruct_position(traj, R3, np.array(g0))
-        with pytest.raises(ValueError, match="non-finite"):
-            integrate_direction_curve(traj, "binormal", R3, np.array(g0))
 
 
 def test_reconstruct_circle():
@@ -234,9 +232,9 @@ def test_double_cover_halves_the_estimated_apparatus(name, profiles):
 def test_natural_mate_of_circle_is_circle():
     p = CurvatureProfile.from_expressions("1", "0", (0, 2 * np.pi))
     traj = integrate_frame(p, R3, 0, 2 * np.pi, 1e-3)
-    mate = integrate_direction_curve(traj, "principal_normal", R3,
-                                     np.array([1.0, 0.0, 0.0]))
-    exact = np.stack([np.cos(mate.s), np.sin(mate.s), 0 * mate.s], axis=1)
+    mate = integrate_direction_curve(traj, "principal_normal", R3)
+    # the unit circle through (1, 0, 0), translated to start at the origin
+    exact = np.stack([np.cos(mate.s) - 1, np.sin(mate.s), 0 * mate.s], axis=1)
     np.testing.assert_allclose(mate.positions, exact, atol=1e-9)
 
 
