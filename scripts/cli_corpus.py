@@ -37,6 +37,11 @@ on the slant helix and Salkowski, in every group, with --out.  Their
 outputs are megabytes, so each of these records holds a blake2b digest of
 its stdout and --out text in their place.
 
+After them, each bad choice of ``BAD_CHOICES`` runs as ``mate``, once as a
+flag over a good config file and once as a value of the config file: an
+unknown group, a group in capitals, an unknown kind and an unknown mode.
+The very last record is ``--show-tolerances``.
+
 Before each command, the --out path is filled with SENTINEL, so the record
 of a failing command shows whether the file it was given survived.  OUT
 holds one JSON line per command: its arguments, exit code, stdout, stderr
@@ -114,6 +119,10 @@ CONFIGS = [
 ]
 
 
+# (key, value) of the choice settings given a value outside their rule
+BAD_CHOICES = [("group", "se3"), ("group", "R3"), ("kind", "normal"), ("mode", "fast")]
+
+
 def commands(out):
     """Argument lists of every command; ``out`` is the --out path."""
     for g, kappa, tau, (a, b) in cases():
@@ -169,6 +178,18 @@ def bench_commands(out):
                     yield ["mate", "--kind", kind, "--mode", "both"] + profile
 
 
+def gate_commands(out):
+    """Argument lists of the bad choices, from a flag and from a config file,
+    then the tolerance table."""
+    config = os.path.join(os.path.dirname(out), "config.json")
+    for key, value in BAD_CHOICES:
+        for data, flags in ((SYNTH, [f"--{key}", value]), ({**SYNTH, key: value}, [])):
+            with open(config, "w", encoding="utf-8") as fh:
+                json.dump(data, fh)
+            yield ["mate", "--config", config, "--out", out] + flags
+    yield ["--show-tolerances"]
+
+
 def run(argv, out):
     """One command's record; ``out`` holds SENTINEL before it runs and is
     removed after."""
@@ -203,6 +224,8 @@ def main(path: str) -> None:
             text = json.dumps([record.pop("stdout"), record.pop("out")])
             record["digest"] = hashlib.blake2b(text.encode()).hexdigest()
             fh.write(json.dumps(record) + "\n")
+        for argv in gate_commands(out):
+            fh.write(json.dumps(run(argv, out)) + "\n")
 
 
 if __name__ == "__main__":

@@ -188,7 +188,7 @@ MUTANTS = (
            "isinstance(value, (int, float))",
            ("tests/test_cli.py::test_malformed_config_exits_2",)),
     Mutant("start_position_projection_dropped", "src/curvemates/cli.py",
-           '_require_projection("init_position", spec, g0)',
+           "renormalize_element(spec, g)",
            "None",
            ("tests/test_cli.py::test_malformed_config_exits_2",)),
     Mutant("nesting_bound_never_trips", "src/curvemates/expressions.py",
@@ -209,8 +209,8 @@ MUTANTS = (
            "empty.T[blank[0], :n] = blank[1][i + 1:i + n + 1]",
            ("tests/test_cli.py::test_csv_chunks_join_to_one_formatting_of_the_table",)),
     Mutant("estimator_grid_check_off_by_one", "src/curvemates/cli.py",
-           "if n <= 2 * analysis.MARGIN:",
-           "if n < 2 * analysis.MARGIN:",
+           "if n < analysis.MIN_SAMPLES:",
+           "if n <= analysis.MIN_SAMPLES:",
            ("tests/test_cli.py::test_grid_too_short_for_the_estimator_exits_2",)),
     Mutant("grid_size_check_dropped", "src/curvemates/integrate.py",
            "if not n <= _MAX_SAMPLES:",
@@ -324,6 +324,16 @@ MUTANTS = (
            "        gc.freeze()",
            "        pass",
            ("tests/test_cli.py::test_main_without_argv_freezes_the_start_up_heap",)),
+    # the one gate for settings and the one writer for output
+    Mutant("choice_rule_skipped", "src/curvemates/cli.py",
+           "if value not in _CHOICES[key]:",
+           "if False:",
+           ("tests/test_cli.py::"
+            "test_a_bad_choice_is_refused_alike_from_a_flag_or_a_config_file",)),
+    Mutant("show_tolerances_bypasses_writer", "src/curvemates/cli.py",
+           "code, outputs = 0, [(None, _show_tolerances())]",
+           'code, outputs = print(*_show_tolerances(), sep="", end="") or 0, []',
+           ("tests/test_cli.py::test_show_tolerances_on_a_full_stdout_exits_2",)),
 )
 
 

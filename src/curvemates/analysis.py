@@ -27,6 +27,8 @@ from .mates import ZERO_TOL
 DEFAULT_WINDOW = 11
 # samples at each end outside the valid span, one half window per nested derivative
 MARGIN = 3 * (DEFAULT_WINDOW // 2)
+# the shortest grid that leaves one sample to compare
+MIN_SAMPLES = 2 * MARGIN + 1
 
 
 class EstimationError(ValueError):
@@ -94,8 +96,8 @@ def estimate_apparatus(curve, spec: GroupSpec) -> EstimatedApparatus:
     s = np.asarray(curve.s, dtype=float)
     positions = np.asarray(curve.positions, dtype=float)
     n = s.shape[0]
-    if n <= 2 * MARGIN:
-        raise EstimationError(f"need at least {2 * MARGIN + 1} samples, got {n}")
+    if n < MIN_SAMPLES:
+        raise EstimationError(f"need at least {MIN_SAMPLES} samples, got {n}")
     if not is_uniform_grid(s):
         raise EstimationError("estimation requires a uniform s-grid")
     h = float(s[1] - s[0])

@@ -24,7 +24,7 @@ from .analysis import ToleranceSet
 from .expressions import DifferentiationError, DomainError, ExpressionSyntaxError
 from .integrate import (_grid, _samples, integrate_direction_curve,
                         integrate_frame, reconstruct_position)
-from .liegroup import (GroupSpec, det3, group_spec, identity_element,
+from .liegroup import (SO3, GroupSpec, _FAMILIES, det3, identity_element,
                        renormalize_element)
 from .mates import (NotAFrenetMate, conjugate_mate_apparatus,
                     natural_mate_apparatus)
@@ -36,6 +36,8 @@ SCHEMA_VERSION = "1"
 THEOREMS = ("thm4_1", "thm5_1", "thm5_2", "thm6_2", "cor3_1", "cor3_2",
             "cor3_3", "cor3_4", "cor5_2", "cor6_1", "cor6_2", "cor6_3",
             "cor6_4")
+# the values that each choice setting takes
+_CHOICES = {"kind": ("natural", "conjugate"), "mode": ("analytic", "geometric", "both")}
 
 
 class ConfigError(ValueError):
@@ -53,11 +55,11 @@ class RunConfig(NamedTuple):
     kind: str = "natural"
     theorems: tuple[str, ...] = ()
     tolerances: ToleranceSet = ToleranceSet()
-    init_frame: Optional[np.ndarray] = None      # 9 numbers, rows T, N, B
-    init_position: Optional[np.ndarray] = None   # the group's 3, 9 or 4 numbers
+    init_frame: Optional[np.ndarray] = None      # 3x3, rows T, N, B
+    init_position: Optional[np.ndarray] = None   # in the shape of a group element
 
     def spec(self) -> GroupSpec:
-        return group_spec(self.group)
+        return GroupSpec(self.group)
 
     def profile(self) -> CurvatureProfile:
         return CurvatureProfile.from_expressions(self.kappa, self.tau, self.domain)
@@ -94,18 +96,39 @@ def _is_number(value) -> bool:
             and -_FLOAT_MAX <= value <= _FLOAT_MAX)
 
 
-def _numbers(data: dict, key: str, size: int) -> Optional[np.ndarray]:
-    """data[key] as ``size`` finite floats, flattened; None when absent."""
+def _either(values) -> str:
+    """The values as text: 'a, b or c'."""
+    return f"{', '.join(values[:-1])} or {values[-1]}"
+
+
+def _start(data: dict, key: str, spec: GroupSpec) -> Optional[np.ndarray]:
+    """data[key], a start in spec's group, in the shape of its elements; None
+    when absent.  It must have a projection onto the group (no det <= 0 or
+    near singular matrix, no quaternion of zero or non-finite norm); the
+    command integrates from the start itself, which it projects again.  A
+    frame must be right-handed too: projecting a reflection gives an
+    unrelated rotation."""
     value = data.get(key)
     if value is None:
         return None
+    identity = identity_element(spec)
     flat = np.asarray(value, dtype=object).reshape(-1)
-    if flat.size != size or not all(map(_is_number, flat)):
-        raise ConfigError(f"{key} must be {size} finite numbers, got {value!r}")
-    return flat.astype(float)
+    if flat.size != identity.size or not all(map(_is_number, flat)):
+        raise ConfigError(f"{key} must be {identity.size} finite numbers, got {value!r}")
+    g = flat.astype(float).reshape(identity.shape)
+    if key == "init_frame" and not det3(g) > 0:
+        raise ConfigError("init_frame must be a right-handed frame (det > 0)")
+    try:
+        renormalize_element(spec, g)
+    except ValueError as e:
+        raise ConfigError(f"{key}: {e}") from e
+    return g
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
+    """The settings of one command, from its flags and its config file (a
+    flag wins over the file), each accepted or refused here by one rule:
+    the command only computes."""
     data: dict = {}
     if getattr(args, "config", None):
         import json     # here: only a config file or a JSON report needs it
@@ -122,25 +145,24 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         if unread:
             raise ConfigError(f"{args.command} does not read config keys {unread}")
 
-    def pick(flag, key, default=None):
-        v = getattr(args, flag, None)
-        if v is not None:
-            return v
-        return data.get(key, default)
+    def pick(key):
+        v = getattr(args, key, None)
+        return v if v is not None else data.get(key, RunConfig._field_defaults.get(key))
 
-    group = pick("group", "group")
-    kappa = pick("kappa", "kappa")
-    tau = pick("tau", "tau")
+    group, kappa, tau, step, out, kind, mode = map(
+        pick, ("group", "kappa", "tau", "step", "out", "kind", "mode"))
     domain = getattr(args, "domain", None)
     domain = _parse_domain(domain) if domain is not None else data.get("domain")
-    step = pick("step", "step")
-    out = pick("out", "out")
     if None in (group, kappa, tau, domain, step):
         raise ConfigError("group, kappa, tau, domain and step are all required")
+    # a group is named exactly, as GroupSpec names it
     try:
-        spec = group_spec(str(group))
+        spec = GroupSpec(group)
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    for key, value in (("kind", kind), ("mode", mode)):
+        if value not in _CHOICES[key]:
+            raise ConfigError(f"{key} must be {_either(_CHOICES[key])}, got {value!r}")
     for key, value in (("kappa", kappa), ("tau", tau)):
         if not (isinstance(value, str) or _is_number(value)):
             raise ConfigError(f"{key} must be an expression or a finite number, got {value!r}")
@@ -181,18 +203,27 @@ def build_config(args: argparse.Namespace) -> RunConfig:
     if theorems is not None:
         theorems = [t.strip() for t in theorems.split(",") if t.strip()]
     else:
-        theorems = data.get("theorems", [])
-        if not isinstance(theorems, list):
+        theorems = data.get("theorems", RunConfig._field_defaults["theorems"])
+        if not isinstance(theorems, (list, tuple)):
             raise ConfigError(f"theorems must be a list of ids, got {theorems!r}")
+    if args.command == "verify" and not theorems:
+        raise ConfigError("verify requires --theorems")
+    unknown = [t for t in theorems if t not in THEOREMS]
+    if unknown:
+        raise ConfigError(f"unknown theorem ids: {unknown}; "
+                          f"expected among {list(THEOREMS)}")
+    # the estimator leaves analysis.MARGIN samples out at each end
+    if mode != "analytic" or not {"cor6_3", "cor6_4"}.isdisjoint(theorems):
+        n = _samples(*domain, step)
+        if n < analysis.MIN_SAMPLES:
+            raise ConfigError(f"the grid has {n:.17g} samples; comparing estimated "
+                              f"values needs at least {analysis.MIN_SAMPLES}")
 
     return RunConfig(group=group, kappa=kappa, tau=tau, domain=domain, step=step,
-                     out=out,
-                     mode=pick("mode", "mode", "analytic"),
-                     kind=pick("kind", "kind", "natural"),
-                     theorems=tuple(theorems), tolerances=tolerances,
-                     init_frame=_numbers(data, "init_frame", 9),
-                     init_position=_numbers(data, "init_position",
-                                            identity_element(spec).size))
+                     out=out, mode=mode, kind=kind, theorems=tuple(theorems),
+                     tolerances=tolerances,
+                     init_frame=_start(data, "init_frame", SO3),
+                     init_position=_start(data, "init_position", spec))
 
 
 # ---------------------------------------------------------------------------
@@ -294,22 +325,10 @@ def _write(path: Optional[str], chunks) -> None:
         raise ConfigError(f"cannot write {path}: {e}") from e
 
 
-def _check_estimator_grid(config: RunConfig) -> None:
-    """Reject a grid on which the estimator leaves no sample to compare."""
-    n = _samples(*config.domain, config.step)
-    if n <= 2 * analysis.MARGIN:
-        raise ConfigError(f"the grid has {n:.17g} samples; comparing estimated values "
-                          f"needs at least {2 * analysis.MARGIN + 1}")
-
-
-def _require_projection(key: str, spec: GroupSpec, g: np.ndarray) -> None:
-    """Reject a start g with no projection onto its group (det <= 0 or near
-    singular, a quaternion of zero or non-finite norm) before anything is
-    integrated.  The command integrates from g itself, which it projects again."""
-    try:
-        renormalize_element(spec, g)
-    except ValueError as e:
-        raise ConfigError(f"{key}: {e}") from e
+def _header(config: RunConfig) -> dict:
+    """The keys that open each JSON report of a profile."""
+    return {"schema_version": SCHEMA_VERSION, "group": config.group,
+            "kappa": config.kappa, "tau": config.tau, "domain": list(config.domain)}
 
 
 # ---------------------------------------------------------------------------
@@ -319,21 +338,9 @@ def _require_projection(key: str, spec: GroupSpec, g: np.ndarray) -> None:
 def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
     spec = config.spec()
     p = config.profile()
-    init = g0 = None
-    # each start needs a projection onto its group, and a frame must be
-    # right-handed too: projecting a reflection gives an unrelated rotation
-    if config.init_frame is not None:
-        init = config.init_frame.reshape(3, 3)
-        if not det3(init) > 0:
-            raise ConfigError("init_frame must be a right-handed frame (det > 0)")
-        # the frame's rotation has columns T, N, B
-        _require_projection("init_frame", group_spec("so3"), init.T)
-    if config.init_position is not None:
-        g0 = config.init_position.reshape(identity_element(spec).shape)
-        _require_projection("init_position", spec, g0)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1],
-                           config.step, init)
-    traj = reconstruct_position(traj, spec, g0)
+                           config.step, config.init_frame)
+    traj = reconstruct_position(traj, spec, config.init_position)
     ps = ProfileSamples(p, spec, traj.s)
     header = (["s"] + _POSITION_COLUMNS[spec.family]
               + ["t1", "t2", "t3", "n1", "n2", "n3", "b1", "b2", "b3",
@@ -347,13 +354,7 @@ def cmd_synthesize(config: RunConfig) -> tuple[int, list]:
 def cmd_mate(config: RunConfig) -> tuple[int, list]:
     spec = config.spec()
     p = config.profile()
-    kind = config.kind
-    if kind not in ("natural", "conjugate"):
-        raise ConfigError(f"kind must be natural or conjugate, got {kind!r}")
-    mode = config.mode
-    if mode not in ("analytic", "geometric", "both"):
-        raise ConfigError(f"mode must be analytic, geometric or both, got {mode!r}")
-
+    kind, mode = config.kind, config.mode
     mate = (natural_mate_apparatus(p, spec) if kind == "natural"
             else conjugate_mate_apparatus(p, spec))
 
@@ -368,7 +369,6 @@ def cmd_mate(config: RunConfig) -> tuple[int, list]:
         analytic = ProfileSamples(mate.profile, spec, s)
         return 0, [(config.out, _csv(["s", "kappa", "tau"], _csv_rows(
             [s, analytic.kappa, analytic.tau], blank=([1, 2], outside))))]
-    _check_estimator_grid(config)
     # the mate's tangent is the parent's N or B: the parent's positions are
     # never needed
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
@@ -410,11 +410,7 @@ def cmd_classify(config: RunConfig) -> tuple[int, list]:
         if v.note:
             verdicts[name]["note"] = v.note
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "group": config.group,
-        "kappa": config.kappa,
-        "tau": config.tau,
-        "domain": list(config.domain),
+        **_header(config),
         "verdicts": verdicts,
         "spherical": {
             "pass": report.spherical.is_spherical,
@@ -433,7 +429,6 @@ def _mate_geometry(p: CurvatureProfile, spec: GroupSpec, config: RunConfig) -> d
     """Reports of cor6_3 and cor6_4 from one integration of the parent and
     its direction curves, the conjugate one left out where tau - tau_G
     vanishes identically."""
-    _check_estimator_grid(config)
     traj = integrate_frame(p, spec, config.domain[0], config.domain[1], config.step)
     traj = reconstruct_position(traj, spec)
     natural = integrate_direction_curve(traj, "principal_normal", spec)
@@ -447,12 +442,6 @@ def _mate_geometry(p: CurvatureProfile, spec: GroupSpec, config: RunConfig) -> d
 
 
 def cmd_verify(config: RunConfig) -> tuple[int, list]:
-    if not config.theorems:
-        raise ConfigError("verify requires --theorems")
-    unknown = [t for t in config.theorems if t not in THEOREMS]
-    if unknown:
-        raise ConfigError(f"unknown theorem ids: {unknown}; "
-                          f"expected among {list(THEOREMS)}")
     spec = config.spec()
     p = config.profile()
     results = []
@@ -485,11 +474,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, list]:
             traces.append((theorem, report.trace))
     all_ok = all(report.ok for report in reports)
     payload = {
-        "schema_version": SCHEMA_VERSION,
-        "group": config.group,
-        "kappa": config.kappa,
-        "tau": config.tau,
-        "domain": list(config.domain),
+        **_header(config),
         "results": results,
         "all_ok": all_ok,
     }
@@ -507,7 +492,7 @@ def cmd_verify(config: RunConfig) -> tuple[int, list]:
 # argument parsing
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--group", choices=["r3", "so3", "s3"])
+    sub.add_argument("--group", help=_either(tuple(_FAMILIES)))
     sub.add_argument("--kappa", help="curvature expression in s")
     sub.add_argument("--tau", help="torsion expression in s")
     sub.add_argument("--domain", help="arc-length range a:b")
@@ -531,8 +516,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_mate = sub.add_parser("mate", help="natural/conjugate mate to CSV")
     _add_common(p_mate)
-    p_mate.add_argument("--kind", choices=["natural", "conjugate"])
-    p_mate.add_argument("--mode", choices=["analytic", "geometric", "both"])
+    for key, values in _CHOICES.items():
+        p_mate.add_argument(f"--{key}", help=f"{_either(values)} "
+                                             f"(default {RunConfig._field_defaults[key]})")
 
     p_cls = sub.add_parser("classify", help="special-curve classification JSON")
     p_ver = sub.add_parser("verify", help="verify theorem identities")
@@ -547,15 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _show_tolerances() -> None:
-    print("default tolerances (analytic preset):")
+def _show_tolerances() -> list[str]:
+    """The lines of the default tolerance table."""
     analytic = ToleranceSet()._asdict()
-    for name, value in analytic.items():
-        print(f"  {name:22s} {value:g}")
-    print("estimated preset overrides:")
-    for name, value in ToleranceSet.estimated()._asdict().items():
-        if analytic[name] != value:
-            print(f"  {name:22s} {value:g}")
+    return (["default tolerances (analytic preset):\n"]
+            + [f"  {name:22s} {value:g}\n" for name, value in analytic.items()]
+            + ["estimated preset overrides:\n"]
+            + [f"  {name:22s} {value:g}\n"
+               for name, value in ToleranceSet.estimated()._asdict().items()
+               if analytic[name] != value])
 
 
 def main(argv=None) -> int:
@@ -568,22 +554,22 @@ def main(argv=None) -> int:
         gc.freeze()
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.show_tolerances:
-        _show_tolerances()
-        return 0
-    if args.command is None:
+    if args.command is None and not args.show_tolerances:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = build_config(args)
-        handler = {"synthesize": cmd_synthesize, "mate": cmd_mate,
-                   "classify": cmd_classify, "verify": cmd_verify}[args.command]
-        try:
-            code, outputs = handler(config)
-        except MemoryError as e:
-            # every array a command builds scales with its grid
-            n = _samples(*config.domain, config.step)
-            raise ConfigError(f"a grid of {n:.17g} samples does not fit in memory") from e
+        if args.show_tolerances:
+            code, outputs = 0, [(None, _show_tolerances())]
+        else:
+            config = build_config(args)
+            handler = {"synthesize": cmd_synthesize, "mate": cmd_mate,
+                       "classify": cmd_classify, "verify": cmd_verify}[args.command]
+            try:
+                code, outputs = handler(config)
+            except MemoryError as e:
+                # every array a command builds scales with its grid
+                n = _samples(*config.domain, config.step)
+                raise ConfigError(f"a grid of {n:.17g} samples does not fit in memory") from e
         for path, chunks in outputs:
             _write(path, chunks)
         return code

@@ -38,7 +38,8 @@ class GroupSpec(_GroupFields):
     __slots__ = ()
 
     def __new__(cls, family: str):
-        if family not in _FAMILIES:
+        # text only: a list or a dict is no family, and has no hash to look up
+        if not (isinstance(family, str) and family in _FAMILIES):
             raise ValueError(f"unknown group family {family!r} (expected r3, so3 or s3)")
         return super().__new__(cls, family)
 

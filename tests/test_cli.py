@@ -925,11 +925,65 @@ def test_config_that_json_cannot_read_exits_2(text, tmp_path, capsys):
 ])
 def test_mate_config_rejects_unknown_kind_and_mode(key, value, message, tmp_path,
                                                    capsys):
-    # the flags take only the known choices; a config file reaches the command
+    # a config value meets the rule that a flag meets, in build_config
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({**SYNTH_CONFIG, key: value}), encoding="utf-8")
     code, stdout, err = run_cli(["mate", "--config", str(cfg_path)], capsys)
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("key,value,message", [
+    ("group", "se3", "unknown group family 'se3' (expected r3, so3 or s3)"),
+    ("group", "R3", "unknown group family 'R3' (expected r3, so3 or s3)"),
+    ("kind", "normal", "kind must be natural or conjugate, got 'normal'"),
+    ("mode", "fast", "mode must be analytic, geometric or both, got 'fast'"),
+], ids=["group-unknown", "group-capitals", "kind", "mode"])
+def test_a_bad_choice_is_refused_alike_from_a_flag_or_a_config_file(key, value, message,
+                                                                     tmp_path, capsys):
+    # one rule per setting: the parser checks no choice, build_config checks all
+    cfg_path = tmp_path / "cfg.json"
+    out = tmp_path / "o.csv"
+    for config, flags in (({**SYNTH_CONFIG, key: value}, []),
+                          (SYNTH_CONFIG, [f"--{key}", value])):
+        cfg_path.write_text(json.dumps(config), encoding="utf-8")
+        result = run_cli(["mate", "--config", str(cfg_path), "--out", str(out)] + flags,
+                         capsys)
+        assert result == (2, "", f"error: {message}\n"), flags
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("group", [["r3"], {}], ids=["list", "object"])
+def test_config_group_that_is_not_text_exits_2(group, tmp_path, capsys):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**SYNTH_CONFIG, "group": group}), encoding="utf-8")
+    code, stdout, err = run_cli(["synthesize", "--config", str(cfg_path)], capsys)
+    assert (code, stdout) == (2, "")
+    assert err == f"error: unknown group family {group!r} (expected r3, so3 or s3)\n"
+
+
+def test_mate_help_names_every_choice(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mate", "--help"])
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name in ("r3", "so3", "s3", "natural", "conjugate", "analytic", "geometric",
+                 "both"):
+        assert name in text
+
+
+def test_only_build_config_refuses_a_setting():
+    # the commands only compute, and the parser leaves every choice to the gate
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    bodies = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+              and (node.name.startswith("cmd_") or node.name == "_mate_geometry")]
+    assert len(bodies) == 5
+    for node in bodies:
+        assert "ConfigError" not in {n.id for n in ast.walk(node)
+                                     if isinstance(n, ast.Name)}, node.name
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Attribute) and n.func.attr == "add_argument"]
+    assert calls
+    assert not [c for c in calls if any(k.arg == "choices" for k in c.keywords)]
 
 
 def test_no_command_prints_usage_and_exits_2(capsys):
@@ -1093,6 +1147,17 @@ def test_show_tolerances(capsys):
         "  spherical_spread       0.001\n"
         "  spherical_residual     0.001\n"
         "  spherical_zero_rel     0.001\n")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_show_tolerances_on_a_full_stdout_exits_2():
+    # the table goes through the one writer, like every command's output
+    with open("/dev/full", "w") as full:
+        cp = subprocess.run([sys.executable, "-m", "curvemates.cli", "--show-tolerances"],
+                            stdout=full, stderr=subprocess.PIPE, text=True, timeout=120)
+    assert cp.returncode == 2
+    assert cp.stderr == (f"error: cannot write stdout: [Errno {errno.ENOSPC}] "
+                         f"{os.strerror(errno.ENOSPC)}\n")
 
 
 def test_module_entry_point(tmp_path):
